@@ -6,7 +6,7 @@ BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: all check vet build test race race-hot soak fuzz-smoke diff-sweep dist-diff dist-bench wire-diff budget-audit budget-bench loadtest-smoke loadtest bench bench-merge staticcheck profile obs-demo clean
+.PHONY: all check vet build test agent-repeat race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit budget-bench loadtest-smoke loadtest bench bench-merge staticcheck profile obs-demo clean
 
 all: check
 
@@ -15,10 +15,10 @@ all: check
 # concurrent sessions) fail fast before the full-tree race pass.
 # diff-sweep re-runs the offline engine differential battery verbosely
 # and fails if the sweep was filtered out or skipped, so the fast
-# offline engine can never silently drift from the Hungarian+VCG oracle;
-# dist-diff does the same for the distributed engine's over-the-wire
-# equivalence evidence.
-check: vet build test race-hot race diff-sweep dist-diff wire-diff budget-audit
+# offline engine can never silently drift from the Hungarian+VCG oracle.
+# agent-repeat reruns the CLI agent's end-of-service tests many times,
+# so a shutdown race cannot hide behind a lucky single run.
+check: vet build test agent-repeat race-hot race diff-sweep wire-diff budget-audit
 
 vet:
 	$(GO) vet ./...
@@ -29,38 +29,41 @@ build:
 test:
 	$(GO) test ./...
 
+agent-repeat:
+	$(GO) test -count=200 ./cmd/crowd-agent
+
 race:
 	$(GO) test -race ./...
 
 # race-hot focuses the race detector on the packages that share scratch
-# buffers across goroutines: the payment engines, the sharded auction's
-# fan-out/merge, the platform server, and the lock-free observability
-# primitives.
+# buffers across goroutines: the pooled mechanism scratch, the platform
+# server, and the lock-free observability primitives.
 race-hot:
-	$(GO) test -race -count=1 ./internal/core/... ./internal/shard/... ./internal/dshard/... ./internal/platform/... ./internal/obs/... ./internal/matching/... ./internal/budget/...
+	$(GO) test -race -count=1 ./internal/core/... ./internal/platform/... ./internal/obs/... ./internal/matching/... ./internal/budget/...
 
 # soak exercises the unreliable-winner pipeline under the race detector:
 # the chaos soak (realization faults composed with transport faults,
-# conservation invariants), the sequential-vs-sharded completion
-# differential, and a short fuzz of completion-event orderings. See
-# docs/PLATFORM.md "Failure model".
+# conservation invariants) and a short fuzz of completion-event
+# orderings with snapshot/restore round trips. See docs/PLATFORM.md
+# "Failure model".
 soak:
 	$(GO) test -race -count=1 -run TestSoakUnreliableWinnersUnderChaos -v ./internal/platform/
-	$(GO) test -race -count=1 -run TestShardCompletionParity ./internal/shard/
-	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzShardCompletionOrder -fuzztime 10s ./internal/shard/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCompletionOrder -fuzztime 10s ./internal/core/
 
 # fuzz-smoke gives the offline-VCG differential fuzzers a short,
 # deterministic budget: FuzzOfflineVCG cross-checks the fast interval
 # engine against the Hungarian+VCG oracle (welfare, payments, IR),
 # FuzzIntervalSolver pins the augmenting-path matcher to the dense
-# Hungarian optimum on arbitrary interval instances, and the protocol
-# fuzzers feed arbitrary bytes to the client-message and shard-RPC
-# frame decoders (malformed input must error, never panic or hang).
+# Hungarian optimum on arbitrary interval instances, FuzzCompletionOrder
+# drives arbitrary complete/default orderings through the online
+# auction's lifecycle and snapshot/restore, and the protocol fuzzer
+# feeds arbitrary bytes to the binary frame decoder (malformed input
+# must error, never panic or hang).
 fuzz-smoke:
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzOfflineVCG -fuzztime 10s ./internal/core/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCompletionOrder -fuzztime 10s ./internal/core/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzIntervalSolver -fuzztime 5s ./internal/matching/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBinaryFrame -fuzztime 10s ./internal/protocol/
-	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzShardRPCFrame -fuzztime 10s ./internal/protocol/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBudgetSnapshot -fuzztime 10s ./internal/budget/
 
 # wire-diff proves the binary framing is transport dressing only: the
@@ -127,26 +130,6 @@ diff-sweep:
 	$(GO) test -count=1 -run TestOfflineDifferentialSweep -v ./internal/core/ \
 		| tee /tmp/dynacrowd-diff-sweep.out
 	grep -q -- '--- PASS: TestOfflineDifferentialSweep' /tmp/dynacrowd-diff-sweep.out
-
-# dist-diff proves the distributed coordinator's over-the-wire merge is
-# transport dressing only: real shard-server processes (in-memory
-# transport), clean and chaos-battered, must reproduce the sequential
-# engine's allocations, payments, and welfare bit for bit across the
-# seeded sweep and the completion-lifecycle scripts. Same grep guard as
-# diff-sweep: a filtered or skipped sweep fails the gate.
-dist-diff:
-	$(GO) test -count=1 -run TestDistributedDifferentialSweep -v ./internal/dshard/ \
-		| tee /tmp/dynacrowd-dist-diff.out
-	grep -q -- '--- PASS: TestDistributedDifferentialSweep' /tmp/dynacrowd-dist-diff.out
-
-# dist-bench records the distributed engine's slot throughput over both
-# the in-memory and TCP-loopback transports into the trajectory file,
-# next to the in-process BenchmarkShardedSlot numbers it is compared
-# against in docs/DISTRIBUTED.md.
-dist-bench:
-	$(GO) test -bench BenchmarkDistributedSlot -benchtime $(BENCHTIME) -run '^$$' ./internal/dshard/ \
-		| tee /dev/stderr \
-		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section dist-slot
 
 # staticcheck runs honnef.co/go/tools if it is installed; the tier-1
 # gate stays dependency-free, so a missing binary is a skip, not a

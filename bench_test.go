@@ -27,7 +27,6 @@ package dynacrowd_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -36,7 +35,6 @@ import (
 	"dynacrowd/internal/market"
 	"dynacrowd/internal/matching"
 	"dynacrowd/internal/multitask"
-	"dynacrowd/internal/shard"
 	"dynacrowd/internal/sim"
 	"dynacrowd/internal/typed"
 	"dynacrowd/internal/workload"
@@ -129,10 +127,9 @@ func BenchmarkOnlineMechanism(b *testing.B) {
 }
 
 // BenchmarkPaymentEngines ablates the critical-value payment engines on
-// the same instance: the incremental cascade (default), the literal
-// per-winner Algorithm 2 oracle, and the parallel oracle fan-out. All
-// three return bit-identical payments (see TestCascadeMatchesOracleSweep),
-// so the spread here is pure engine cost.
+// the same instance: the incremental cascade (default) and the literal
+// per-winner Algorithm 2 oracle. Both return bit-identical payments (see
+// TestCascadeMatchesOracleSweep), so the spread here is pure engine cost.
 func BenchmarkPaymentEngines(b *testing.B) {
 	for _, m := range []core.Slot{50, 100} {
 		in := generated(b, m)
@@ -273,56 +270,6 @@ func BenchmarkStreamingSlot(b *testing.B) {
 	}
 	// Slots per op is more interpretable than ns for this benchmark.
 	b.ReportMetric(float64(in.Slots), "slots/op")
-}
-
-// BenchmarkShardedSlot measures the per-slot cost of the sharded
-// auction engine on the heavy-traffic workload (~2000 Zipf-windowed
-// phones, bursty tasks) across shard counts and a GOMAXPROCS sweep.
-// Outcomes are bit-identical to the sequential engine at every point
-// (see internal/shard's differential sweep); this benchmark measures
-// only the throughput of partitioned admission plus the top-k merge.
-// On a single-core box every configuration runs the parallel phases
-// inline, so S > 1 shows the partitioning overhead rather than a
-// speedup; see docs/SHARDING.md for the scaling discussion.
-func BenchmarkShardedSlot(b *testing.B) {
-	scn := workload.HeavyTrafficScenario()
-	in, err := scn.Generate(2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	perSlot := in.TasksPerSlot()
-	byArrival := make([][]core.StreamBid, in.Slots+1)
-	for _, bid := range in.Bids {
-		byArrival[bid.Arrival] = append(byArrival[bid.Arrival], core.StreamBid{
-			Departure: bid.Departure, Cost: bid.Cost,
-		})
-	}
-	procs := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		procs = append(procs, n)
-	}
-	for _, s := range []int{1, 2, 4, 8} {
-		for _, p := range procs {
-			b.Run(fmt.Sprintf("shards=%d/procs=%d", s, p), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(p)
-				defer runtime.GOMAXPROCS(prev)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sa, err := shard.New(s, in.Slots, in.Value, in.AllocateAtLoss)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for t := core.Slot(1); t <= in.Slots; t++ {
-						if _, err := sa.Step(byArrival[t], perSlot[t-1]); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				b.ReportMetric(float64(in.Slots), "slots/op")
-				b.ReportMetric(float64(len(in.Bids)), "bids/op")
-			})
-		}
-	}
 }
 
 // BenchmarkWorkloadGeneration isolates the generator.

@@ -104,7 +104,7 @@ func TestMergeFilesCombinesTrajectories(t *testing.T) {
 		"current":{"go":"go1.24","recorded":"a","benchmarks":{"b":{"ns/op":50}}}}}`)
 	writeJSON(b, `{"sections":{
 		"current":{"go":"go1.24","recorded":"b","benchmarks":{"b":{"ns/op":25}}},
-		"sharded":{"go":"go1.24","recorded":"b","benchmarks":{"s":{"ns/op":10}}}}}`)
+		"load":{"go":"go1.24","recorded":"b","benchmarks":{"s":{"ns/op":10}}}}}`)
 
 	out := filepath.Join(dir, "BENCH_ALL.json")
 	err := run([]string{"-merge", a + "," + b, "-out", out}, strings.NewReader(""), discard{})
@@ -121,7 +121,7 @@ func TestMergeFilesCombinesTrajectories(t *testing.T) {
 	}
 	// All four recorded runs survive: the second file's colliding
 	// "current" is renamed after its file stem instead of clobbering.
-	for _, name := range []string{"baseline", "current", "current@BENCH_PR5", "sharded"} {
+	for _, name := range []string{"baseline", "current", "current@BENCH_PR5", "load"} {
 		if traj.Sections[name] == nil {
 			t.Fatalf("merged file missing section %q: %s", name, data)
 		}

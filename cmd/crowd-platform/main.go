@@ -15,30 +15,19 @@
 //	-slot-every d     slot duration, e.g. 500ms (default 1s)
 //	-seed n           task arrival seed (default 1)
 //	-rounds n         consecutive auction rounds to play (default 1)
-//	-shards n         run the sharded auction engine with n bid pools
-//	                  (default 1: sequential engine; outcomes identical,
-//	                  see docs/SHARDING.md)
-//	-shard-addrs a,b  run the distributed engine against crowd-shard
-//	                  server processes at these addresses, one per
-//	                  partition (outcomes identical, see
-//	                  docs/DISTRIBUTED.md; takes precedence over -shards)
 //	-checkpoint f     write the auction state to f after every slot and,
 //	                  if f already exists at startup, resume from it
-//	-payments e       payment engine: cascade | oracle | parallel
-//	                  (default cascade; all produce identical payments)
 //	-completion-deadline n
 //	                  require each winner to report its task done within
 //	                  n slots of assignment or be defaulted: its task is
 //	                  re-allocated and any issued payment clawed back
-//	                  (default 0: tracking disabled; forces the cascade
-//	                  payment engine when set)
+//	                  (default 0: tracking disabled)
 //	-budget B         cap the round's total payments at B: the budgeted
 //	                  stage-sampling auction replaces the unbudgeted
 //	                  greedy, winners are paid counterfactual critical
 //	                  values, and bids past exhaustion are rejected with
 //	                  a typed reason (default 0: unbudgeted; incompatible
-//	                  with -shards, -shard-addrs, -completion-deadline;
-//	                  see docs/BUDGET.md)
+//	                  with -completion-deadline; see docs/BUDGET.md)
 //	-budget-engine e  budget threshold engine: stage (default) | frugal
 //	-offline-benchmark e
 //	                  solve each completed round's offline VCG optimum ω*
@@ -59,7 +48,6 @@ import (
 	"log"
 	"log/slog"
 	"os"
-	"strings"
 	"time"
 
 	"dynacrowd/internal/budget"
@@ -77,10 +65,7 @@ func main() {
 	slotEvery := flag.Duration("slot-every", time.Second, "slot duration")
 	seed := flag.Uint64("seed", 1, "task arrival seed")
 	rounds := flag.Int("rounds", 1, "consecutive auction rounds")
-	shards := flag.Int("shards", 1, "shard count for the sharded auction engine (1 = sequential)")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated crowd-shard server addresses for the distributed engine (empty = in-process)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file (resume if present)")
-	payments := flag.String("payments", "cascade", "payment engine: cascade | oracle | parallel")
 	completionDeadline := flag.Int("completion-deadline", 0, "slots a winner has to report completion before defaulting (0 disables)")
 	obsAddr := flag.String("obs-addr", "", "observability HTTP address (metrics, trace, pprof); empty disables")
 	trace := flag.String("trace", "", "append auction trace events to this JSONL file")
@@ -89,7 +74,7 @@ func main() {
 	budgetEngine := flag.String("budget-engine", "stage", "budget threshold engine: stage | frugal")
 	flag.Parse()
 
-	if err := run(*addr, *slots, *value, *taskRate, *slotEvery, *seed, *rounds, *shards, *completionDeadline, *checkpoint, *payments, *obsAddr, *trace, *offlineBench, *shardAddrs, *budgetFlag, *budgetEngine); err != nil {
+	if err := run(*addr, *slots, *value, *taskRate, *slotEvery, *seed, *rounds, *completionDeadline, *checkpoint, *obsAddr, *trace, *offlineBench, *budgetFlag, *budgetEngine); err != nil {
 		fmt.Fprintln(os.Stderr, "crowd-platform:", err)
 		os.Exit(1)
 	}
@@ -112,25 +97,7 @@ func buildObs(obsAddr, trace string) (*obs.Observability, error) {
 	return obs.New(obs.Options{Addr: obsAddr, Sinks: sinks})
 }
 
-// paymentEngine resolves the -payments flag.
-func paymentEngine(name string) (core.PaymentEngine, error) {
-	switch name {
-	case "", "cascade":
-		return core.CascadePayments, nil
-	case "oracle":
-		return core.OraclePayments, nil
-	case "parallel":
-		return core.ParallelPayments(0), nil
-	default:
-		return nil, fmt.Errorf("unknown payment engine %q (want cascade, oracle, or parallel)", name)
-	}
-}
-
-func run(addr string, slots int, value, taskRate float64, slotEvery time.Duration, seed uint64, rounds, shards, completionDeadline int, checkpoint, payments, obsAddr, trace, offlineBench, shardAddrs string, budgetB float64, budgetEngine string) error {
-	engine, err := paymentEngine(payments)
-	if err != nil {
-		return err
-	}
+func run(addr string, slots int, value, taskRate float64, slotEvery time.Duration, seed uint64, rounds, completionDeadline int, checkpoint, obsAddr, trace, offlineBench string, budgetB float64, budgetEngine string) error {
 	// Surface bad -budget knobs as the typed errors before any socket or
 	// file is touched; platform.Listen re-checks the combination rules.
 	if budgetB != 0 {
@@ -142,6 +109,7 @@ func run(addr string, slots int, value, taskRate float64, slotEvery time.Duratio
 		}
 	}
 	var offlineEngine core.OfflineEngine
+	var err error
 	if offlineBench != "" {
 		offlineEngine, err = core.OfflineEngineByName(offlineBench)
 		if err != nil {
@@ -152,25 +120,11 @@ func run(addr string, slots int, value, taskRate float64, slotEvery time.Duratio
 	if err != nil {
 		return err
 	}
-	var shardList []string
-	if shardAddrs != "" {
-		for _, a := range strings.Split(shardAddrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				shardList = append(shardList, a)
-			}
-		}
-		if len(shardList) == 0 {
-			return fmt.Errorf("-shard-addrs %q names no addresses", shardAddrs)
-		}
-	}
 	cfg := platform.Config{
 		Slots:              core.Slot(slots),
 		Value:              value,
 		Rounds:             rounds,
-		Shards:             shards,
-		ShardAddrs:         shardList,
 		Logger:             slog.Default(),
-		PaymentEngine:      engine,
 		CompletionDeadline: core.Slot(completionDeadline),
 		Budget:             budgetB,
 		BudgetEngine:       budgetEngine,

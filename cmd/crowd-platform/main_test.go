@@ -19,7 +19,7 @@ func TestRunPlaysRoundOnWallClock(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "round.ckpt")
 	trace := filepath.Join(dir, "round.trace.jsonl")
-	err := run("127.0.0.1:0", 3, 10, 1, 3*time.Millisecond, 1, 1, 1, 0, ckpt, "cascade", "127.0.0.1:0", trace, "", "", 0, "stage")
+	err := run("127.0.0.1:0", 3, 10, 1, 3*time.Millisecond, 1, 1, 0, ckpt, "127.0.0.1:0", trace, "", 0, "stage")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,37 +43,30 @@ func TestRunPlaysRoundOnWallClock(t *testing.T) {
 // from the checkpoint file instead of starting over.
 func TestRunResumesFromCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "round.ckpt")
-	if err := run("127.0.0.1:0", 4, 10, 1, 3*time.Millisecond, 1, 1, 1, 0, ckpt, "cascade", "", "", "", "", 0, "stage"); err != nil {
+	if err := run("127.0.0.1:0", 4, 10, 1, 3*time.Millisecond, 1, 1, 0, ckpt, "", "", "", 0, "stage"); err != nil {
 		t.Fatal(err)
 	}
 	// The final checkpoint captures the last pre-completion state;
-	// resuming finishes the remaining slots and exits cleanly — here on
-	// the sharded engine, which reads the same snapshot format.
-	if err := run("127.0.0.1:0", 4, 10, 1, 3*time.Millisecond, 1, 1, 4, 0, ckpt, "cascade", "", "", "", "", 0, "stage"); err != nil {
+	// resuming finishes the remaining slots and exits cleanly.
+	if err := run("127.0.0.1:0", 4, 10, 1, 3*time.Millisecond, 1, 1, 0, ckpt, "", "", "", 0, "stage"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunRejectsUnknownEngine(t *testing.T) {
-	if err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 1, 0, "", "magic", "", "", "", "", 0, "stage"); err == nil {
-		t.Fatal("want unknown payment engine error")
 	}
 }
 
 func TestRunRejectsUnknownOfflineEngine(t *testing.T) {
-	if err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 1, 0, "", "cascade", "", "", "magic", "", 0, "stage"); err == nil {
+	if err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", "magic", 0, "stage"); err == nil {
 		t.Fatal("want unknown offline engine error")
 	}
 }
 
 func TestRunRejectsBadAddress(t *testing.T) {
-	if err := run("256.0.0.1:99999", 3, 10, 1, time.Millisecond, 1, 1, 1, 0, "", "", "", "", "", "", 0, "stage"); err == nil {
+	if err := run("256.0.0.1:99999", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", "", 0, "stage"); err == nil {
 		t.Fatal("want listen error")
 	}
 }
 
 func TestRunMultiRound(t *testing.T) {
-	if err := run("127.0.0.1:0", 2, 10, 0.5, 3*time.Millisecond, 2, 2, 2, 0, "", "parallel", "", "", "interval", "", 0, "stage"); err != nil {
+	if err := run("127.0.0.1:0", 2, 10, 0.5, 3*time.Millisecond, 2, 2, 0, "", "", "", "interval", 0, "stage"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,7 +75,7 @@ func TestRunMultiRound(t *testing.T) {
 // before any listener is opened.
 func TestRunRejectsBadBudget(t *testing.T) {
 	for _, b := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 1, 0, "", "cascade", "", "", "", "", b, "stage")
+		err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", "", b, "stage")
 		if !errors.Is(err, budget.ErrInvalidBudget) {
 			t.Errorf("budget %g: err = %v, want ErrInvalidBudget", b, err)
 		}
@@ -90,7 +83,7 @@ func TestRunRejectsBadBudget(t *testing.T) {
 }
 
 func TestRunRejectsUnknownBudgetEngine(t *testing.T) {
-	err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 1, 0, "", "cascade", "", "", "", "", 5, "simplex")
+	err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", "", 5, "simplex")
 	if err == nil || !strings.Contains(err.Error(), "simplex") {
 		t.Fatalf("err = %v, want unknown budget engine", err)
 	}
@@ -99,7 +92,7 @@ func TestRunRejectsUnknownBudgetEngine(t *testing.T) {
 // TestRunBudgetedRound: the CLI plays a budgeted round unattended on
 // the wall clock.
 func TestRunBudgetedRound(t *testing.T) {
-	err := run("127.0.0.1:0", 3, 10, 1, 3*time.Millisecond, 1, 1, 1, 0, "", "cascade", "", "", "", "", 25, "frugal")
+	err := run("127.0.0.1:0", 3, 10, 1, 3*time.Millisecond, 1, 1, 0, "", "", "", "", 25, "frugal")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,18 +21,11 @@
 //	-format f      table | chart | csv (default table)
 //	-check         verify the paper's shape claims and report
 //	-value v       per-task value ν override (default scenario's 30)
-//	-shards n      run the online mechanism on the sharded engine with n
-//	               bid pools (default 1 = sequential; outcomes are
-//	               bit-identical either way)
-//	-dshard n      run the online mechanism through the distributed
-//	               coordinator with n in-process shard servers over an
-//	               in-memory transport (default 0 = off; outcomes are
-//	               bit-identical, see docs/DISTRIBUTED.md)
 //	-budget B      hard round budget: substitute the budgeted online
 //	               mechanism (stage-sampling thresholds, counterfactual
 //	               critical-value payments, Σ payments ≤ B) for the
 //	               paper's online mechanism in every sweep (default 0 =
-//	               unbudgeted; incompatible with -shards/-dshard)
+//	               unbudgeted)
 //	-budget-engine e  budget threshold engine: stage (default) | frugal
 //	-offline-engine e  solver engine for the offline VCG benchmark:
 //	               interval (default, augmenting-path fast path),
@@ -63,10 +56,8 @@ import (
 
 	"dynacrowd/internal/budget"
 	"dynacrowd/internal/core"
-	"dynacrowd/internal/dshard"
 	"dynacrowd/internal/experiments"
 	"dynacrowd/internal/obs"
-	"dynacrowd/internal/shard"
 	"dynacrowd/internal/sim"
 	"dynacrowd/internal/stats"
 	"dynacrowd/internal/workload"
@@ -87,8 +78,6 @@ func run(args []string, out io.Writer) error {
 	format := fs.String("format", "table", "output format: table | chart | csv")
 	check := fs.Bool("check", false, "verify the paper's shape claims")
 	value := fs.Float64("value", 0, "per-task value ν override (0 = scenario default)")
-	shards := fs.Int("shards", 1, "bid-pool shards for the online mechanism (1 = sequential)")
-	dshards := fs.Int("dshard", 0, "run the online mechanism through a distributed coordinator with this many in-process shard servers (0 = off)")
 	budgetFlag := fs.Float64("budget", 0, "hard round budget B for the online mechanism (0 = unbudgeted)")
 	budgetEngine := fs.String("budget-engine", "stage", "budget threshold engine: stage | frugal")
 	offlineEngine := fs.String("offline-engine", "", "offline solver engine: interval | hungarian | flow | ssp (default interval)")
@@ -165,12 +154,6 @@ func run(args []string, out io.Writer) error {
 		base.Value = *value
 	}
 	opt := experiments.Options{Seeds: *seeds, BaseSeed: *seed, Scenario: base}
-	switch {
-	case *dshards > 0:
-		opt.Online = &dshard.Mechanism{Shards: *dshards}
-	case *shards > 1:
-		opt.Online = &shard.Mechanism{Shards: *shards}
-	}
 	if *budgetFlag != 0 {
 		if err := budget.ValidateBudget(*budgetFlag); err != nil {
 			return err
@@ -178,9 +161,6 @@ func run(args []string, out io.Writer) error {
 		eng, err := budget.EngineByName(*budgetEngine)
 		if err != nil {
 			return err
-		}
-		if opt.Online != nil {
-			return fmt.Errorf("-budget is incompatible with -shards and -dshard")
 		}
 		opt.Online = &budget.Mechanism{Budget: *budgetFlag, Engine: eng}
 	}

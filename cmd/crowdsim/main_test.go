@@ -177,7 +177,7 @@ func TestRunBudgetOverride(t *testing.T) {
 	}
 }
 
-// TestRunBudgetFlagValidation: bad -budget values and combinations are
+// TestRunBudgetFlagValidation: bad -budget values and engine names are
 // rejected before any sweep starts.
 func TestRunBudgetFlagValidation(t *testing.T) {
 	cases := [][]string{
@@ -185,8 +185,6 @@ func TestRunBudgetFlagValidation(t *testing.T) {
 		{"-budget", "NaN"},
 		{"-budget", "+Inf"},
 		{"-budget", "5", "-budget-engine", "simplex"},
-		{"-budget", "5", "-shards", "4"},
-		{"-budget", "5", "-dshard", "2"},
 	}
 	for _, args := range cases {
 		var buf bytes.Buffer

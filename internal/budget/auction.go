@@ -19,12 +19,12 @@ var ErrCompletionsUnsupported = errors.New("budget: completion lifecycle is not 
 
 // Auction drives the budgeted online mechanism slot by slot. It
 // implements core.Auction, so the platform hosts it interchangeably
-// with the unbudgeted engines; allocation decisions are recorded into a
+// with core.OnlineAuction; allocation decisions are recorded into a
 // core.Ledger and winners are paid their exact counterfactual critical
 // value (see criticalValue), capped per winner at the stage threshold
 // reserved for it.
 //
-// Like the other engines, an Auction is coordinator-single-threaded:
+// Like core.OnlineAuction, an Auction is not safe for concurrent use:
 // one goroutine calls Step.
 type Auction struct {
 	ledger *core.Ledger
@@ -32,8 +32,7 @@ type Auction struct {
 	eng    Engine
 	stages int // K
 
-	payEngine core.PaymentEngine
-	pricer    *core.Pricer
+	pricer *core.Pricer
 
 	now   core.Slot
 	stage int // current stage, 0 before the first Step
@@ -87,14 +86,13 @@ func New(m core.Slot, value float64, allocateAtLoss bool, budget float64, eng En
 		budget:      budget,
 		eng:         eng,
 		stages:      stages,
-		payEngine:   core.CascadePayments,
 		byDeparture: make([][]core.PhoneID, m+1),
 		stageCosts:  make([][]float64, stages+1),
 		samples:     make([][]float64, stages+1),
 		rawThr:      make([]float64, stages+1),
 	}
 	a.pool.ledger = l
-	a.pricer = l.NewPricer(a.payEngine, nil)
+	a.pricer = l.NewPricer(core.CascadePayments, nil)
 	return a, nil
 }
 
@@ -122,23 +120,11 @@ func (a *Auction) BudgetExhausted() bool {
 	return a.Remaining() <= 1e-12*a.budget
 }
 
-// SetPaymentEngine implements core.Auction. Budgeted payments are
-// exact counterfactual critical values (see criticalValue), so the
-// engine choice does not alter them; it is retained for the hosting
-// platform's pricer plumbing (nil: cascade).
-func (a *Auction) SetPaymentEngine(e core.PaymentEngine) {
-	if e == nil {
-		e = core.CascadePayments
-	}
-	a.payEngine = e
-	a.pricer = a.ledger.NewPricer(e, a.metrics)
-}
-
 // SetMetrics instruments the hot path with the core latency histograms
 // (nil disables).
 func (a *Auction) SetMetrics(m *core.Metrics) {
 	a.metrics = m
-	a.pricer = a.ledger.NewPricer(a.payEngine, m)
+	a.pricer = a.ledger.NewPricer(core.CascadePayments, m)
 }
 
 // SetInstruments attaches the budget observability bundle (remaining
@@ -165,11 +151,14 @@ func (a *Auction) Default(core.PhoneID) (*core.DefaultResult, error) {
 	return nil, ErrCompletionsUnsupported
 }
 
-// Completion returns phone p's lifecycle view (always the zero value).
-func (a *Auction) Completion(p core.PhoneID) core.CompletionState { return a.ledger.Completion(p) }
+// Completion returns phone p's lifecycle view: always the untracked
+// zero value.
+func (a *Auction) Completion(core.PhoneID) core.CompletionState {
+	return core.CompletionState{Task: core.NoTask}
+}
 
 // CompletionCounts returns aggregate lifecycle outcomes (always zero).
-func (a *Auction) CompletionCounts() core.CompletionCounts { return a.ledger.CompletionCounts() }
+func (a *Auction) CompletionCounts() core.CompletionCounts { return core.CompletionCounts{} }
 
 // Now returns the last processed slot (0 before the first Step).
 func (a *Auction) Now() core.Slot { return a.now }
@@ -361,7 +350,6 @@ func (a *Auction) settle(t core.Slot, res *core.SlotResult) {
 		}
 		amount := a.criticalValue(ph)
 		a.settled[ph] = true
-		a.ledger.NotePaid(ph, amount, t)
 		res.Payments = append(res.Payments, core.PaymentNotice{Phone: ph, Amount: amount})
 	}
 }

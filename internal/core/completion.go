@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// This file adds the unreliable-winner lifecycle to the online engines.
+// This file adds the unreliable-winner lifecycle to OnlineAuction.
 // The paper assumes a phone that wins a slot performs its task; real
 // dynamic smartphones no-show, arrive late, or vanish mid-task. With
 // completion tracking enabled, every assignment must be resolved:
@@ -16,8 +16,8 @@ import (
 //	                                    task re-allocated in place)
 //
 // A default releases the task and re-assigns it to the next-cheapest
-// eligible bidder still present — the same phone the Ledger's runner-up
-// record would name unless that phone has itself won, defaulted, or is
+// eligible bidder still present — the same phone the greedy run's
+// runner-up record would name unless that phone has itself won, defaulted, or is
 // reserve-priced, in which case the scan continues down the cost order.
 // The replacement is priced at its own critical value under the
 // post-default state; the defaulted phone nets zero (any payment already
@@ -53,7 +53,7 @@ func (s CompletionStatus) String() string {
 }
 
 // Typed lifecycle errors, matchable via errors.Is at every validation
-// surface (the engines, the Ledger, and the platform's protocol layer).
+// surface (OnlineAuction and the platform's protocol layer).
 var (
 	// ErrAlreadyCompleted rejects a duplicate completion report, or a
 	// default of a task that was already delivered.
@@ -93,8 +93,8 @@ type CompletionState struct {
 	PaidAt Slot    // auction clock when the payment was issued (0 if never)
 }
 
-// CompletionSnapshot is the serialized tracker state embedded in both
-// engines' snapshots.
+// CompletionSnapshot is the serialized tracker state embedded in
+// OnlineAuction snapshots.
 type CompletionSnapshot struct {
 	Statuses []CompletionStatus `json:"statuses"`
 	Paid     []float64          `json:"paid,omitempty"`
@@ -118,10 +118,9 @@ type DefaultResult struct {
 	Payments []PaymentNotice
 }
 
-// completions is the lifecycle tracker shared by OnlineAuction and
-// Ledger. All slices are indexed by PhoneID and grown lazily; when
-// disabled every method is a cheap no-op so the tracking-off hot path
-// stays allocation-free.
+// completions is OnlineAuction's lifecycle tracker. All slices are
+// indexed by PhoneID and grown lazily; when disabled every method is a
+// cheap no-op so the tracking-off hot path stays allocation-free.
 type completions struct {
 	enabled bool
 	status  []CompletionStatus
@@ -311,8 +310,7 @@ func defaultWinner(in *Instance, run *greedyRun, c *completions, p PhoneID, now 
 
 	// Replacement scan: cheapest and second-cheapest phones that cover
 	// slot t, have no assignment history, and clear the reserve price.
-	// (cost, id) ordering matches the allocation heap, so both engines
-	// draft the same phone from identical state.
+	// (cost, id) ordering matches the allocation heap.
 	best, second := NoPhone, NoPhone
 	for i := range in.Bids {
 		r := PhoneID(i)

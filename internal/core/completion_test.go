@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -372,5 +373,116 @@ func TestCompletionDisabledStepAllocFree(t *testing.T) {
 	// The engine's own slot path allocates only the SlotResult.
 	if avg > 1 {
 		t.Fatalf("tracking-off Step allocates %.1f objects per slot", avg)
+	}
+}
+
+// FuzzCompletionOrder feeds arbitrary completion-event orderings —
+// complete, default, or defer, applied in fuzzer-chosen order across
+// the round — to an OnlineAuction. Every rejection must be one of the
+// typed lifecycle errors, and at every slot boundary a Snapshot →
+// Restore round trip must reproduce Outcome() and CompletionCounts()
+// bit for bit.
+func FuzzCompletionOrder(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 0, 1})
+	f.Add(int64(7), []byte{2, 2, 2, 1, 1, 1, 0, 0})
+	f.Add(int64(42), []byte{1, 0, 2, 5, 9, 13, 77})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		in := randomInstance(rand.New(rand.NewSource(seed)), 40, 30, 20, 30)
+		byArrival := make([][]StreamBid, in.Slots+1)
+		for _, b := range in.Bids {
+			byArrival[b.Arrival] = append(byArrival[b.Arrival], StreamBid{Departure: b.Departure, Cost: b.Cost})
+		}
+		tasks := in.TasksPerSlot()
+
+		oa, err := NewOnlineAuction(in.Slots, in.Value, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oa.TrackCompletions(true)
+
+		next := 0
+		op := func() byte {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[next%len(script)]
+			next++
+			return b
+		}
+		typed := func(what string, p PhoneID, err error) {
+			if err != nil && !errors.Is(err, ErrAlreadyCompleted) && !errors.Is(err, ErrNotAssigned) {
+				t.Fatalf("%s(%d): untyped error %v", what, p, err)
+			}
+		}
+		// pending holds phones assigned but not yet resolved; the script
+		// may come back to them slots later, exercising out-of-order and
+		// cross-slot completion events.
+		var pending []PhoneID
+		apply := func(p PhoneID, b byte) {
+			switch b % 3 {
+			case 0:
+				typed("Complete", p, oa.Complete(p))
+			case 1:
+				d, err := oa.Default(p)
+				typed("Default", p, err)
+				if err == nil && d.Replacement != NoPhone {
+					pending = append(pending, d.Replacement)
+				}
+			default: // defer: leave the assignment open for a later byte
+				pending = append(pending, p)
+			}
+		}
+
+		for s := Slot(1); s <= in.Slots; s++ {
+			res := stepOne(t, oa, byArrival[s], tasks[s-1])
+			for _, as := range res.Assignments {
+				apply(as.Phone, op())
+			}
+			// Revisit one deferred phone per slot in fuzzer order.
+			if len(pending) > 0 {
+				idx := int(op()) % len(pending)
+				p := pending[idx]
+				pending = append(pending[:idx], pending[idx+1:]...)
+				apply(p, op())
+			}
+			sameAfterRestore(t, oa)
+		}
+	})
+}
+
+// sameAfterRestore requires a Snapshot → Restore round trip of oa to
+// reproduce its outcome (bitwise floats), lifecycle tallies, and every
+// phone's lifecycle view.
+func sameAfterRestore(t *testing.T, oa *OnlineAuction) {
+	t.Helper()
+	data, err := oa.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := RestoreOnlineAuction(data)
+	if err != nil {
+		t.Fatalf("restore at slot %d: %v", oa.Now(), err)
+	}
+	if got, want := re.CompletionCounts(), oa.CompletionCounts(); got != want {
+		t.Fatalf("slot %d: restored counts %+v, want %+v", oa.Now(), got, want)
+	}
+	for i := range oa.bids {
+		if got, want := re.Completion(PhoneID(i)), oa.Completion(PhoneID(i)); got != want {
+			t.Fatalf("slot %d: phone %d restored state %+v, want %+v", oa.Now(), i, got, want)
+		}
+	}
+	want, got := oa.Outcome(), re.Outcome()
+	for k := range want.Allocation.ByTask {
+		if want.Allocation.ByTask[k] != got.Allocation.ByTask[k] {
+			t.Fatalf("slot %d: task %d restored winner %d, want %d", oa.Now(), k, got.Allocation.ByTask[k], want.Allocation.ByTask[k])
+		}
+	}
+	for i := range want.Payments {
+		if math.Float64bits(want.Payments[i]) != math.Float64bits(got.Payments[i]) {
+			t.Fatalf("slot %d: phone %d restored payment %v, want %v", oa.Now(), i, got.Payments[i], want.Payments[i])
+		}
+	}
+	if math.Float64bits(want.Welfare) != math.Float64bits(got.Welfare) {
+		t.Fatalf("slot %d: restored welfare %v, want %v", oa.Now(), got.Welfare, want.Welfare)
 	}
 }

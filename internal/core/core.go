@@ -73,9 +73,8 @@ func (b Bid) Covers(t Slot) bool { return b.Arrival <= t && t <= b.Departure }
 // ErrWindowInverted reports a bid whose claimed window is inverted
 // (ã > d̃). Such a bid covers no slot at all, so without an explicit
 // rejection it would be admitted and then silently never allocated;
-// Validate and every admission path (OnlineAuction.Step, Ledger.AddBid,
-// the sharded engine) reject it with this error instead, matchable via
-// errors.Is.
+// Validate and every admission path (OnlineAuction.Step, Ledger.AddBid)
+// reject it with this error instead, matchable via errors.Is.
 var ErrWindowInverted = errors.New("claimed window inverted: arrival after departure")
 
 // Validate checks structural sanity of the bid against a round of m slots.

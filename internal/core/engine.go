@@ -1,10 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // PaymentEngine computes the online mechanism's critical-value payments
 // (Algorithm 2) for the winners of a baseline greedy run. All engines
@@ -16,14 +12,11 @@ import (
 //   - OraclePayments is the literal Algorithm 2: one full greedy re-run
 //     per winner. It is kept as the reference oracle the differential
 //     and fuzz tests check the cascade engine against.
-//   - ParallelPayments fans the oracle re-runs out over a worker pool —
-//     a safety valve for large rounds where the incremental path is
-//     disabled.
 //
 // Engines are stateless and safe for concurrent use; the per-call
 // scratch lives in the paymentQuery each caller owns.
 type PaymentEngine interface {
-	// Name returns a short identifier ("cascade", "oracle", "parallel").
+	// Name returns a short identifier ("cascade", "oracle").
 	Name() string
 	// price returns winner i's critical payment.
 	price(q *paymentQuery, i PhoneID) float64
@@ -37,12 +30,6 @@ var (
 	CascadePayments PaymentEngine = cascadeEngine{}
 	OraclePayments  PaymentEngine = oracleEngine{}
 )
-
-// ParallelPayments returns an engine that prices winners with Algorithm 2
-// re-runs fanned out over `workers` goroutines (≤ 0 selects GOMAXPROCS).
-func ParallelPayments(workers int) PaymentEngine {
-	return &parallelEngine{workers: workers}
-}
 
 // resize returns s with length n and every element zeroed, reusing the
 // backing array when capacity allows.
@@ -385,54 +372,6 @@ func (e oracleEngine) priceAll(q *paymentQuery, pay []float64) {
 			pay[i] = e.price(q, PhoneID(i))
 		}
 	}
-}
-
-type parallelEngine struct{ workers int }
-
-func (e *parallelEngine) Name() string { return "parallel" }
-
-func (e *parallelEngine) price(q *paymentQuery, i PhoneID) float64 {
-	return oracleEngine{}.price(q, i)
-}
-
-func (e *parallelEngine) priceAll(q *paymentQuery, pay []float64) {
-	var winners []PhoneID
-	for i, task := range q.run.phoneTask {
-		if task != NoTask {
-			winners = append(winners, PhoneID(i))
-		}
-	}
-	workers := e.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(winners) {
-		workers = len(winners)
-	}
-	if workers <= 1 {
-		oracleEngine{}.priceAll(q, pay)
-		return
-	}
-	q.m.noteParallel(len(winners))
-	idx := q.index() // shared read-only across workers
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sc oracleScratch
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(winners) {
-					return
-				}
-				i := winners[k]
-				pay[i] = oracleCritical(q.in, idx, i, q.run.wonAt[i], &sc)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // mechScratch is the pooled per-run working set of OnlineMechanism: the

@@ -10,13 +10,12 @@ import (
 )
 
 // engines returns the mechanism under every payment engine. The first
-// entry is the incremental cascade default; the rest replay Algorithm 2.
+// entry is the incremental cascade default; the second replays
+// Algorithm 2.
 func engines() []*core.OnlineMechanism {
 	return []*core.OnlineMechanism{
 		{},
 		{Payments: core.OraclePayments},
-		{Payments: core.ParallelPayments(0)},
-		{Payments: core.ParallelPayments(2)},
 	}
 }
 
@@ -134,16 +133,14 @@ func TestAtLossReserveUndercutsMax(t *testing.T) {
 // TestEngineNames pins the mechanism naming scheme ablation tables key on.
 func TestEngineNames(t *testing.T) {
 	want := map[string]string{
-		"":         "online-greedy",
-		"cascade":  "online-greedy+cascade",
-		"oracle":   "online-greedy+oracle",
-		"parallel": "online-greedy+parallel",
+		"":        "online-greedy",
+		"cascade": "online-greedy+cascade",
+		"oracle":  "online-greedy+oracle",
 	}
 	for _, mech := range []*core.OnlineMechanism{
 		{},
 		{Payments: core.CascadePayments},
 		{Payments: core.OraclePayments},
-		{Payments: core.ParallelPayments(4)},
 	} {
 		key := ""
 		if mech.Payments != nil {
@@ -202,11 +199,11 @@ func TestMechanismConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestStreamEnginesAgree drives the streaming auction once per engine
-// over the same input and checks the finalized payments agree slot by
-// slot — the streaming cascade prices from retained state while the
-// oracle replays the accumulated instance, so this crosses the two
-// pricing paths at every departure.
+// TestStreamEnginesAgree drives the streaming auction over each input
+// and checks every payment finalized at a departure against the batch
+// oracle's — the streaming cascade prices from retained state at the
+// departure slot while the oracle replays the whole round, so this
+// crosses the two pricing paths at every departure.
 func TestStreamEnginesAgree(t *testing.T) {
 	scn := workload.DefaultScenario()
 	scn.Slots = 30
@@ -223,33 +220,38 @@ func TestStreamEnginesAgree(t *testing.T) {
 		for _, task := range in.Tasks {
 			tasksAt[task.Arrival]++
 		}
-		run := func(e core.PaymentEngine) map[core.PhoneID]float64 {
-			oa, err := core.NewOnlineAuction(in.Slots, in.Value, in.AllocateAtLoss)
+		oa, err := core.NewOnlineAuction(in.Slots, in.Value, in.AllocateAtLoss)
+		if err != nil {
+			t.Fatalf("auction: %v", err)
+		}
+		cascade := make(map[core.PhoneID]float64)
+		for !oa.Done() {
+			res, err := oa.Step(byArrival[oa.Now()+1], tasksAt[oa.Now()+1])
 			if err != nil {
-				t.Fatalf("auction: %v", err)
+				t.Fatalf("step: %v", err)
 			}
-			oa.SetPaymentEngine(e)
-			paid := make(map[core.PhoneID]float64)
-			for !oa.Done() {
-				res, err := oa.Step(byArrival[oa.Now()+1], tasksAt[oa.Now()+1])
-				if err != nil {
-					t.Fatalf("step: %v", err)
-				}
-				for _, p := range res.Payments {
-					paid[p.Phone] = p.Amount
-				}
+			for _, p := range res.Payments {
+				cascade[p.Phone] = p.Amount
 			}
-			return paid
 		}
-		cascade := run(nil)
-		oracle := run(core.OraclePayments)
-		if len(cascade) != len(oracle) {
-			t.Fatalf("seed %d: cascade paid %d phones, oracle %d", seed, len(cascade), len(oracle))
+		// Generated bids are in arrival order, so the stream assigns
+		// every phone its batch ID.
+		oracle, err := (&core.OnlineMechanism{Payments: core.OraclePayments}).Run(in)
+		if err != nil {
+			t.Fatalf("oracle: %v", err)
 		}
-		for p, amt := range oracle {
-			if cascade[p] != amt {
-				t.Fatalf("seed %d: phone %d cascade %v, oracle %v", seed, p, cascade[p], amt)
+		winners := 0
+		for p, k := range oracle.Allocation.ByPhone {
+			if k == core.NoTask {
+				continue
 			}
+			winners++
+			if amt, ok := cascade[core.PhoneID(p)]; !ok || amt != oracle.Payments[p] {
+				t.Fatalf("seed %d: phone %d stream paid %v (issued %v), oracle %v", seed, p, amt, ok, oracle.Payments[p])
+			}
+		}
+		if len(cascade) != winners {
+			t.Fatalf("seed %d: stream paid %d phones, oracle %d winners", seed, len(cascade), winners)
 		}
 	}
 }

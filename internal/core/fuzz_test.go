@@ -65,8 +65,7 @@ func FuzzMechanismInvariants(f *testing.F) {
 }
 
 // FuzzCriticalPayments differentially tests the incremental cascade
-// payment engine (and the parallel fan-out) against the literal
-// Algorithm 2 per-winner re-run on fuzz-seeded instances, demanding
+// payment engine against the literal Algorithm 2 per-winner re-run on fuzz-seeded instances, demanding
 // bit-identical payments — the engines take maxima over the same stored
 // floats, so exact equality is the specification, not a tolerance.
 func FuzzCriticalPayments(f *testing.F) {
@@ -83,16 +82,14 @@ func FuzzCriticalPayments(f *testing.F) {
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		for _, engine := range []PaymentEngine{CascadePayments, ParallelPayments(3)} {
-			out, err := (&OnlineMechanism{Payments: engine}).Run(in)
-			if err != nil {
-				t.Fatalf("%s: %v", engine.Name(), err)
-			}
-			for i := range ref.Payments {
-				if out.Payments[i] != ref.Payments[i] {
-					t.Fatalf("%s: phone %d paid %v, oracle %v (atLoss=%v)",
-						engine.Name(), i, out.Payments[i], ref.Payments[i], in.AllocateAtLoss)
-				}
+		out, err := (&OnlineMechanism{Payments: CascadePayments}).Run(in)
+		if err != nil {
+			t.Fatalf("cascade: %v", err)
+		}
+		for i := range ref.Payments {
+			if out.Payments[i] != ref.Payments[i] {
+				t.Fatalf("cascade: phone %d paid %v, oracle %v (atLoss=%v)",
+					i, out.Payments[i], ref.Payments[i], in.AllocateAtLoss)
 			}
 		}
 	})

@@ -5,9 +5,8 @@ import (
 )
 
 // Auction is the method set shared by the slot-by-slot auction engines:
-// the sequential OnlineAuction and the sharded engine (internal/shard).
-// The platform hosts either through this interface; all implementations
-// produce bit-identical allocations and payments for identical input.
+// the online mechanism's OnlineAuction and the budgeted engine
+// (internal/budget). The platform hosts either through this interface.
 type Auction interface {
 	// Step advances the auction one slot (see OnlineAuction.Step).
 	Step(arriving []StreamBid, numTasks int) (*SlotResult, error)
@@ -21,8 +20,6 @@ type Auction interface {
 	Instance() *Instance
 	// Snapshot serializes the auction state for checkpoint/restore.
 	Snapshot() ([]byte, error)
-	// SetPaymentEngine selects how winners are priced (nil: cascade).
-	SetPaymentEngine(PaymentEngine)
 	// SetMetrics instruments the hot path (nil disables).
 	SetMetrics(*Metrics)
 	// TrackDepartures toggles SlotResult.Departed population.
@@ -44,19 +41,17 @@ var _ Auction = (*OnlineAuction)(nil)
 // Ledger is the round state of a greedy run assembled by an external
 // allocator — the bids and tasks seen so far plus the cascade side
 // state (per-task runner-ups, per-slot winner-cost tables) the payment
-// engines price from. It is the bridge the sharded engine
-// (internal/shard) uses to stay bit-identical to OnlineAuction: as long
-// as the external allocator records exactly the decisions the
-// sequential greedy would make (RecordWin with the same winners and
-// runner-ups, RecordUnserved for the same tasks), every PaymentEngine
-// prices its winners to the same floats as the sequential run.
+// engines price from. The budgeted engine (internal/budget) records its
+// own allocation decisions into a Ledger and prices them through a
+// Pricer. When the recorded decisions are exactly those the greedy would
+// make (RecordWin with the same winners and runner-ups, RecordUnserved
+// for the same tasks), every PaymentEngine prices its winners to the
+// same floats as OnlineAuction.
 //
-// A Ledger is not safe for concurrent mutation; concurrent read-only
-// pricing through independent Pricers is safe between mutations.
+// A Ledger is not safe for concurrent use.
 type Ledger struct {
 	inst Instance
 	run  greedyRun
-	comp completions // assignment lifecycle (off by default)
 	// epoch counts structural growth (AddBid/AddTask). Pricers use it to
 	// refresh their instance view and invalidate cached arrival indexes.
 	epoch uint64
@@ -96,9 +91,6 @@ func (l *Ledger) Bid(i PhoneID) Bid { return l.inst.Bids[i] }
 // WonAt returns the slot phone i won in (0 if it has not won).
 func (l *Ledger) WonAt(i PhoneID) Slot { return l.run.wonAt[i] }
 
-// TaskWinner returns the phone assigned to task k (NoPhone if unserved).
-func (l *Ledger) TaskWinner(k TaskID) PhoneID { return l.run.byTask[k] }
-
 // Bids returns a copy of the admitted bids in ID order.
 func (l *Ledger) Bids() []Bid { return append([]Bid(nil), l.inst.Bids...) }
 
@@ -131,7 +123,6 @@ func (l *Ledger) AddBid(arrival Slot, sb StreamBid) (PhoneID, error) {
 	l.inst.Bids = append(l.inst.Bids, b)
 	l.run.phoneTask = append(l.run.phoneTask, NoTask)
 	l.run.wonAt = append(l.run.wonAt, 0)
-	l.comp.grow(len(l.inst.Bids))
 	l.epoch++
 	return id, nil
 }
@@ -156,76 +147,12 @@ func (l *Ledger) RecordWin(k TaskID, winner, runnerUp PhoneID, t Slot) {
 	l.run.phoneTask[winner] = k
 	l.run.wonAt[winner] = t
 	l.run.noteWinner(t, winner, l.inst.Bids[winner].Cost)
-	l.comp.markAssigned(winner)
 	l.run.runnerUp[k] = runnerUp
 }
 
-// Assignable reports whether phone i may still be drafted for a task:
-// it holds no assignment and (with the lifecycle on) has never won or
-// defaulted. Allocators use it to skip phones a default re-allocated
-// while they were still pooled.
-func (l *Ledger) Assignable(i PhoneID) bool {
-	return l.run.phoneTask[i] == NoTask && !l.comp.blocked(i)
-}
-
-// TrackCompletions toggles the assignment lifecycle (see
-// OnlineAuction.TrackCompletions for semantics).
-func (l *Ledger) TrackCompletions(on bool) {
-	l.comp.enabled = on
-	if !on {
-		return
-	}
-	l.comp.grow(len(l.inst.Bids))
-	for i, task := range l.run.phoneTask {
-		if task != NoTask && l.comp.status[i] == StatusNone {
-			l.comp.status[i] = StatusAssigned
-		}
-	}
-}
-
-// Complete marks phone p's assignment as delivered (see
-// OnlineAuction.Complete for the error contract).
-func (l *Ledger) Complete(p PhoneID) error { return l.comp.complete(p) }
-
-// DefaultWinner marks phone p's assignment as failed at auction clock
-// `now` and re-allocates its task (see OnlineAuction.Default). The
-// replacement, if drafted after its own departure, is priced with pr.
-func (l *Ledger) DefaultWinner(p PhoneID, now Slot, pr *Pricer) (*DefaultResult, error) {
-	if !l.comp.enabled {
-		return nil, ErrNotTracking
-	}
-	res, err := defaultWinner(&l.inst, &l.run, &l.comp, p, now, pr.Price)
-	if err == nil {
-		l.epoch++
-	}
-	return res, err
-}
-
-// Payable reports whether departing winner i should be paid (false for
-// defaulted phones; always true with the lifecycle off).
-func (l *Ledger) Payable(i PhoneID) bool { return l.comp.payable(i) }
-
-// NotePaid records a payment issued to winner i at auction clock `now`
-// so the outcome reports executed amounts. Concurrent calls for
-// distinct phones are safe between mutations.
-func (l *Ledger) NotePaid(i PhoneID, amount float64, now Slot) { l.comp.markPaid(i, amount, now) }
-
-// Completion returns phone p's lifecycle view.
-func (l *Ledger) Completion(p PhoneID) CompletionState { return l.comp.state(&l.run, p) }
-
-// CompletionCounts returns aggregate lifecycle outcomes.
-func (l *Ledger) CompletionCounts() CompletionCounts { return l.comp.counts }
-
-// MarshalCompletions copies the lifecycle state for a snapshot (nil
-// while tracking is off).
-func (l *Ledger) MarshalCompletions() *CompletionSnapshot { return l.comp.marshal() }
-
-// RestoreCompletions overwrites the lifecycle state from a snapshot.
-// The caller must already have replayed the snapshot's default log
-// through DefaultWinner so the allocation-side mutations are in place.
-func (l *Ledger) RestoreCompletions(snap *CompletionSnapshot) error {
-	return l.comp.restoreFrom(snap, len(l.inst.Bids))
-}
+// Assignable reports whether phone i holds no task yet, so an allocator
+// may still draft it.
+func (l *Ledger) Assignable(i PhoneID) bool { return l.run.phoneTask[i] == NoTask }
 
 // RecordUnserved records that a task arriving in slot t found no
 // eligible phone. (The task keeps its NoPhone assignment and NoPhone
@@ -257,24 +184,16 @@ func (l *Ledger) Outcome(p *Pricer) *Outcome {
 		Welfare:    alloc.Welfare(&l.inst),
 	}
 	for i, task := range l.run.phoneTask {
-		if task == NoTask {
-			continue
+		if task != NoTask {
+			out.Payments[i] = p.price(PhoneID(i))
 		}
-		// Executed payments are final (see OnlineAuction.Outcome).
-		if amount, ok := l.comp.settled(PhoneID(i)); ok {
-			out.Payments[i] = amount
-			continue
-		}
-		out.Payments[i] = p.Price(PhoneID(i))
 	}
 	return out
 }
 
 // Pricer computes critical-value payments for a ledger's winners with a
-// fixed engine. Each Pricer owns its scratch, so several Pricers may
-// price the same quiescent ledger concurrently (the sharded engine
-// prices departures shard-parallel); a Pricer itself is not safe for
-// concurrent use.
+// fixed engine, reusing its own scratch across calls. A Pricer is not
+// safe for concurrent use.
 type Pricer struct {
 	ledger *Ledger
 	engine PaymentEngine
@@ -294,13 +213,10 @@ func (l *Ledger) NewPricer(engine PaymentEngine, m *Metrics) *Pricer {
 	return &Pricer{ledger: l, engine: engine, m: m}
 }
 
-// Engine returns the pricer's payment engine.
-func (p *Pricer) Engine() PaymentEngine { return p.engine }
-
-// Price returns winner i's critical-value payment under the ledger's
-// current state. The oracle engines' arrivals index is cached across
+// price returns winner i's critical-value payment under the ledger's
+// current state. The oracle engine's arrivals index is cached across
 // calls and rebuilt only after the ledger has grown.
-func (p *Pricer) Price(i PhoneID) float64 {
+func (p *Pricer) price(i PhoneID) float64 {
 	l := p.ledger
 	if !p.fresh || p.epoch != l.epoch {
 		p.view = l.view()

@@ -20,11 +20,9 @@ type Metrics struct {
 	// departing-winner payments, or a batch run's priceAll.
 	PaymentSeconds *obs.Histogram
 	// CascadeCalls / OracleCalls count per-winner payment computations
-	// by engine (ParallelPayments re-runs count as oracle, labeled
-	// "parallel").
-	CascadeCalls  *obs.Counter
-	OracleCalls   *obs.Counter
-	ParallelCalls *obs.Counter
+	// by engine.
+	CascadeCalls *obs.Counter
+	OracleCalls  *obs.Counter
 }
 
 // NewMetrics registers the core auction instruments in reg and returns
@@ -48,9 +46,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		OracleCalls: reg.Counter("dynacrowd_core_engine_invocations_total",
 			"Per-winner critical-value payment computations by engine.",
 			"engine", "oracle"),
-		ParallelCalls: reg.Counter("dynacrowd_core_engine_invocations_total",
-			"Per-winner critical-value payment computations by engine.",
-			"engine", "parallel"),
 	}
 	reg.CounterFunc("dynacrowd_core_scratch_pool_gets_total",
 		"Pooled mechanism scratch checkouts (OnlineMechanism.Run invocations).",
@@ -61,7 +56,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-// noteCascade/noteOracle/noteParallel are the nil-safe engine-counter
+// noteCascade/noteOracle are the nil-safe engine-counter
 // hooks the payment engines call per priced winner.
 func (m *Metrics) noteCascade() {
 	if m != nil {
@@ -72,12 +67,6 @@ func (m *Metrics) noteCascade() {
 func (m *Metrics) noteOracle() {
 	if m != nil {
 		m.OracleCalls.Inc()
-	}
-}
-
-func (m *Metrics) noteParallel(n int) {
-	if m != nil {
-		m.ParallelCalls.Add(uint64(n))
 	}
 }
 

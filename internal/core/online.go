@@ -22,8 +22,8 @@ import (
 // Payments are computed by a PaymentEngine. The default incremental
 // cascade engine prices all winners from the single baseline run
 // (docs/THEORY.md §5); the literal per-winner re-run of Algorithm 2 is
-// available as OraclePayments, and ParallelPayments fans the re-runs out
-// over a worker pool. All engines return bit-identical payments.
+// available as OraclePayments, the reference the differential tests
+// check the cascade against. Both return bit-identical payments.
 //
 // Reserve price: when Instance.AllocateAtLoss is false (the default),
 // bids with cost ≥ ν never win, and a winner whose removal would leave a

@@ -52,7 +52,6 @@ type OnlineAuction struct {
 	slots          Slot
 	value          float64
 	allocateAtLoss bool
-	engine         PaymentEngine
 
 	now   Slot // last processed slot (0 before the first Step)
 	bids  []Bid
@@ -77,21 +76,9 @@ func NewOnlineAuction(m Slot, value float64, allocateAtLoss bool) (*OnlineAuctio
 	if value < 0 {
 		return nil, fmt.Errorf("online auction: negative task value %g", value)
 	}
-	oa := &OnlineAuction{slots: m, value: value, allocateAtLoss: allocateAtLoss, engine: CascadePayments}
+	oa := &OnlineAuction{slots: m, value: value, allocateAtLoss: allocateAtLoss}
 	oa.run.resetSlots(m)
 	return oa, nil
-}
-
-// SetPaymentEngine selects how winners are priced. The default
-// CascadePayments prices from the retained incremental state;
-// OraclePayments and ParallelPayments replay Algorithm 2 against the
-// accumulated instance. All engines yield identical payments, so the
-// engine may be switched between steps.
-func (oa *OnlineAuction) SetPaymentEngine(e PaymentEngine) {
-	if e == nil {
-		e = CascadePayments
-	}
-	oa.engine = e
 }
 
 // SetMetrics instruments the auction's Step hot path (slot-allocation
@@ -140,7 +127,7 @@ func (oa *OnlineAuction) Default(p PhoneID) (*DefaultResult, error) {
 	}
 	q := oa.pricer()
 	return defaultWinner(q.in, &oa.run, &oa.comp, p, oa.now, func(r PhoneID) float64 {
-		return oa.engine.price(q, r)
+		return cascadeEngine{}.price(q, r)
 	})
 }
 
@@ -242,7 +229,7 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		if oa.run.wonAt[i] == 0 || !oa.comp.payable(PhoneID(i)) {
 			continue
 		}
-		amount := oa.engine.price(q, PhoneID(i))
+		amount := cascadeEngine{}.price(q, PhoneID(i))
 		oa.comp.markPaid(PhoneID(i), amount, t)
 		res.Payments = append(res.Payments, PaymentNotice{Phone: PhoneID(i), Amount: amount})
 	}
@@ -280,8 +267,6 @@ func (oa *OnlineAuction) peekUsable(t Slot) PhoneID {
 }
 
 // pricer refreshes the reusable payment query over the current state.
-// The arrivals index (only the oracle engines need one) is invalidated
-// so it is rebuilt at most once per pricing batch.
 func (oa *OnlineAuction) pricer() *paymentQuery {
 	oa.inst = Instance{
 		Slots:          oa.slots,
@@ -333,7 +318,7 @@ func (oa *OnlineAuction) Outcome() *Outcome {
 			out.Payments[i] = amount
 			continue
 		}
-		out.Payments[i] = oa.engine.price(q, PhoneID(i))
+		out.Payments[i] = cascadeEngine{}.price(q, PhoneID(i))
 	}
 	return out
 }

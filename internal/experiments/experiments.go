@@ -28,10 +28,8 @@ type Options struct {
 	// (zero value: workload.DefaultScenario).
 	Scenario workload.Scenario
 	// Online substitutes an alternative implementation for the paper's
-	// online mechanism in every sweep (nil: core.OnlineMechanism). The
-	// sharded engine plugs in here; any substitute must produce the
-	// same outcomes as the sequential mechanism for the figures to stay
-	// comparable.
+	// online mechanism in every sweep (nil: core.OnlineMechanism).
+	// crowdsim -budget plugs the budgeted mechanism in here.
 	Online core.Mechanism
 	// Offline substitutes an alternative implementation for the paper's
 	// offline VCG benchmark (nil: core.OfflineMechanism under its

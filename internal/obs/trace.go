@@ -31,13 +31,6 @@ const (
 	EventWinnerDefaulted EventType = "winner_defaulted"
 	EventReallocation    EventType = "task_reallocated"
 	EventClawback        EventType = "clawback"
-	// EventShardMerge is emitted by the sharded engine's coordinator
-	// once per allocated slot, with pull/assignment counts in Detail.
-	EventShardMerge EventType = "shard_merge"
-	// EventShardRPC is emitted by the distributed coordinator
-	// (internal/dshard) once per allocated slot, with per-slot RPC
-	// round-trip and reseed counts in Detail.
-	EventShardRPC EventType = "shard_rpc"
 	// EventBudgetStage is emitted by the budgeted engine
 	// (internal/budget) when a sampling-accept stage opens, with the
 	// stage index, allowance, threshold, sample size, and reserved

@@ -25,7 +25,7 @@ const (
 	EventEnd                           // round finished; Welfare, Payments, Round set
 	EventRound                         // a new round opened; Round set (bid again!)
 	EventClawback                      // defaulted; payment revoked; Amount and Slot set
-	EventError                         // platform reported an error; Err set
+	EventError                         // unsolicited platform error or lost connection; Err set
 )
 
 // String implements fmt.Stringer.
@@ -146,7 +146,8 @@ type Agent struct {
 	w        *protocol.Writer
 	closed   bool
 	stateful chan RoundState // pending hello reply
-	acks     chan error      // pending bid acknowledgements
+	acks     chan error      // replies to bids and completion reports
+	awaiting int             // requests sent and not yet answered
 
 	// Resume and dedup state, touched only by the run goroutine.
 	phone    core.PhoneID
@@ -260,7 +261,7 @@ func (a *Agent) hello(wire string) (RoundState, error) {
 // successful return guarantees the bid joins the next slot; the
 // admission confirmation itself arrives later as an EventWelcome.
 func (a *Agent) SubmitBid(name string, duration core.Slot, cost float64) error {
-	err := a.send(&protocol.Message{
+	err := a.request(&protocol.Message{
 		Type:     protocol.TypeBid,
 		Name:     name,
 		Duration: duration,
@@ -276,6 +277,7 @@ func (a *Agent) SubmitBid(name string, duration core.Slot, cost float64) error {
 		}
 		return ackErr
 	case <-time.After(5 * time.Second):
+		a.giveUpReply()
 		return errors.New("agent: timed out waiting for bid ack")
 	}
 }
@@ -294,7 +296,7 @@ func (a *Agent) ReportCompletion() error {
 	if phone == core.NoPhone || task == core.NoTask {
 		return errors.New("agent: no unresolved assignment to complete")
 	}
-	err := a.send(&protocol.Message{
+	err := a.request(&protocol.Message{
 		Type:  protocol.TypeComplete,
 		Phone: phone,
 		Task:  task,
@@ -315,6 +317,7 @@ func (a *Agent) ReportCompletion() error {
 		}
 		return ackErr
 	case <-time.After(5 * time.Second):
+		a.giveUpReply()
 		return errors.New("agent: timed out waiting for completion ack")
 	}
 }
@@ -334,7 +337,12 @@ func (a *Agent) Close() error {
 	a.closed = true
 	conn := a.conn
 	a.mu.Unlock()
-	return conn.Close()
+	// The read side closes a connection the platform ended; that is
+	// not an error here.
+	if err := conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 func (a *Agent) isClosed() bool {
@@ -349,6 +357,44 @@ func (a *Agent) send(m *protocol.Message) error {
 	return a.w.Send(m)
 }
 
+// request sends a message the platform answers with ack or error.
+func (a *Agent) request(m *protocol.Message) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err := a.w.Send(m); err != nil {
+		return err
+	}
+	a.awaiting++
+	return nil
+}
+
+// giveUpReply forgets one request whose reply never came, so that a
+// late reply is not mistaken for the answer to the next request.
+func (a *Agent) giveUpReply() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.awaiting > 0 {
+		a.awaiting--
+	}
+}
+
+// reply hands an ack (nil) or error reply to the waiting request. It
+// reports false when no request is waiting: the reply is unsolicited.
+func (a *Agent) reply(err error) bool {
+	a.mu.Lock()
+	if a.awaiting == 0 {
+		a.mu.Unlock()
+		return false
+	}
+	a.awaiting--
+	a.mu.Unlock()
+	select {
+	case a.acks <- err:
+	default:
+	}
+	return true
+}
+
 // run owns the agent's read side across the lifetime of possibly many
 // connections. It exits — closing the event and reply channels — when a
 // connection ends and resuming is impossible (not resilient, closed by
@@ -360,6 +406,9 @@ func (a *Agent) run(conn net.Conn) {
 	defer close(a.acks)
 	for {
 		err := a.readConn(conn)
+		// Hang up at once: the platform ends a session with a half-close
+		// and waits for the agent's side to close.
+		conn.Close()
 		if !a.shouldResume() {
 			if err != nil && !a.isClosed() && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				a.events <- Event{Kind: EventError, Err: err}
@@ -513,19 +562,14 @@ func (a *Agent) readConn(conn net.Conn) error {
 			a.mu.Unlock()
 			a.events <- Event{Kind: EventRound, Round: m.Round}
 		case protocol.TypeAck:
-			select {
-			case a.acks <- nil:
-			default:
-			}
+			a.reply(nil)
 		case protocol.TypeError:
+			// An error answering a bid or completion report is that
+			// request's result; only an unsolicited one is an event.
 			err := errors.New(m.Error)
-			// A platform error may answer an in-flight bid; resolve the
-			// waiter as well as emitting the event.
-			select {
-			case a.acks <- err:
-			default:
+			if !a.reply(err) {
+				a.events <- Event{Kind: EventError, Err: err}
 			}
-			a.events <- Event{Kind: EventError, Err: err}
 		}
 	}
 }

@@ -21,8 +21,6 @@ func TestBudgetConfigValidation(t *testing.T) {
 	}{
 		{"negative", func(c *Config) { c.Budget = -3 }, budget.ErrInvalidBudget},
 		{"nan-rejected-by-engine", func(c *Config) { c.Budget = 5; c.BudgetEngine = "simplex" }, nil},
-		{"with-shards", func(c *Config) { c.Budget = 5; c.Shards = 4 }, ErrBudgetIncompatible},
-		{"with-dshard", func(c *Config) { c.Budget = 5; c.ShardAddrs = []string{"x"} }, ErrBudgetIncompatible},
 		{"with-completions", func(c *Config) { c.Budget = 5; c.CompletionDeadline = 2 }, ErrBudgetIncompatible},
 	}
 	for _, tc := range bad {

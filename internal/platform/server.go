@@ -20,12 +20,10 @@ import (
 	"sync"
 	"time"
 
-	"dynacrowd/internal/core"
-	"dynacrowd/internal/dshard"
 	"dynacrowd/internal/budget"
+	"dynacrowd/internal/core"
 	"dynacrowd/internal/obs"
 	"dynacrowd/internal/protocol"
-	"dynacrowd/internal/shard"
 )
 
 // Config parameterizes a platform round.
@@ -53,39 +51,15 @@ type Config struct {
 	// session whose queue overflows is a slow consumer and is
 	// disconnected. Zero means the default of 64.
 	OutboundQueue int
-	// Shards selects the auction engine: values above 1 run the sharded
-	// online auction (internal/shard) with that many partitioned bid
-	// pools; 0 or 1 runs the sequential core.OnlineAuction. Outcomes are
-	// bit-identical either way (see docs/SHARDING.md), so this is a
-	// throughput knob only.
-	Shards int
-	// ShardAddrs, when non-empty, runs the distributed auction engine
-	// (internal/dshard): one shard-server process per address, driven by
-	// an in-process coordinator performing the exact over-the-wire top-k
-	// merge. Outcomes are bit-identical to the sequential engine (see
-	// docs/DISTRIBUTED.md). Takes precedence over Shards.
-	ShardAddrs []string
-	// ShardDial overrides how the coordinator reaches shard servers;
-	// nil uses plain TCP. Test harnesses inject in-memory transports
-	// (and chaos wrappers) here.
-	ShardDial func(addr string) (net.Conn, error)
-	// PaymentEngine selects how departing winners are priced. Nil uses
-	// core.CascadePayments, which prices from the auction's retained
-	// incremental state without re-simulating the round. All engines
-	// produce identical payments, so this is a performance knob only.
-	// Ignored when CompletionDeadline is set: defaults rewrite the winner
-	// set mid-round, and only the cascade engine prices from the
-	// auction's live state, so completion rounds force cascade.
-	PaymentEngine core.PaymentEngine
 	// Budget, when non-zero, runs the round under the budget-feasible
 	// online mechanism (internal/budget): total payments are guaranteed
 	// ≤ Budget, tasks are gated through per-stage posted-price
 	// thresholds, and bids arriving after the budget is fully committed
 	// are rejected with a typed error. Must be a positive finite number
-	// (budget.ErrInvalidBudget otherwise). Incompatible with Shards,
-	// ShardAddrs, and CompletionDeadline (ErrBudgetIncompatible). The
-	// state and end messages carry the budget so agents can see the
-	// regime they are bidding into.
+	// (budget.ErrInvalidBudget otherwise). Incompatible with
+	// CompletionDeadline (ErrBudgetIncompatible). The state and end
+	// messages carry the budget so agents can see the regime they are
+	// bidding into.
 	Budget float64
 	// BudgetEngine selects the budgeted threshold estimator: "" or
 	// "stage" for the OMG-style proportional-share engine, "frugal" for
@@ -149,13 +123,10 @@ func (c Config) completionsEnabled() bool { return c.CompletionDeadline > 0 }
 
 func (c Config) budgeted() bool { return c.Budget != 0 }
 
-// ErrBudgetIncompatible reports a budgeted Config that also asks for an
-// engine the budget gates cannot run on: the sharded and distributed
-// engines partition the bid pool (the stage thresholds need the global
-// cost sample), and the completion lifecycle rewrites the winner set
-// after reserves are committed.
-var ErrBudgetIncompatible = errors.New(
-	"Budget is incompatible with Shards, ShardAddrs, and CompletionDeadline")
+// ErrBudgetIncompatible reports a budgeted Config that also sets
+// CompletionDeadline: the completion lifecycle rewrites the winner set
+// after the budget's reserves are committed.
+var ErrBudgetIncompatible = errors.New("Budget is incompatible with CompletionDeadline")
 
 // validateBudget vets the budget knobs; nil when Budget is unset.
 func (c Config) validateBudget() error {
@@ -168,7 +139,7 @@ func (c Config) validateBudget() error {
 	if _, err := budget.EngineByName(c.BudgetEngine); err != nil {
 		return err
 	}
-	if c.Shards > 1 || len(c.ShardAddrs) > 0 || c.completionsEnabled() {
+	if c.completionsEnabled() {
 		return ErrBudgetIncompatible
 	}
 	return nil
@@ -183,35 +154,12 @@ func (c Config) newAuction() (core.Auction, error) {
 		eng, _ := budget.EngineByName(c.BudgetEngine) // vetted above
 		return budget.New(c.Slots, c.Value, c.AllocateAtLoss, c.Budget, eng)
 	}
-	if len(c.ShardAddrs) > 0 {
-		return dshard.New(c.dshardOptions())
-	}
-	if c.Shards > 1 {
-		return shard.New(c.Shards, c.Slots, c.Value, c.AllocateAtLoss)
-	}
 	return core.NewOnlineAuction(c.Slots, c.Value, c.AllocateAtLoss)
 }
 
-func (c Config) dshardOptions() dshard.Options {
-	return dshard.Options{
-		Addrs:          c.ShardAddrs,
-		Slots:          c.Slots,
-		Value:          c.Value,
-		AllocateAtLoss: c.AllocateAtLoss,
-		Dial:           c.ShardDial,
-	}
-}
-
-// closeAuction releases engine-held resources (the distributed
-// coordinator's shard connections); in-process engines hold none.
-func closeAuction(a core.Auction) {
-	if c, ok := a.(interface{ Close() error }); ok {
-		c.Close()
-	}
-}
-
 // ErrClosed is returned by Tick once the server has been closed.
-// RunClock treats it as a clean shutdown rather than a failure.
+// RunClock treats it as a clean shutdown rather than a failure. Agent
+// messages that arrive after Close are left unanswered.
 var ErrClosed = errors.New("platform: server closed")
 
 // Server hosts one auction round over TCP.
@@ -295,21 +243,11 @@ func Resume(addr string, cfg Config, checkpoint []byte) (*Server, error) {
 	if err = cfg.validateBudget(); err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	switch {
-	case cfg.budgeted():
+	if cfg.budgeted() {
 		// The budget section in the snapshot pins the engine and budget
 		// the round started with; the replay rebuilds stage state.
 		auction, err = budget.Restore(checkpoint)
-	case len(cfg.ShardAddrs) > 0:
-		// The coordinator reseeds every shard server from the
-		// checkpoint; the snapshot format is the same engine-portable
-		// stream the other engines write.
-		auction, err = dshard.Restore(checkpoint, cfg.dshardOptions())
-	case cfg.Shards > 1:
-		// Snapshot formats are engine-portable, so a round checkpointed
-		// by the sequential engine resumes sharded and vice versa.
-		auction, err = shard.Restore(checkpoint, cfg.Shards)
-	default:
+	} else {
 		auction, err = core.RestoreOnlineAuction(checkpoint)
 	}
 	if err != nil {
@@ -364,7 +302,7 @@ func serveWith(ln net.Listener, cfg Config, auction core.Auction) *Server {
 		s.coreMetrics = core.NewMetrics(o.Registry)
 		auction.SetMetrics(s.coreMetrics)
 		auction.TrackDepartures(true)
-		s.instrumentShards(auction)
+		s.instrumentBudget(auction)
 		if auction.Now() == 0 {
 			s.tracer.Emit(obs.Event{Type: obs.EventRoundOpen, Round: 1, Phone: -1, Task: -1})
 		}
@@ -374,37 +312,19 @@ func serveWith(ln net.Listener, cfg Config, auction core.Auction) *Server {
 	return s
 }
 
-// configureAuction applies the configured engine knobs to a fresh (or
-// resumed) auction. Completion tracking forces the cascade payment
-// engine: a default rewrites the winner set mid-round, and only cascade
-// prices replacements from the auction's live state — the oracle and
-// parallel engines re-derive payments from the bids alone and would
-// price the pre-default winners.
+// configureAuction applies the configured lifecycle to a fresh (or
+// resumed) auction.
 func (s *Server) configureAuction(auction core.Auction) {
-	engine := s.cfg.PaymentEngine
 	if s.cfg.completionsEnabled() {
 		auction.TrackCompletions(true)
-		if engine != nil {
-			s.cfg.Logger.Warn("completion tracking forces the cascade payment engine; configured engine ignored")
-			engine = nil
-		}
 	}
-	auction.SetPaymentEngine(engine)
 }
 
-// instrumentShards attaches the per-shard observability bundle (pool
-// depth gauges, admission counters, merge latency, shard_merge trace
-// events) when the configured engine is the sharded one. Caller has
-// cfg.Obs non-nil.
-func (s *Server) instrumentShards(auction core.Auction) {
-	switch a := auction.(type) {
-	case *shard.Auction:
-		a.SetInstruments(shard.NewMetrics(s.cfg.Obs.Registry, a.Shards()))
-		a.SetTracer(s.tracer)
-	case *dshard.Coordinator:
-		a.SetInstruments(dshard.NewMetrics(s.cfg.Obs.Registry, a.Shards()))
-		a.SetTracer(s.tracer)
-	case *budget.Auction:
+// instrumentBudget attaches the budget observability bundle (remaining
+// gauge, stage gauges, gate counters, budget_stage trace events) when
+// the round is budgeted. Caller has cfg.Obs non-nil.
+func (s *Server) instrumentBudget(auction core.Auction) {
+	if a, ok := auction.(*budget.Auction); ok {
 		a.SetInstruments(budget.NewMetrics(s.cfg.Obs.Registry))
 		a.SetTracer(s.tracer)
 	}
@@ -436,6 +356,12 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
+
+func (s *Server) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
 
 // Addr returns the listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -470,6 +396,7 @@ func (s *Server) serve(sess *session) {
 	defer func() {
 		// Graceful: let the writer flush any farewell (e.g. the error
 		// reply) before the connection is severed.
+		close(sess.readDone)
 		sess.shutdown()
 		s.mu.Lock()
 		delete(s.sessions, sess)
@@ -484,7 +411,10 @@ func (s *Server) serve(sess *session) {
 	for {
 		err := r.ReceiveInto(&m)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			// After Close the read side only waits for the agent to hang
+			// up, so its errors (including the hang-up deadline) are not
+			// protocol errors.
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !s.isClosed() {
 				s.counters.protocolErrors.Add(1)
 				s.cfg.Logger.Warn("protocol error", "remote", sess.conn.RemoteAddr().String(), "err", err.Error())
 				sess.send(&protocol.Message{Type: protocol.TypeError, Error: err.Error()})
@@ -494,9 +424,11 @@ func (s *Server) serve(sess *session) {
 		switch m.Type {
 		case protocol.TypeHello:
 			s.mu.Lock()
-			now := s.auction.Now()
-			round := s.round
+			now, round, closed := s.auction.Now(), s.round, s.closed
 			s.mu.Unlock()
+			if closed {
+				continue
+			}
 			reply := &protocol.Message{
 				Type:   protocol.TypeState,
 				Slot:   now,
@@ -521,9 +453,11 @@ func (s *Server) serve(sess *session) {
 				sess.send(reply)
 			}
 		case protocol.TypeBid:
-			if err := s.enqueueBid(&m, sess); err != nil {
+			switch err := s.enqueueBid(&m, sess); {
+			case errors.Is(err, ErrClosed): // unanswered, like everything after Close
+			case err != nil:
 				sess.send(&protocol.Message{Type: protocol.TypeError, Error: err.Error()})
-			} else {
+			default:
 				sess.send(&protocol.Message{Type: protocol.TypeAck})
 			}
 		case protocol.TypeResume:
@@ -531,6 +465,9 @@ func (s *Server) serve(sess *session) {
 		case protocol.TypeComplete:
 			s.handleComplete(&m, sess)
 		default:
+			if s.isClosed() {
+				continue
+			}
 			sess.send(&protocol.Message{
 				Type:  protocol.TypeError,
 				Error: fmt.Sprintf("platform: unexpected message %q from agent", m.Type),
@@ -551,7 +488,7 @@ func (s *Server) enqueueBid(m *protocol.Message, sess *session) error {
 		return errors.New("platform: " + reason)
 	}
 	if s.closed {
-		return reject("server closed")
+		return ErrClosed
 	}
 	if s.auction.Done() && s.round >= s.cfg.rounds() {
 		return reject("round already complete")
@@ -594,7 +531,6 @@ func (s *Server) handleResume(m *protocol.Message, sess *session) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		sess.send(&protocol.Message{Type: protocol.TypeError, Error: "platform: server closed"})
 		return
 	}
 	if m.Round != s.round {
@@ -1063,7 +999,6 @@ func (s *Server) handleComplete(m *protocol.Message, sess *session) {
 		sess.send(&protocol.Message{Type: protocol.TypeError, Error: "platform: " + reason})
 	}
 	if s.closed {
-		reject("server closed")
 		return
 	}
 	if !s.cfg.completionsEnabled() {
@@ -1094,7 +1029,6 @@ func (s *Server) handleComplete(m *protocol.Message, sess *session) {
 		return
 	}
 	delete(s.outstanding, id)
-	s.counters.completionsReported.Add(1)
 	s.cfg.Logger.Info("task completed", "phone", int(id), "task", int(m.Task), "slot", int(s.auction.Now()))
 	s.tracer.Emit(obs.Event{
 		Type: obs.EventTaskCompleted, Round: s.round, Slot: int(s.auction.Now()),
@@ -1106,6 +1040,9 @@ func (s *Server) handleComplete(m *protocol.Message, sess *session) {
 			s.cfg.Logger.Error("round close failed", "err", err.Error())
 		}
 	}
+	// Counted last, so a Stats reader that sees this completion also
+	// sees the round it closed.
+	s.counters.completionsReported.Add(1)
 }
 
 // beginNextRound rolls the server onto a fresh auction: phone IDs
@@ -1126,9 +1063,8 @@ func (s *Server) beginNextRound() error {
 	if s.cfg.Obs != nil {
 		auction.SetMetrics(s.coreMetrics)
 		auction.TrackDepartures(true)
-		s.instrumentShards(auction)
+		s.instrumentBudget(auction)
 	}
-	closeAuction(s.auction) // a distributed coordinator holds live shard connections
 	s.auction = auction
 	s.round++
 	s.counters.round.Store(int64(s.round))
@@ -1230,11 +1166,14 @@ func (s *Server) RunClock(slotEvery time.Duration, tasksFor func(core.Slot) int)
 	return nil
 }
 
-// Close shuts the listener and all connections. Each session's writer
-// first flushes the messages already queued for it (so a just-ticked
+// Close shuts the listener and ends every connection. From Close on,
+// agent messages are read but not answered. Each session's writer first
+// flushes the messages already queued for it (so a just-ticked
 // end-of-round notice still reaches responsive agents), bounded by the
-// per-message write deadline; then the connections are severed. Safe to
-// call more than once.
+// per-message write deadline; then it half-closes the connection, so
+// the agent reads EOF right after the last queued message, and closes
+// it once the agent hangs up or closeLinger passes. Safe to call more
+// than once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1253,9 +1192,6 @@ func (s *Server) Close() error {
 		sess.shutdown()
 	}
 	s.wg.Wait()
-	s.mu.Lock()
-	closeAuction(s.auction)
-	s.mu.Unlock()
 	// With every producer goroutine drained, flush the trace sinks and
 	// stop the introspection server (bounded by its shutdown deadline).
 	if oerr := s.cfg.Obs.Close(); oerr != nil && err == nil {

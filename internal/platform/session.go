@@ -30,9 +30,10 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 
-	out     chan outbound
-	done    chan struct{} // closed once the session is torn down
-	closing chan struct{} // closed to ask the writer to flush then sever
+	out      chan outbound
+	done     chan struct{} // closed once the session is torn down
+	closing  chan struct{} // closed to ask the writer to flush then sever
+	readDone chan struct{} // closed when the reader (Server.serve) returns
 
 	closeOnce    sync.Once
 	shutdownOnce sync.Once
@@ -44,11 +45,12 @@ type session struct {
 
 func newSession(srv *Server, conn net.Conn) *session {
 	return &session{
-		srv:     srv,
-		conn:    conn,
-		out:     make(chan outbound, srv.cfg.outboundQueue()),
-		done:    make(chan struct{}),
-		closing: make(chan struct{}),
+		srv:      srv,
+		conn:     conn,
+		out:      make(chan outbound, srv.cfg.outboundQueue()),
+		done:     make(chan struct{}),
+		closing:  make(chan struct{}),
+		readDone: make(chan struct{}),
 	}
 }
 
@@ -108,6 +110,27 @@ func (sess *session) abort() {
 		close(sess.done)
 		sess.conn.Close()
 	})
+}
+
+// closeLinger bounds how long a closing session waits for the agent to
+// hang up after the platform's half-close.
+const closeLinger = time.Second
+
+// hangUp ends a flushed session in order. The half-close lets the agent
+// read every flushed message and then EOF; the socket is closed only
+// once the reader has seen the agent hang up, or after closeLinger.
+// Closing a socket with unread input makes the kernel send a reset,
+// which can destroy messages the agent has not read yet. Connections
+// without a half-close are severed at once.
+func (sess *session) hangUp() {
+	if cw, ok := sess.conn.(interface{ CloseWrite() error }); ok && cw.CloseWrite() == nil {
+		sess.conn.SetReadDeadline(time.Now().Add(closeLinger))
+		select {
+		case <-sess.readDone:
+		case <-sess.done:
+		}
+	}
+	sess.abort()
 }
 
 // shutdown asks the writer to flush whatever is already queued (e.g.
@@ -210,7 +233,7 @@ func (sess *session) writeLoop() {
 					}
 				default:
 					sess.gone.Store(true)
-					sess.abort()
+					sess.hangUp()
 					return
 				}
 			}

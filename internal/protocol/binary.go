@@ -71,7 +71,9 @@ func (f Format) String() string {
 const MaxFrameBytes = MaxLineBytes
 
 // Binary type codes, one per message type. Codes are wire contract:
-// never renumber, only append.
+// never renumber, only append. Codes 15–29 belonged to a retired
+// inter-process vocabulary; decoders reject them, and new types must
+// not reuse them.
 const (
 	codeHello    uint8 = 1
 	codeState    uint8 = 2
@@ -87,38 +89,6 @@ const (
 	codeError    uint8 = 12
 	codeComplete uint8 = 13
 	codeClawback uint8 = 14
-
-	// Distributed-shard RPC codes (PR 9). Hot layouts (integers i64 LE,
-	// floats IEEE-754 bits LE) — everything the per-slot merge and the
-	// departure pricing fan-out touch; join/snapshot/track are cold
-	// (JSON body):
-	//
-	//	shard-admit:    phone(8) arrival(8) departure(8) cost(8)  32 bytes
-	//	pull/topup:     slot(8) count(8) seq(8)                   24 bytes
-	//	shard-cands:    slot(8) count(8) seq(8)                   24 bytes
-	//	cand:           phone(8)                                   8 bytes
-	//	pushback:       phone(8)                                   8 bytes
-	//	shard-win:      task(8) phone(8) runner(8) slot(8)        32 bytes
-	//	shard-unserved: slot(8) count(8)                          16 bytes
-	//	price:          phone(8) seq(8)                           16 bytes
-	//	shard-paid:     phone(8) amount(8) slot(8)                24 bytes
-	//	shard-default:  phone(8) slot(8)                          16 bytes
-	//	shard-complete: phone(8)                                   8 bytes
-	codeShardJoin     uint8 = 15
-	codeShardSnapshot uint8 = 16
-	codeShardAdmit    uint8 = 17
-	codePull          uint8 = 18
-	codeTopup         uint8 = 19
-	codeCands         uint8 = 20
-	codeCand          uint8 = 21
-	codePushback      uint8 = 22
-	codeShardWin      uint8 = 23
-	codeShardUnserved uint8 = 24
-	codePrice         uint8 = 25
-	codeShardPaid     uint8 = 26
-	codeShardDefault  uint8 = 27
-	codeShardComplete uint8 = 28
-	codeShardTrack    uint8 = 29
 )
 
 var typeToCode = map[string]uint8{
@@ -136,26 +106,10 @@ var typeToCode = map[string]uint8{
 	TypeError:    codeError,
 	TypeComplete: codeComplete,
 	TypeClawback: codeClawback,
-
-	TypeShardJoin:     codeShardJoin,
-	TypeShardSnapshot: codeShardSnapshot,
-	TypeShardAdmit:    codeShardAdmit,
-	TypePull:          codePull,
-	TypeTopup:         codeTopup,
-	TypeCands:         codeCands,
-	TypeCand:          codeCand,
-	TypePushback:      codePushback,
-	TypeShardWin:      codeShardWin,
-	TypeShardUnserved: codeShardUnserved,
-	TypePrice:         codePrice,
-	TypeShardPaid:     codeShardPaid,
-	TypeShardDefault:  codeShardDefault,
-	TypeShardComplete: codeShardComplete,
-	TypeShardTrack:    codeShardTrack,
 }
 
-var codeToType = func() [30]string {
-	var t [30]string
+var codeToType = func() [15]string {
+	var t [15]string
 	for name, code := range typeToCode {
 		t[code] = name
 	}
@@ -194,39 +148,6 @@ func appendBinaryFrame(dst []byte, m *Message) ([]byte, error) {
 		dst = appendU64(dst, math.Float64bits(m.Cost))
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(m.Name)))
 		dst = append(dst, m.Name...)
-	case TypeShardAdmit:
-		dst = appendU64(dst, uint64(m.Phone))
-		dst = appendU64(dst, uint64(m.Slot))
-		dst = appendU64(dst, uint64(m.Departure))
-		dst = appendU64(dst, math.Float64bits(m.Cost))
-	case TypePull, TypeTopup:
-		dst = appendU64(dst, uint64(m.Slot))
-		dst = appendU64(dst, uint64(m.Count))
-		dst = appendU64(dst, m.Seq)
-	case TypeCands:
-		dst = appendU64(dst, uint64(m.Slot))
-		dst = appendU64(dst, uint64(m.Count))
-		dst = appendU64(dst, m.Seq)
-	case TypeCand, TypePushback, TypeShardComplete:
-		dst = appendU64(dst, uint64(m.Phone))
-	case TypeShardWin:
-		dst = appendU64(dst, uint64(m.Task))
-		dst = appendU64(dst, uint64(m.Phone))
-		dst = appendU64(dst, uint64(m.Runner))
-		dst = appendU64(dst, uint64(m.Slot))
-	case TypeShardUnserved:
-		dst = appendU64(dst, uint64(m.Slot))
-		dst = appendU64(dst, uint64(m.Count))
-	case TypePrice:
-		dst = appendU64(dst, uint64(m.Phone))
-		dst = appendU64(dst, m.Seq)
-	case TypeShardPaid:
-		dst = appendU64(dst, uint64(m.Phone))
-		dst = appendU64(dst, math.Float64bits(m.Amount))
-		dst = appendU64(dst, uint64(m.Slot))
-	case TypeShardDefault:
-		dst = appendU64(dst, uint64(m.Phone))
-		dst = appendU64(dst, uint64(m.Slot))
 	default:
 		b, err := json.Marshal(m)
 		if err != nil {
@@ -286,67 +207,6 @@ func decodeBinaryPayload(payload []byte, m *Message) error {
 		m.Duration = core.Slot(binary.LittleEndian.Uint64(body))
 		m.Cost = math.Float64frombits(binary.LittleEndian.Uint64(body[8:]))
 		m.Name = string(body[18:])
-	case TypeShardAdmit:
-		if len(body) != 32 {
-			return fmt.Errorf("protocol: shard-admit frame body %d bytes, want 32", len(body))
-		}
-		m.Type = TypeShardAdmit
-		m.Phone = core.PhoneID(binary.LittleEndian.Uint64(body))
-		m.Slot = core.Slot(binary.LittleEndian.Uint64(body[8:]))
-		m.Departure = core.Slot(binary.LittleEndian.Uint64(body[16:]))
-		m.Cost = math.Float64frombits(binary.LittleEndian.Uint64(body[24:]))
-	case TypePull, TypeTopup, TypeCands:
-		if len(body) != 24 {
-			return fmt.Errorf("protocol: %s frame body %d bytes, want 24", typ, len(body))
-		}
-		m.Type = typ
-		m.Slot = core.Slot(binary.LittleEndian.Uint64(body))
-		m.Count = int(int64(binary.LittleEndian.Uint64(body[8:])))
-		m.Seq = binary.LittleEndian.Uint64(body[16:])
-	case TypeCand, TypePushback, TypeShardComplete:
-		if len(body) != 8 {
-			return fmt.Errorf("protocol: %s frame body %d bytes, want 8", typ, len(body))
-		}
-		m.Type = typ
-		m.Phone = core.PhoneID(binary.LittleEndian.Uint64(body))
-	case TypeShardWin:
-		if len(body) != 32 {
-			return fmt.Errorf("protocol: shard-win frame body %d bytes, want 32", len(body))
-		}
-		m.Type = TypeShardWin
-		m.Task = core.TaskID(binary.LittleEndian.Uint64(body))
-		m.Phone = core.PhoneID(binary.LittleEndian.Uint64(body[8:]))
-		m.Runner = core.PhoneID(binary.LittleEndian.Uint64(body[16:]))
-		m.Slot = core.Slot(binary.LittleEndian.Uint64(body[24:]))
-	case TypeShardUnserved:
-		if len(body) != 16 {
-			return fmt.Errorf("protocol: shard-unserved frame body %d bytes, want 16", len(body))
-		}
-		m.Type = TypeShardUnserved
-		m.Slot = core.Slot(binary.LittleEndian.Uint64(body))
-		m.Count = int(int64(binary.LittleEndian.Uint64(body[8:])))
-	case TypePrice:
-		if len(body) != 16 {
-			return fmt.Errorf("protocol: price frame body %d bytes, want 16", len(body))
-		}
-		m.Type = TypePrice
-		m.Phone = core.PhoneID(binary.LittleEndian.Uint64(body))
-		m.Seq = binary.LittleEndian.Uint64(body[8:])
-	case TypeShardPaid:
-		if len(body) != 24 {
-			return fmt.Errorf("protocol: shard-paid frame body %d bytes, want 24", len(body))
-		}
-		m.Type = TypeShardPaid
-		m.Phone = core.PhoneID(binary.LittleEndian.Uint64(body))
-		m.Amount = math.Float64frombits(binary.LittleEndian.Uint64(body[8:]))
-		m.Slot = core.Slot(binary.LittleEndian.Uint64(body[16:]))
-	case TypeShardDefault:
-		if len(body) != 16 {
-			return fmt.Errorf("protocol: shard-default frame body %d bytes, want 16", len(body))
-		}
-		m.Type = TypeShardDefault
-		m.Phone = core.PhoneID(binary.LittleEndian.Uint64(body))
-		m.Slot = core.Slot(binary.LittleEndian.Uint64(body[8:]))
 	default:
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()

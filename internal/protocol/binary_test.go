@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -32,27 +33,6 @@ func sampleMessages() []Message {
 		{Type: TypeError, Error: "bid rejected: window closed"},
 		{Type: TypeComplete, Phone: 5, Task: 1, Round: 2},
 		{Type: TypeClawback, Phone: 5, Amount: 13.5, Slot: 9},
-
-		// Distributed-shard RPC vocabulary (PR 9).
-		{Type: TypeShardJoin, Shard: 2, Shards: 4},
-		{Type: TypeShardSnapshot, Count: 3, Data: "eyJ2ZXJzaW9uIjoxfQ=="},
-		{Type: TypeShardSnapshot, Count: 0, Data: ""},
-		{Type: TypeShardAdmit, Phone: 7, Slot: 2, Departure: 9, Cost: 4.25},
-		{Type: TypePull, Slot: 3, Count: 5, Seq: 17},
-		{Type: TypeTopup, Slot: 3, Count: 2, Seq: 18},
-		{Type: TypeCands, Slot: 3, Count: 0, Seq: 18},
-		{Type: TypeCands, Slot: 3, Count: 4, Seq: 19},
-		{Type: TypeCand, Phone: 12},
-		{Type: TypePushback, Phone: 12},
-		{Type: TypeShardWin, Task: 6, Phone: 3, Runner: core.NoPhone, Slot: 4},
-		{Type: TypeShardWin, Task: 7, Phone: 0, Runner: 9, Slot: 4},
-		{Type: TypeShardUnserved, Slot: 4, Count: 2},
-		{Type: TypePrice, Phone: 3, Seq: 40},
-		{Type: TypeShardPaid, Phone: 3, Amount: 18.5, Slot: 9},
-		{Type: TypeShardDefault, Phone: 3, Slot: 6},
-		{Type: TypeShardComplete, Phone: 4},
-		{Type: TypeShardTrack, Count: 1},
-		{Type: TypeShardTrack, Count: 0},
 	}
 }
 
@@ -182,6 +162,22 @@ func TestBinaryRejects(t *testing.T) {
 			b = binary.LittleEndian.AppendUint64(b, 0x7ff8000000000001) // NaN bits
 			return binary.LittleEndian.AppendUint16(b, 0)
 		}())},
+	}
+	// Codes 15–29 are retired. Each gets a body its old decoder would
+	// have accepted, so only the code itself can cause the rejection.
+	retired := map[uint8][]byte{
+		15: []byte(`{"type":"shard-join","shard":0,"shards":2}`),
+		16: []byte(`{"type":"shard-snapshot","data":""}`),
+		29: []byte(`{"type":"shard-track","count":1}`),
+	}
+	for code, n := range map[uint8]int{17: 32, 18: 24, 19: 24, 20: 24, 21: 8, 22: 8, 23: 32, 24: 16, 25: 16, 26: 24, 27: 16, 28: 8} {
+		retired[code] = make([]byte, n)
+	}
+	for code := uint8(15); code <= 29; code++ {
+		cases = append(cases, struct {
+			name string
+			raw  []byte
+		}{fmt.Sprintf("retired code %d", code), frame(code, retired[code])})
 	}
 	for _, tc := range cases {
 		r := NewReader(bytes.NewReader(tc.raw))

@@ -72,11 +72,12 @@ func FuzzBinaryFrame(f *testing.F) {
 	payment := frame(&Message{Type: TypePayment, Phone: 2, Amount: 27.25, Slot: 5})
 	f.Add(append(append([]byte{}, slot...), bid...), uint8(3))
 	f.Add(append(append([]byte{}, assign...), payment...), uint8(1))
-	f.Add(slot[:len(slot)-2], uint8(5))             // truncated payload
-	f.Add(slot[:2], uint8(2))                       // torn header
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1}, uint8(4)) // oversized length
-	f.Add([]byte{0, 0, 0, 0}, uint8(1))             // zero length
+	f.Add(slot[:len(slot)-2], uint8(5))                              // truncated payload
+	f.Add(slot[:2], uint8(2))                                        // torn header
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1}, uint8(4))               // oversized length
+	f.Add([]byte{0, 0, 0, 0}, uint8(1))                              // zero length
 	f.Add([]byte{9, 0, 0, 0, 200, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(6)) // unknown code
+	f.Add([]byte{9, 0, 0, 0, 21, 1, 0, 0, 0, 0, 0, 0, 0}, uint8(2))  // retired code
 	f.Add([]byte(`{"type":"slot","slot":1}`+"\n"), uint8(3))         // JSON fed to binary reader
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {

@@ -89,79 +89,6 @@ const (
 	TypeClawback = "clawback"
 )
 
-// Distributed-shard RPC vocabulary (internal/dshard): the coordinator
-// <-> shard-server conversation that runs the online mechanism's k-way
-// top-k merge across processes. Same framing rules as the agent
-// vocabulary — JSON by default, fixed binary layouts after a
-// hello/state upgrade. See docs/DISTRIBUTED.md for the full flow.
-const (
-	// TypeShardJoin (coordinator -> shard) resets the connection's
-	// replica and names the shard's partition index out of the total
-	// shard count. It is always followed by a shard-snapshot stream
-	// that seeds the replica; the shard replies with ack{seq:0}.
-	TypeShardJoin = "shard-join"
-	// TypeShardSnapshot (coordinator -> shard) carries one chunk of the
-	// engine-portable v1 snapshot as base64 data; Count is the number
-	// of chunks still to come, so Count == 0 marks the final chunk, at
-	// which point the shard restores by deterministic replay and
-	// replies ack{seq:0} (or error).
-	TypeShardSnapshot = "shard-snapshot"
-	// TypeShardAdmit (coordinator -> shard, fire-and-forget) replicates
-	// one admitted bid: dense phone ID, arrival slot, departure, cost.
-	// Every shard ledgers it; the partition owner also pools it.
-	TypeShardAdmit = "shard-admit"
-	// TypePull and TypeTopup (coordinator -> shard, request) pop up to
-	// Count of the shard pool's cheapest still-active candidates for
-	// the named slot. Topup is the mid-merge refill variant — identical
-	// semantics, counted separately. The reply is a shard-cands header
-	// followed by that many cand messages.
-	TypePull  = "pull"
-	TypeTopup = "topup"
-	// TypeCands (shard -> coordinator) heads a pull/topup reply: Count
-	// cand messages follow for the named slot; Seq echoes the shard's
-	// applied-message counter for divergence detection.
-	TypeCands = "shard-cands"
-	// TypeCand (shard -> coordinator) carries one candidate phone.
-	TypeCand = "cand"
-	// TypePushback (coordinator -> shard, fire-and-forget) returns one
-	// unconsumed candidate to its owning shard's pool after the merge.
-	TypePushback = "pushback"
-	// TypeShardWin (coordinator -> shard, fire-and-forget) replicates
-	// one allocation decision: task, winner, runner-up (NoPhone if
-	// none), and the slot. Tasks are created in coordinator merge
-	// order, so wins arrive in ascending task-ID order within a slot.
-	TypeShardWin = "shard-win"
-	// TypeShardUnserved (coordinator -> shard, fire-and-forget)
-	// replicates the slot's trailing unserved task count.
-	TypeShardUnserved = "shard-unserved"
-	// TypePrice (coordinator -> shard, request) asks the owning shard
-	// to price a departing winner at its critical value; the reply is a
-	// payment message.
-	TypePrice = "price"
-	// TypeShardPaid (coordinator -> shard, fire-and-forget) replicates
-	// an executed payment so replica clawback state stays exact.
-	TypeShardPaid = "shard-paid"
-	// TypeShardDefault and TypeShardComplete (coordinator -> shard,
-	// fire-and-forget) replicate completion-lifecycle transitions at
-	// the named clock; TypeShardTrack toggles the lifecycle (Count is
-	// 0 or 1).
-	TypeShardDefault  = "shard-default"
-	TypeShardComplete = "shard-complete"
-	TypeShardTrack    = "shard-track"
-)
-
-// MaxPullBatch bounds a pull/topup request (and the echoed shard-cands
-// count): large enough for any real per-slot demand, small enough that
-// a corrupted count cannot convince a peer to stream forever.
-const MaxPullBatch = 1 << 20
-
-// MaxShards bounds the shard-join fan-out width.
-const MaxShards = 1 << 12
-
-// MaxSnapshotChunk bounds one shard-snapshot chunk's base64 payload so
-// the frame (plus JSON envelope) stays inside MaxFrameBytes.
-const MaxSnapshotChunk = 48 * 1024
-
 // MaxLineBytes bounds a single wire message; longer lines abort the
 // connection (defense against unframed garbage). Binary frames obey the
 // same bound (MaxFrameBytes).
@@ -206,15 +133,6 @@ type Message struct {
 	// requests ("json", "binary", or empty for the JSON default); on
 	// state it is the format in effect immediately after that reply.
 	Wire string `json:"wire,omitempty"`
-
-	// Distributed-shard RPC fields (scalars only: Message stays
-	// comparable so differential tests can use struct equality).
-	Shard  int          `json:"shard,omitempty"`  // shard-join: partition index
-	Shards int          `json:"shards,omitempty"` // shard-join: total partitions
-	Count  int          `json:"count,omitempty"`  // pull/topup/shard-cands/shard-unserved/shard-track/shard-snapshot
-	Runner core.PhoneID `json:"runner,omitempty"` // shard-win: runner-up (core.NoPhone if none)
-	Seq    uint64       `json:"seq,omitempty"`    // request/reply: applied-message counter echo
-	Data   string       `json:"data,omitempty"`   // shard-snapshot: base64 chunk
 }
 
 // Validate checks type-specific structural requirements of inbound
@@ -272,11 +190,8 @@ func (m *Message) Validate() error {
 		}
 		return nil
 	case TypePayment, TypeClawback:
-		// Platform-originated in the agent conversation, but the frames
-		// also travel coordinator->shard and shard->coordinator in the
-		// distributed deployment, so the float must be finite: a NaN
-		// amount would poison replica payment state and cannot survive a
-		// JSON re-encode anyway.
+		// Platform-originated, but the amount must still be finite: a NaN
+		// cannot survive a JSON re-encode.
 		if !finite(m.Amount) {
 			return fmt.Errorf("protocol: non-finite %s amount %g", m.Type, m.Amount)
 		}
@@ -295,103 +210,6 @@ func (m *Message) Validate() error {
 		}
 		if !finite(m.Budget) || m.Budget < 0 {
 			return fmt.Errorf("protocol: invalid end budget %g", m.Budget)
-		}
-		return nil
-	case TypeShardJoin:
-		if m.Shards < 1 || m.Shards > MaxShards {
-			return fmt.Errorf("protocol: shard-join shards %d outside [1, %d]", m.Shards, MaxShards)
-		}
-		if m.Shard < 0 || m.Shard >= m.Shards {
-			return fmt.Errorf("protocol: shard-join shard %d outside [0, %d)", m.Shard, m.Shards)
-		}
-		return nil
-	case TypeShardSnapshot:
-		if m.Count < 0 {
-			return fmt.Errorf("protocol: shard-snapshot count %d < 0", m.Count)
-		}
-		if len(m.Data) > MaxSnapshotChunk {
-			return fmt.Errorf("protocol: shard-snapshot chunk %d bytes exceeds limit %d", len(m.Data), MaxSnapshotChunk)
-		}
-		return nil
-	case TypeShardAdmit:
-		if m.Phone < 0 {
-			return fmt.Errorf("protocol: shard-admit phone %d < 0", m.Phone)
-		}
-		if m.Slot < 1 {
-			return fmt.Errorf("protocol: shard-admit arrival %d < 1", m.Slot)
-		}
-		if m.Departure < m.Slot {
-			return fmt.Errorf("protocol: shard-admit departure %d before arrival %d", m.Departure, m.Slot)
-		}
-		if !finite(m.Cost) || m.Cost < 0 {
-			return fmt.Errorf("protocol: shard-admit cost %g not finite and non-negative", m.Cost)
-		}
-		return nil
-	case TypePull, TypeTopup:
-		if m.Slot < 1 {
-			return fmt.Errorf("protocol: %s slot %d < 1", m.Type, m.Slot)
-		}
-		if m.Count < 1 || m.Count > MaxPullBatch {
-			return fmt.Errorf("protocol: %s count %d outside [1, %d]", m.Type, m.Count, MaxPullBatch)
-		}
-		return nil
-	case TypeCands:
-		if m.Slot < 1 {
-			return fmt.Errorf("protocol: shard-cands slot %d < 1", m.Slot)
-		}
-		if m.Count < 0 || m.Count > MaxPullBatch {
-			return fmt.Errorf("protocol: shard-cands count %d outside [0, %d]", m.Count, MaxPullBatch)
-		}
-		return nil
-	case TypeCand, TypePushback, TypePrice, TypeShardComplete:
-		if m.Phone < 0 {
-			return fmt.Errorf("protocol: %s phone %d < 0", m.Type, m.Phone)
-		}
-		return nil
-	case TypeShardWin:
-		if m.Task < 0 {
-			return fmt.Errorf("protocol: shard-win task %d < 0", m.Task)
-		}
-		if m.Phone < 0 {
-			return fmt.Errorf("protocol: shard-win phone %d < 0", m.Phone)
-		}
-		if m.Runner < core.NoPhone {
-			return fmt.Errorf("protocol: shard-win runner %d < %d", m.Runner, core.NoPhone)
-		}
-		if m.Slot < 1 {
-			return fmt.Errorf("protocol: shard-win slot %d < 1", m.Slot)
-		}
-		return nil
-	case TypeShardUnserved:
-		if m.Slot < 1 {
-			return fmt.Errorf("protocol: shard-unserved slot %d < 1", m.Slot)
-		}
-		if m.Count < 1 || m.Count > MaxPullBatch {
-			return fmt.Errorf("protocol: shard-unserved count %d outside [1, %d]", m.Count, MaxPullBatch)
-		}
-		return nil
-	case TypeShardPaid:
-		if m.Phone < 0 {
-			return fmt.Errorf("protocol: shard-paid phone %d < 0", m.Phone)
-		}
-		if m.Slot < 1 {
-			return fmt.Errorf("protocol: shard-paid slot %d < 1", m.Slot)
-		}
-		if !finite(m.Amount) {
-			return fmt.Errorf("protocol: non-finite shard-paid amount %g", m.Amount)
-		}
-		return nil
-	case TypeShardDefault:
-		if m.Phone < 0 {
-			return fmt.Errorf("protocol: shard-default phone %d < 0", m.Phone)
-		}
-		if m.Slot < 1 {
-			return fmt.Errorf("protocol: shard-default slot %d < 1", m.Slot)
-		}
-		return nil
-	case TypeShardTrack:
-		if m.Count != 0 && m.Count != 1 {
-			return fmt.Errorf("protocol: shard-track count %d not 0 or 1", m.Count)
 		}
 		return nil
 	case TypeAck, TypeWelcome, TypeSlot, TypeAssign, TypeRound, TypeError:

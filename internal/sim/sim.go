@@ -143,14 +143,13 @@ func Compare(scn workload.Scenario, seeds []uint64, mechs []core.Mechanism, work
 }
 
 // EngineMechs returns the online mechanism under each payment engine —
-// incremental cascade (the default), the per-winner Algorithm 2 oracle,
-// and the parallel oracle fan-out — for differential comparisons and
-// engine benchmarks. All three produce identical outcomes.
+// incremental cascade (the default) and the per-winner Algorithm 2
+// oracle — for differential comparisons and engine benchmarks. Both
+// produce identical outcomes.
 func EngineMechs() []core.Mechanism {
 	return []core.Mechanism{
 		&core.OnlineMechanism{},
 		&core.OnlineMechanism{Payments: core.OraclePayments},
-		&core.OnlineMechanism{Payments: core.ParallelPayments(0)},
 	}
 }
 

@@ -6,15 +6,13 @@ import (
 	"dynacrowd/internal/core"
 )
 
-// HeavyScenario is the stress workload the sharded engine is sized
-// against: far denser phone arrivals than the paper's Table I,
-// Zipf-distributed activity-window lengths (a mass of hit-and-run
-// phones with a long tail of phones that camp in the pool all round),
-// and bursty task arrivals (quiet slots punctuated by demand spikes
-// that force deep top-k merges). The skewed windows keep pool
-// occupancy high and uneven across shards, which is exactly the regime
-// where partitioned admission pays and where the merge's top-up path
-// gets exercised.
+// HeavyScenario is the stress workload for the online engine: far
+// denser phone arrivals than the paper's Table I, Zipf-distributed
+// activity-window lengths (a mass of hit-and-run phones with a long
+// tail of phones that camp in the pool all round), and bursty task
+// arrivals (quiet slots punctuated by demand spikes that drain deep
+// into the pool). The skewed windows keep pool occupancy high, which
+// is the regime where allocation and cascade pricing cost the most.
 type HeavyScenario struct {
 	// Slots is m, the round length.
 	Slots core.Slot `json:"slots"`
