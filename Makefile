@@ -6,7 +6,7 @@ BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: all check vet build test agent-repeat race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit budget-bench loadtest-smoke loadtest bench bench-merge staticcheck profile obs-demo clean
+.PHONY: all check vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit budget-bench loadtest-smoke loadtest bench bench-merge staticcheck profile obs-demo clean
 
 all: check
 
@@ -18,7 +18,9 @@ all: check
 # offline engine can never silently drift from the Hungarian+VCG oracle.
 # agent-repeat reruns the CLI agent's end-of-service tests many times,
 # so a shutdown race cannot hide behind a lucky single run.
-check: vet build test agent-repeat race-hot race diff-sweep wire-diff budget-audit
+# perfbench-check vets and tests the benchmark module, which the root
+# build skips.
+check: vet build test agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit
 
 vet:
 	$(GO) vet ./...
@@ -31,6 +33,13 @@ test:
 
 agent-repeat:
 	$(GO) test -count=200 ./cmd/crowd-agent
+
+# perfbench-check builds, vets and tests perfbench/, the repository
+# benchmark. It is its own Go module, so `go build ./...` at the root
+# never compiles it, and an interface change in the packages it uses
+# would otherwise break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test -count=1 ./...
 
 race:
 	$(GO) test -race ./...

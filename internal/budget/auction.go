@@ -1,7 +1,6 @@
 package budget
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -11,18 +10,14 @@ import (
 	"dynacrowd/internal/obs"
 )
 
-// ErrCompletionsUnsupported reports an attempt to use the assignment
-// lifecycle (Complete/Default) on a budgeted auction. Composing
-// completion-driven re-allocation with threshold reserves is future
-// work; the platform rejects the combination at config time.
-var ErrCompletionsUnsupported = errors.New("budget: completion lifecycle is not supported on budgeted auctions")
-
 // Auction drives the budgeted online mechanism slot by slot. It
 // implements core.Auction, so the platform hosts it interchangeably
 // with core.OnlineAuction; allocation decisions are recorded into a
 // core.Ledger and winners are paid their exact counterfactual critical
 // value (see criticalValue), capped per winner at the stage threshold
-// reserved for it.
+// reserved for it. Unlike core.OnlineAuction it has no completion
+// lifecycle (Complete/Default), which is why the platform refuses a
+// budgeted round with a completion deadline.
 //
 // Like core.OnlineAuction, an Auction is not safe for concurrent use:
 // one goroutine calls Step.
@@ -137,28 +132,6 @@ func (a *Auction) SetTracer(tr *obs.Tracer) { a.tracer = tr }
 
 // TrackDepartures toggles SlotResult.Departed population.
 func (a *Auction) TrackDepartures(on bool) { a.trackDepartures = on }
-
-// TrackCompletions is unsupported on budgeted auctions and ignored; see
-// ErrCompletionsUnsupported. The platform rejects Budget together with
-// CompletionDeadline at config validation, so it never calls this.
-func (a *Auction) TrackCompletions(bool) {}
-
-// Complete implements core.Auction; always ErrCompletionsUnsupported.
-func (a *Auction) Complete(core.PhoneID) error { return ErrCompletionsUnsupported }
-
-// Default implements core.Auction; always ErrCompletionsUnsupported.
-func (a *Auction) Default(core.PhoneID) (*core.DefaultResult, error) {
-	return nil, ErrCompletionsUnsupported
-}
-
-// Completion returns phone p's lifecycle view: always the untracked
-// zero value.
-func (a *Auction) Completion(core.PhoneID) core.CompletionState {
-	return core.CompletionState{Task: core.NoTask}
-}
-
-// CompletionCounts returns aggregate lifecycle outcomes (always zero).
-func (a *Auction) CompletionCounts() core.CompletionCounts { return core.CompletionCounts{} }
 
 // Now returns the last processed slot (0 before the first Step).
 func (a *Auction) Now() core.Slot { return a.now }
@@ -475,10 +448,8 @@ func (a *Auction) winsWithBid(bids []core.Bid, arrivals []core.Slot, until core.
 
 // Outcome assembles the round outcome so far: the ledger's allocation
 // with every winner paid its threshold-capped counterfactual critical
-// value. Executed (settled) payments are final — the ledger's own
-// executed-amount store only runs with the completion lifecycle, which
-// budgeted auctions don't support, so the auction keeps its own record.
-// Total payments never exceed the budget.
+// value. Executed (settled) payments are final; the auction keeps its
+// own record of them. Total payments never exceed the budget.
 func (a *Auction) Outcome() *core.Outcome {
 	out := a.ledger.Outcome(a.pricer)
 	for i := range out.Payments {
@@ -493,6 +464,14 @@ func (a *Auction) Outcome() *core.Outcome {
 		out.Payments[i] = a.criticalValue(ph)
 	}
 	return out
+}
+
+// Bid returns admitted phone p's bid; ok is false for any other ID.
+func (a *Auction) Bid(p core.PhoneID) (core.Bid, bool) {
+	if p < 0 || int(p) >= a.ledger.NumPhones() {
+		return core.Bid{}, false
+	}
+	return a.ledger.Bid(p), true
 }
 
 // Instance returns a copy of the bids and tasks accumulated so far.

@@ -104,16 +104,25 @@ func TestThresholdEngines(t *testing.T) {
 	}
 }
 
+// TestCompletionsUnsupported pins that a budgeted auction has no
+// completion lifecycle at all: the platform derives its
+// Budget+CompletionDeadline rejection from that absence.
 func TestCompletionsUnsupported(t *testing.T) {
 	a, err := New(5, 30, false, 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Complete(0); !errors.Is(err, ErrCompletionsUnsupported) {
-		t.Errorf("Complete = %v, want ErrCompletionsUnsupported", err)
+	var auction core.Auction = a
+	if _, ok := auction.(*core.OnlineAuction); ok {
+		t.Fatal("a budgeted auction is a *core.OnlineAuction")
 	}
-	if _, err := a.Default(0); !errors.Is(err, ErrCompletionsUnsupported) {
-		t.Errorf("Default = %v, want ErrCompletionsUnsupported", err)
+	if _, ok := auction.(interface{ Complete(core.PhoneID) error }); ok {
+		t.Error("budget.Auction has a Complete method")
+	}
+	if _, ok := auction.(interface {
+		Default(core.PhoneID) (*core.DefaultResult, error)
+	}); ok {
+		t.Error("budget.Auction has a Default method")
 	}
 }
 

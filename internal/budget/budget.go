@@ -35,11 +35,15 @@
 //     independent of the winner's own cost report, and Σ payments ≤
 //     Σ caps ≤ C_K = B holds unconditionally.
 //
-// budget.Auction implements core.Auction over a core.Ledger, so the
+// budget.Auction implements core.Auction, the stepping seam (Step, Now,
+// Done, Outcome, Bid, Instance, Snapshot), over a core.Ledger, so the
 // cascade payment engine, the platform, snapshots, and the sim/audit
 // harnesses all run unchanged; budget.Mechanism adapts it to
-// core.Mechanism for batch instances. docs/BUDGET.md is the usage page
-// and docs/THEORY.md §7 the argument sketch.
+// core.Mechanism for batch instances. Its setters (SetMetrics,
+// TrackDepartures, SetInstruments, SetTracer) are on the concrete type,
+// and it has no completion lifecycle: that exists only on
+// core.OnlineAuction. docs/BUDGET.md is the usage page and
+// docs/THEORY.md §7 the argument sketch.
 package budget
 
 import (

@@ -4,9 +4,11 @@ import (
 	"fmt"
 )
 
-// Auction is the method set shared by the slot-by-slot auction engines:
-// the online mechanism's OnlineAuction and the budgeted engine
+// Auction is the stepping seam shared by the slot-by-slot auction
+// engines: the online mechanism's OnlineAuction and the budgeted engine
 // (internal/budget). The platform hosts either through this interface.
+// Configuration (metrics, departure tracking) and the completion
+// lifecycle (completion.go) live on the concrete types.
 type Auction interface {
 	// Step advances the auction one slot (see OnlineAuction.Step).
 	Step(arriving []StreamBid, numTasks int) (*SlotResult, error)
@@ -16,24 +18,12 @@ type Auction interface {
 	Done() bool
 	// Outcome assembles the round outcome so far.
 	Outcome() *Outcome
+	// Bid returns admitted phone p's bid; ok is false for any other ID.
+	Bid(p PhoneID) (b Bid, ok bool)
 	// Instance returns a copy of the accumulated bids and tasks.
 	Instance() *Instance
 	// Snapshot serializes the auction state for checkpoint/restore.
 	Snapshot() ([]byte, error)
-	// SetMetrics instruments the hot path (nil disables).
-	SetMetrics(*Metrics)
-	// TrackDepartures toggles SlotResult.Departed population.
-	TrackDepartures(bool)
-	// TrackCompletions toggles the assignment lifecycle (completion.go).
-	TrackCompletions(bool)
-	// Complete marks a winner's assignment delivered.
-	Complete(PhoneID) error
-	// Default marks a winner's assignment failed, re-allocating its task.
-	Default(PhoneID) (*DefaultResult, error)
-	// Completion returns one phone's lifecycle view.
-	Completion(PhoneID) CompletionState
-	// CompletionCounts returns aggregate lifecycle outcomes.
-	CompletionCounts() CompletionCounts
 }
 
 var _ Auction = (*OnlineAuction)(nil)

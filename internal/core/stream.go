@@ -323,6 +323,14 @@ func (oa *OnlineAuction) Outcome() *Outcome {
 	return out
 }
 
+// Bid returns admitted phone p's bid; ok is false for any other ID.
+func (oa *OnlineAuction) Bid(p PhoneID) (Bid, bool) {
+	if p < 0 || int(p) >= len(oa.bids) {
+		return Bid{}, false
+	}
+	return oa.bids[p], true
+}
+
 // Instance returns a copy of the bids and tasks accumulated so far,
 // e.g. to compare the online outcome against the offline optimum.
 func (oa *OnlineAuction) Instance() *Instance { return oa.instance().Clone() }

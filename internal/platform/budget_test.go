@@ -222,3 +222,29 @@ func TestBudgetObservabilityWiring(t *testing.T) {
 		t.Fatal("no budget_stage trace events reached the sink")
 	}
 }
+
+// TestBudgetResumeRejectsCompletions pins the Resume half of the
+// Budget+CompletionDeadline rejection: the restored budgeted auction has
+// no completion lifecycle, so the resumed server must refuse to start.
+func TestBudgetResumeRejectsCompletions(t *testing.T) {
+	cfg := Config{Slots: 4, Value: 30, Budget: 16}
+	s := newTestServer(t, cfg)
+	a := dialAgent(t, s.Addr())
+	if err := a.SubmitBid("a", 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Tick(1); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CompletionDeadline = 2
+	if s2, err := Resume("127.0.0.1:0", cfg, snap); !errors.Is(err, ErrBudgetIncompatible) {
+		if s2 != nil {
+			s2.Close()
+		}
+		t.Fatalf("Resume err = %v, want ErrBudgetIncompatible", err)
+	}
+}

@@ -119,43 +119,11 @@ func (c Config) outboundQueue() int {
 	return c.OutboundQueue
 }
 
-func (c Config) completionsEnabled() bool { return c.CompletionDeadline > 0 }
-
-func (c Config) budgeted() bool { return c.Budget != 0 }
-
 // ErrBudgetIncompatible reports a budgeted Config that also sets
-// CompletionDeadline: the completion lifecycle rewrites the winner set
-// after the budget's reserves are committed.
+// CompletionDeadline: the budgeted auction has no completion lifecycle,
+// because the completion lifecycle rewrites the winner set after the
+// budget's reserves are committed.
 var ErrBudgetIncompatible = errors.New("Budget is incompatible with CompletionDeadline")
-
-// validateBudget vets the budget knobs; nil when Budget is unset.
-func (c Config) validateBudget() error {
-	if !c.budgeted() {
-		return nil
-	}
-	if err := budget.ValidateBudget(c.Budget); err != nil {
-		return err
-	}
-	if _, err := budget.EngineByName(c.BudgetEngine); err != nil {
-		return err
-	}
-	if c.completionsEnabled() {
-		return ErrBudgetIncompatible
-	}
-	return nil
-}
-
-// newAuction creates the configured auction engine for one round.
-func (c Config) newAuction() (core.Auction, error) {
-	if err := c.validateBudget(); err != nil {
-		return nil, err
-	}
-	if c.budgeted() {
-		eng, _ := budget.EngineByName(c.BudgetEngine) // vetted above
-		return budget.New(c.Slots, c.Value, c.AllocateAtLoss, c.Budget, eng)
-	}
-	return core.NewOnlineAuction(c.Slots, c.Value, c.AllocateAtLoss)
-}
 
 // ErrClosed is returned by Tick once the server has been closed.
 // RunClock treats it as a clean shutdown rather than a failure. Agent
@@ -167,13 +135,16 @@ type Server struct {
 	cfg Config
 	ln  net.Listener
 
-	mu       sync.Mutex
-	auction  core.Auction
-	round    int                       // current round, 1-based
-	phones   map[core.PhoneID]*session // admitted bidders (current round)
-	sessions map[*session]struct{}     // every live connection
-	pending  []pendingBid              // bids awaiting the next tick
-	closed   bool
+	mu      sync.Mutex
+	auction core.Auction
+	// lifecycle is the round's auction when Config.CompletionDeadline is
+	// set (only core.OnlineAuction tracks completions); nil otherwise.
+	lifecycle *core.OnlineAuction
+	round     int                       // current round, 1-based
+	phones    map[core.PhoneID]*session // admitted bidders (current round)
+	sessions  map[*session]struct{}     // every live connection
+	pending   []pendingBid              // bids awaiting the next tick
+	closed    bool
 
 	// outstanding tracks each unresolved assignment's completion
 	// deadline (empty unless Config.CompletionDeadline is set). drain
@@ -225,12 +196,7 @@ func Listen(addr string, cfg Config) (*Server, error) {
 // harnesses (see internal/chaos) put the platform under unreliable
 // transports.
 func Serve(ln net.Listener, cfg Config) (*Server, error) {
-	auction, err := cfg.newAuction()
-	if err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("platform: %w", err)
-	}
-	return serveWith(ln, cfg, auction), nil
+	return start(ln, cfg, nil)
 }
 
 // Resume starts a platform server that continues a round from a
@@ -238,38 +204,20 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 // but not yet admitted at a slot tick) at checkpoint time are not part
 // of the auction state; their agents must resubmit.
 func Resume(addr string, cfg Config, checkpoint []byte) (*Server, error) {
-	var auction core.Auction
-	var err error
-	if err = cfg.validateBudget(); err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
-	}
-	if cfg.budgeted() {
-		// The budget section in the snapshot pins the engine and budget
-		// the round started with; the replay rebuilds stage state.
-		auction, err = budget.Restore(checkpoint)
-	} else {
-		auction, err = core.RestoreOnlineAuction(checkpoint)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("platform: %w", err)
 	}
-	s := serveWith(ln, cfg, auction)
-	s.tracer.Emit(obs.Event{
-		Type: obs.EventRestore, Round: 1, Slot: int(auction.Now()),
-		Phone: -1, Task: -1, Detail: "resumed from checkpoint",
-	})
-	return s, nil
+	return start(ln, cfg, checkpoint)
 }
 
-func serveWith(ln net.Listener, cfg Config, auction core.Auction) *Server {
+// start builds a server on ln whose first round is fresh, or restored
+// from checkpoint when that is non-nil, and starts accepting agents.
+// ln is closed if the round cannot be opened.
+func start(ln net.Listener, cfg Config, checkpoint []byte) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		ln:       ln,
-		auction:  auction,
 		round:    1,
 		phones:   make(map[core.PhoneID]*session),
 		sessions: make(map[*session]struct{}),
@@ -277,57 +225,113 @@ func serveWith(ln net.Listener, cfg Config, auction core.Auction) *Server {
 	if s.cfg.Logger == nil {
 		s.cfg.Logger = slog.New(discardHandler{})
 	}
-	s.configureAuction(auction)
-	if s.cfg.completionsEnabled() {
-		// A resumed round may carry live assignments; give each a fresh
-		// deadline from the resumed clock (a fresh round has no phones,
-		// so this loop is a no-op there).
-		s.outstanding = make(map[core.PhoneID]outstandingTask)
-		for i := 0; i < auction.Instance().NumPhones(); i++ {
-			id := core.PhoneID(i)
-			if st := auction.Completion(id); st.Status == core.StatusAssigned {
-				s.outstanding[id] = outstandingTask{
-					task:     st.Task,
-					slot:     st.Slot,
-					deadline: auction.Now() + 1 + s.cfg.CompletionDeadline,
-				}
-			}
-		}
-	}
-	s.counters.round.Store(1)
-	s.counters.slot.Store(int64(auction.Now()))
 	if o := cfg.Obs; o != nil {
-		s.metrics = newPlatformMetrics(o.Registry, s)
 		s.tracer = o.Tracer
 		s.coreMetrics = core.NewMetrics(o.Registry)
-		auction.SetMetrics(s.coreMetrics)
-		auction.TrackDepartures(true)
-		s.instrumentBudget(auction)
-		if auction.Now() == 0 {
+	}
+	if err := s.openRound(checkpoint); err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("platform: %w", err)
+	}
+	s.counters.round.Store(1)
+	s.counters.slot.Store(int64(s.auction.Now()))
+	if o := cfg.Obs; o != nil {
+		s.metrics = newPlatformMetrics(o.Registry, s)
+		if s.auction.Now() == 0 {
 			s.tracer.Emit(obs.Event{Type: obs.EventRoundOpen, Round: 1, Phone: -1, Task: -1})
 		}
 	}
+	if checkpoint != nil {
+		s.tracer.Emit(obs.Event{
+			Type: obs.EventRestore, Round: 1, Slot: int(s.auction.Now()),
+			Phone: -1, Task: -1, Detail: "resumed from checkpoint",
+		})
+	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s
+	return s, nil
 }
 
-// configureAuction applies the configured lifecycle to a fresh (or
-// resumed) auction.
-func (s *Server) configureAuction(auction core.Auction) {
-	if s.cfg.completionsEnabled() {
-		auction.TrackCompletions(true)
+// openRound builds a round's auction, fresh or restored from checkpoint
+// when that is non-nil, and installs it. Metrics, departure tracking,
+// budget instruments and the completion lifecycle are applied to the
+// concrete type here, the one place that knows it. Outstanding
+// assignments are rebuilt from the lifecycle: a restored round may
+// carry live ones, and each gets a fresh deadline from the restored
+// clock. Caller holds s.mu or owns s alone.
+func (s *Server) openRound(checkpoint []byte) error {
+	c := s.cfg
+	var auction core.Auction
+	if c.Budget != 0 {
+		if err := budget.ValidateBudget(c.Budget); err != nil {
+			return err
+		}
+		eng, err := budget.EngineByName(c.BudgetEngine)
+		if err != nil {
+			return err
+		}
+		var a *budget.Auction
+		if checkpoint == nil {
+			a, err = budget.New(c.Slots, c.Value, c.AllocateAtLoss, c.Budget, eng)
+		} else {
+			// The snapshot's budget section pins the engine and budget
+			// the round started with; the replay rebuilds stage state.
+			a, err = budget.Restore(checkpoint)
+		}
+		if err != nil {
+			return err
+		}
+		if c.Obs != nil {
+			a.SetMetrics(s.coreMetrics)
+			a.TrackDepartures(true)
+			a.SetInstruments(budget.NewMetrics(c.Obs.Registry))
+			a.SetTracer(s.tracer)
+		}
+		auction = a
+	} else {
+		var a *core.OnlineAuction
+		var err error
+		if checkpoint == nil {
+			a, err = core.NewOnlineAuction(c.Slots, c.Value, c.AllocateAtLoss)
+		} else {
+			a, err = core.RestoreOnlineAuction(checkpoint)
+		}
+		if err != nil {
+			return err
+		}
+		if c.Obs != nil {
+			a.SetMetrics(s.coreMetrics)
+			a.TrackDepartures(true)
+		}
+		auction = a
 	}
-}
-
-// instrumentBudget attaches the budget observability bundle (remaining
-// gauge, stage gauges, gate counters, budget_stage trace events) when
-// the round is budgeted. Caller has cfg.Obs non-nil.
-func (s *Server) instrumentBudget(auction core.Auction) {
-	if a, ok := auction.(*budget.Auction); ok {
-		a.SetInstruments(budget.NewMetrics(s.cfg.Obs.Registry))
-		a.SetTracer(s.tracer)
+	var lifecycle *core.OnlineAuction
+	if c.CompletionDeadline > 0 {
+		var ok bool
+		if lifecycle, ok = auction.(*core.OnlineAuction); !ok {
+			return ErrBudgetIncompatible
+		}
+		lifecycle.TrackCompletions(true)
 	}
+	s.auction, s.lifecycle = auction, lifecycle
+	s.outstanding, s.drain = nil, 0
+	if lifecycle == nil {
+		return nil
+	}
+	s.outstanding = make(map[core.PhoneID]outstandingTask)
+	for id := core.PhoneID(0); ; id++ {
+		if _, ok := auction.Bid(id); !ok {
+			break
+		}
+		if st := lifecycle.Completion(id); st.Status == core.StatusAssigned {
+			s.outstanding[id] = outstandingTask{
+				task:     st.Task,
+				slot:     st.Slot,
+				deadline: auction.Now() + 1 + c.CompletionDeadline,
+			}
+		}
+	}
+	return nil
 }
 
 // Checkpoint serializes the auction state for Resume. Call between
@@ -544,9 +548,9 @@ func (s *Server) handleResume(m *protocol.Message, sess *session) {
 		}
 		return
 	}
-	inst := s.auction.Instance()
 	id := m.Phone
-	if int(id) >= inst.NumPhones() {
+	bid, ok := s.auction.Bid(id)
+	if !ok {
 		s.counters.protocolErrors.Add(1)
 		sess.send(&protocol.Message{
 			Type:  protocol.TypeError,
@@ -563,7 +567,6 @@ func (s *Server) handleResume(m *protocol.Message, sess *session) {
 	s.cfg.Logger.Info("phone resumed",
 		"phone", int(id), "remote", sess.conn.RemoteAddr().String(), "slot", int(s.auction.Now()))
 
-	bid := inst.Bids[id]
 	sess.send(&protocol.Message{
 		Type:      protocol.TypeWelcome,
 		Phone:     id,
@@ -572,11 +575,11 @@ func (s *Server) handleResume(m *protocol.Message, sess *session) {
 		Round:     s.round,
 	})
 	out := s.auction.Outcome()
-	if s.cfg.completionsEnabled() {
+	if s.lifecycle != nil {
 		// Lifecycle-aware replay: the tracker knows what was actually
 		// executed for this phone, which the allocation alone cannot say
 		// once defaults rewrite it.
-		st := s.auction.Completion(id)
+		st := s.lifecycle.Completion(id)
 		switch {
 		case st.Status == core.StatusDefaulted:
 			// Defaulted while away: the phone learns its payment (amount 0
@@ -644,7 +647,7 @@ func (s *Server) Tick(numTasks int) (*core.SlotResult, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if s.cfg.completionsEnabled() && s.auction.Done() && len(s.outstanding) > 0 {
+	if s.lifecycle != nil && s.auction.Done() && len(s.outstanding) > 0 {
 		// The round's slots are all played but assignments from its last
 		// slots are still unresolved: drain on a virtual clock until every
 		// winner has completed or defaulted, then close the round.
@@ -655,7 +658,7 @@ func (s *Server) Tick(numTasks int) (*core.SlotResult, error) {
 		tickStart = time.Now()
 	}
 	next := s.auction.Now() + 1
-	if s.cfg.completionsEnabled() {
+	if s.lifecycle != nil {
 		s.resolveOverdue(next)
 	}
 
@@ -696,26 +699,19 @@ func (s *Server) Tick(numTasks int) (*core.SlotResult, error) {
 		s.metrics.addRoundPaid(paid)
 	}
 
-	// Instance() clones the full bid set — O(phones) — so fetch it
-	// lazily: a steady-state tick (no joins, assignments, or departures)
-	// never pays for it, which also keeps such ticks allocation-free.
-	var cloned *core.Instance
-	snapshot := func() *core.Instance {
-		if cloned == nil {
-			cloned = s.auction.Instance()
-		}
-		return cloned
-	}
+	// Bids are read one by one through Bid, never by cloning the
+	// instance, so a tick's cost does not grow with the population.
 	for k, id := range res.Joined {
+		bid, _ := s.auction.Bid(id)
 		s.phones[id] = admitted[k].sess
 		s.cfg.Logger.Info("phone admitted",
 			"phone", int(id), "name", admitted[k].name, "slot", int(res.Slot),
-			"departure", int(snapshot().Bids[id].Departure), "cost", snapshot().Bids[id].Cost)
+			"departure", int(bid.Departure), "cost", bid.Cost)
 		admitted[k].sess.send(&protocol.Message{
 			Type:      protocol.TypeWelcome,
 			Phone:     id,
 			Slot:      res.Slot,
-			Departure: snapshot().Bids[id].Departure,
+			Departure: bid.Departure,
 			Round:     s.round,
 		})
 	}
@@ -740,7 +736,8 @@ func (s *Server) Tick(numTasks int) (*core.SlotResult, error) {
 	}
 	var welfare float64
 	for _, a := range res.Assignments {
-		cost := snapshot().Bids[a.Phone].Cost
+		bid, _ := s.auction.Bid(a.Phone)
+		cost := bid.Cost
 		welfare += s.cfg.Value - cost
 		s.cfg.Logger.Info("task assigned", "task", int(a.Task), "phone", int(a.Phone), "slot", int(a.Slot))
 		s.tracer.Emit(obs.Event{
@@ -761,7 +758,7 @@ func (s *Server) Tick(numTasks int) (*core.SlotResult, error) {
 		c.totalWelfare.Add(welfare)
 		s.metrics.addRoundWelfare(welfare)
 	}
-	if s.cfg.completionsEnabled() {
+	if s.lifecycle != nil {
 		for _, a := range res.Assignments {
 			s.outstanding[a.Phone] = outstandingTask{
 				task: a.Task, slot: a.Slot,
@@ -773,9 +770,10 @@ func (s *Server) Tick(numTasks int) (*core.SlotResult, error) {
 		s.cfg.Logger.Warn("tasks unserved", "slot", int(res.Slot), "count", res.Unserved)
 	}
 	for _, p := range res.Departed {
+		bid, _ := s.auction.Bid(p)
 		s.tracer.Emit(obs.Event{
 			Type: obs.EventDeparture, Round: s.round, Slot: int(res.Slot),
-			Phone: int(p), Task: -1, Cost: snapshot().Bids[p].Cost,
+			Phone: int(p), Task: -1, Cost: bid.Cost,
 		})
 	}
 	for _, p := range res.Payments {
@@ -794,7 +792,7 @@ func (s *Server) Tick(numTasks int) (*core.SlotResult, error) {
 		}
 	}
 
-	if s.auction.Done() && (!s.cfg.completionsEnabled() || len(s.outstanding) == 0) {
+	if s.auction.Done() && len(s.outstanding) == 0 {
 		if err := s.finishRound(res.Slot); err != nil {
 			return nil, err
 		}
@@ -905,7 +903,7 @@ func (s *Server) resolveOverdue(next core.Slot) {
 	sort.Slice(overdue, func(i, j int) bool { return overdue[i] < overdue[j] })
 	c := &s.counters
 	for _, id := range overdue {
-		dr, err := s.auction.Default(id)
+		dr, err := s.lifecycle.Default(id)
 		if err != nil {
 			// Unreachable by construction (outstanding only holds live
 			// assignments); surface it rather than wedge the round.
@@ -914,14 +912,14 @@ func (s *Server) resolveOverdue(next core.Slot) {
 			continue
 		}
 		delete(s.outstanding, id)
-		inst := s.auction.Instance()
+		defaulted, _ := s.auction.Bid(id)
 		now := int(s.auction.Now())
 		c.winnersDefaulted.Add(1)
 		s.cfg.Logger.Warn("winner defaulted",
 			"phone", int(id), "task", int(dr.Task), "slot", int(dr.Slot), "deadline", int(next))
 		s.tracer.Emit(obs.Event{
 			Type: obs.EventWinnerDefaulted, Round: s.round, Slot: now,
-			Phone: int(id), Task: int(dr.Task), Cost: inst.Bids[id].Cost,
+			Phone: int(id), Task: int(dr.Task), Cost: defaulted.Cost,
 			Detail: "completion deadline lapsed",
 		})
 		// The defaulted winner nets zero: revoke whatever it was paid.
@@ -942,13 +940,14 @@ func (s *Server) resolveOverdue(next core.Slot) {
 		// Keep the cumulative welfare tally aligned with Outcome.Welfare:
 		// the defaulted assignment's surplus comes back out, the
 		// replacement's goes in.
-		dw := -(s.cfg.Value - inst.Bids[id].Cost)
+		dw := -(s.cfg.Value - defaulted.Cost)
 		if dr.Replacement == core.NoPhone {
 			c.tasksUnreplaced.Add(1)
 			s.cfg.Logger.Warn("task unreplaced", "task", int(dr.Task), "slot", int(dr.Slot))
 		} else {
 			r := dr.Replacement
-			dw += s.cfg.Value - inst.Bids[r].Cost
+			replacement, _ := s.auction.Bid(r)
+			dw += s.cfg.Value - replacement.Cost
 			c.tasksReallocated.Add(1)
 			s.outstanding[r] = outstandingTask{
 				task: dr.Task, slot: dr.Slot, deadline: next + s.cfg.CompletionDeadline,
@@ -957,7 +956,7 @@ func (s *Server) resolveOverdue(next core.Slot) {
 				"task", int(dr.Task), "slot", int(dr.Slot), "from", int(id), "to", int(r))
 			s.tracer.Emit(obs.Event{
 				Type: obs.EventReallocation, Round: s.round, Slot: now,
-				Phone: int(r), Task: int(dr.Task), Cost: inst.Bids[r].Cost,
+				Phone: int(r), Task: int(dr.Task), Cost: replacement.Cost,
 			})
 			if sess := s.phones[r]; sess != nil {
 				sess.send(&protocol.Message{
@@ -1001,7 +1000,7 @@ func (s *Server) handleComplete(m *protocol.Message, sess *session) {
 	if s.closed {
 		return
 	}
-	if !s.cfg.completionsEnabled() {
+	if s.lifecycle == nil {
 		reject(core.ErrNotTracking.Error())
 		return
 	}
@@ -1010,7 +1009,7 @@ func (s *Server) handleComplete(m *protocol.Message, sess *session) {
 		return
 	}
 	id := m.Phone
-	if int(id) >= s.auction.Instance().NumPhones() {
+	if _, ok := s.auction.Bid(id); !ok {
 		reject(fmt.Sprintf("complete for unknown phone %d", id))
 		return
 	}
@@ -1018,11 +1017,11 @@ func (s *Server) handleComplete(m *protocol.Message, sess *session) {
 		reject(fmt.Sprintf("phone %d is not attached to this connection (resume first)", id))
 		return
 	}
-	if st := s.auction.Completion(id); st.Status == core.StatusAssigned && st.Task != m.Task {
+	if st := s.lifecycle.Completion(id); st.Status == core.StatusAssigned && st.Task != m.Task {
 		reject(fmt.Sprintf("phone %d holds task %d, not task %d", id, st.Task, m.Task))
 		return
 	}
-	if err := s.auction.Complete(id); err != nil {
+	if err := s.lifecycle.Complete(id); err != nil {
 		// Typed rejection (ErrAlreadyCompleted / ErrNotAssigned): the
 		// agent learns exactly why; the round state is untouched.
 		reject(err.Error())
@@ -1051,21 +1050,9 @@ func (s *Server) handleComplete(m *protocol.Message, sess *session) {
 // previous round carry over and are admitted at the new round's first
 // tick. Caller holds s.mu.
 func (s *Server) beginNextRound() error {
-	auction, err := s.cfg.newAuction()
-	if err != nil {
+	if err := s.openRound(nil); err != nil {
 		return fmt.Errorf("platform: next round: %w", err)
 	}
-	s.configureAuction(auction)
-	if s.cfg.completionsEnabled() {
-		s.outstanding = make(map[core.PhoneID]outstandingTask)
-		s.drain = 0
-	}
-	if s.cfg.Obs != nil {
-		auction.SetMetrics(s.coreMetrics)
-		auction.TrackDepartures(true)
-		s.instrumentBudget(auction)
-	}
-	s.auction = auction
 	s.round++
 	s.counters.round.Store(int64(s.round))
 	s.metrics.resetRound()
@@ -1144,7 +1131,7 @@ func (s *Server) RunClock(slotEvery time.Duration, tasksFor func(core.Slot) int)
 			s.mu.Unlock()
 			return nil
 		}
-		draining := s.cfg.completionsEnabled() && s.auction.Done()
+		draining := s.lifecycle != nil && s.auction.Done()
 		next := s.auction.Now() + 1
 		s.mu.Unlock()
 		n := 0

@@ -172,7 +172,7 @@ func (r *Realization) Completes(p core.PhoneID, t core.Slot) bool { return r.Pre
 // returns the lifecycle tallies for the slot and appends any immediate
 // replacement payments to res.Payments so callers see every notice the
 // slot produced.
-func (r *Realization) Resolve(a core.Auction, res *core.SlotResult) (completed, defaulted int, err error) {
+func (r *Realization) Resolve(a *core.OnlineAuction, res *core.SlotResult) (completed, defaulted int, err error) {
 	for _, as := range res.Assignments {
 		phone := as.Phone
 		for {
