@@ -91,7 +91,10 @@ wire-diff:
 # deviation audit — every phone, every misreport, five seeded rounds per
 # engine and budget level — asserting zero positive-gain deviations,
 # individual rationality, and sum-of-payments <= B on every audited
-# instance. The grep guards fail the target if either battery is
+# instance. Last, the pricing differential: resumed counterfactual
+# probes against fresh replays from slot 1 (identical answers,
+# bit-identical payments), and every payment against a bisected
+# critical value. The grep guards fail the target if any battery is
 # filtered out or skipped.
 budget-audit:
 	$(GO) test -count=1 -run 'TestNaiveTruncatedNotTruthful|TestBudgetEnginesPassCounterexample' -v ./internal/budget/ \
@@ -101,6 +104,10 @@ budget-audit:
 	$(GO) test -count=1 -run TestBudgetAuditCampaign -v ./internal/budget/ \
 		| tee /tmp/dynacrowd-budget-audit.out
 	grep -q -- '--- PASS: TestBudgetAuditCampaign' /tmp/dynacrowd-budget-audit.out
+	$(GO) test -count=1 -run 'TestResumedProbesMatchReplay|TestPaymentIsBisectedCriticalValue' -v ./internal/budget/ \
+		| tee /tmp/dynacrowd-budget-pricing.out
+	grep -q -- '--- PASS: TestResumedProbesMatchReplay' /tmp/dynacrowd-budget-pricing.out
+	grep -q -- '--- PASS: TestPaymentIsBisectedCriticalValue' /tmp/dynacrowd-budget-pricing.out
 
 # budget-bench records the budgeted engines' per-round throughput
 # against the unbudgeted baseline (counterfactual critical-value

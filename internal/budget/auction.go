@@ -46,20 +46,39 @@ type Auction struct {
 	reserved float64   // Σ committed caps; never exceeds the budget
 	capAt    []float64 // per phone: payment cap reserved at win (0: no win)
 
+	tasksAt []int // per slot: tasks announced (replays re-read them)
+
 	// Counterfactual critical-value cache: critVal[i] is valid while the
 	// clock still reads critNow[i]. settled[i] marks executed payments,
-	// which Outcome treats as final.
+	// which Outcome treats as final. Replays leave these (and
+	// byDeparture) empty: they never settle.
 	critVal []float64
 	critNow []core.Slot
 	settled []bool
 
 	trackDepartures bool
-	replay          bool // restoring: re-derive state, skip settlement
+	replay          bool // restoring or probing: re-derive state, skip settlement
 	metrics         *core.Metrics
 	inst            *Metrics    // budget observability (nil disables)
 	tracer          *obs.Tracer // budget_stage events (nil disables)
 
 	excl []float64 // exclude-self scratch
+
+	// Counterfactual pricing scratch, built on first use. prefix replays
+	// the observed round up to the slot before a priced winner's arrival;
+	// probe copies it and replays the rest with the winner's report
+	// replaced (see winsWithBid).
+	prefix, probe *Auction
+	arriving      []core.StreamBid
+	grid          []float64
+
+	// Probe bookkeeping on a replay: watch is the phone whose report is
+	// replaced (NoPhone otherwise); watchLost is set once it can no
+	// longer win — refused by the reserve or discarded by the
+	// posted-price gate. res is the reused slot result.
+	watch     core.PhoneID
+	watchLost bool
+	res       core.SlotResult
 }
 
 // New creates a budgeted auction of m slots with per-task value ν and
@@ -85,6 +104,8 @@ func New(m core.Slot, value float64, allocateAtLoss bool, budget float64, eng En
 		stageCosts:  make([][]float64, stages+1),
 		samples:     make([][]float64, stages+1),
 		rawThr:      make([]float64, stages+1),
+		tasksAt:     make([]int, m+1),
+		watch:       core.NoPhone,
 	}
 	a.pool.ledger = l
 	a.pricer = l.NewPricer(core.CascadePayments, nil)
@@ -146,9 +167,9 @@ func (a *Auction) openStages(t core.Slot) {
 		a.stage++
 		k := a.stage
 		if k == 1 {
-			a.samples[k] = nil
+			a.samples[k] = a.samples[k][:0]
 		} else {
-			a.samples[k] = mergeSorted(a.samples[k-1], a.stageCosts[k-1])
+			a.samples[k] = mergeSorted(a.samples[k][:0], a.samples[k-1], a.stageCosts[k-1])
 		}
 		a.rawThr[k] = a.eng.Threshold(allowanceAt(a.budget, k, a.stages), a.ledger.Value(), a.samples[k])
 		if a.inst != nil {
@@ -223,28 +244,53 @@ func (a *Auction) Step(arriving []core.StreamBid, numTasks int) (*core.SlotResul
 	}
 	a.now = t
 	a.openStages(t)
+	a.tasksAt[t] = numTasks
 	res := &core.SlotResult{Slot: t}
 	var start time.Time
 	if a.metrics != nil {
 		start = time.Now()
 	}
 
+	if err := a.allocate(arriving, numTasks, res); err != nil {
+		return nil, err
+	}
+
+	if a.metrics != nil {
+		a.metrics.SlotAllocSeconds.Observe(time.Since(start).Seconds())
+		start = time.Now()
+	}
+
+	a.settle(t, res)
+
+	if a.metrics != nil {
+		a.metrics.PaymentSeconds.Observe(time.Since(start).Seconds())
+	}
+	return res, nil
+}
+
+// allocate admits the current slot's arriving bids (into the stage
+// samples and, past the reserve, the pool) and gates numTasks tasks
+// through the stage threshold and the cumulative allowance, recording
+// joins, assignments, and unserved tasks into res.
+func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.SlotResult) error {
+	t := a.now
 	for _, sb := range arriving {
 		id, err := a.ledger.AddBid(t, sb)
-		if err != nil { // unreachable: probes validated above
-			return nil, fmt.Errorf("budget auction: %w", err)
+		if err != nil { // unreachable: Step validated, replays re-feed an accepted stream
+			return fmt.Errorf("budget auction: %w", err)
 		}
 		res.Joined = append(res.Joined, id)
 		a.arrivalStage = append(a.arrivalStage, a.stage)
 		a.stageCosts[a.stage] = append(a.stageCosts[a.stage], sb.Cost)
 		a.capAt = append(a.capAt, 0)
-		a.critVal = append(a.critVal, 0)
-		a.critNow = append(a.critNow, 0)
-		a.settled = append(a.settled, false)
-		a.byDeparture[sb.Departure] = append(a.byDeparture[sb.Departure], id)
+		if !a.replay {
+			a.trackPricing(id, sb.Departure)
+		}
 		// Same reserve-price admission as the unbudgeted engines.
 		if a.ledger.AllocateAtLoss() || sb.Cost < a.ledger.Value() {
 			a.pool.push(id)
+		} else if id == a.watch {
+			a.watchLost = true
 		}
 	}
 
@@ -264,6 +310,9 @@ func (a *Auction) Step(arriving []core.StreamBid, numTasks int) (*core.SlotResul
 			// heap's lazy deletion) and leave the task unserved rather than
 			// skipping to a pricier phone, which would let a high report
 			// steer tasks to rivals and muddy the critical-value boundary.
+			if winner == a.watch {
+				a.watchLost = true
+			}
 			a.ledger.RecordUnserved(t)
 			res.Unserved++
 			if a.inst != nil {
@@ -293,18 +342,16 @@ func (a *Auction) Step(arriving []core.StreamBid, numTasks int) (*core.SlotResul
 			a.inst.Remaining.Set(a.Remaining())
 		}
 	}
+	return nil
+}
 
-	if a.metrics != nil {
-		a.metrics.SlotAllocSeconds.Observe(time.Since(start).Seconds())
-		start = time.Now()
-	}
-
-	a.settle(t, res)
-
-	if a.metrics != nil {
-		a.metrics.PaymentSeconds.Observe(time.Since(start).Seconds())
-	}
-	return res, nil
+// trackPricing extends the settlement and payment-cache state to phone
+// id, departing in slot departure.
+func (a *Auction) trackPricing(id core.PhoneID, departure core.Slot) {
+	a.critVal = append(a.critVal, 0)
+	a.critNow = append(a.critNow, 0)
+	a.settled = append(a.settled, false)
+	a.byDeparture[departure] = append(a.byDeparture[departure], id)
 }
 
 // settle finalizes payments for winners departing in slot t at their
@@ -340,15 +387,6 @@ func (a *Auction) settle(t core.Slot, res *core.SlotResult) {
 // — is the counterfactual: re-run the round's deterministic allocation
 // with i's report replaced and find where win flips to lose.
 //
-// The win/lose boundary is always a comparison against a report-
-// independent quantity: another phone's cost (heap order, cascade
-// chains), a stage threshold recomputed without i (both gates), or the
-// reserve ν (pool admission). The candidate grid {0, other phones'
-// costs, cap, ν} therefore brackets the boundary; a binary search finds
-// the bracketing pair and a midpoint probe decides whether the win set
-// is closed (pay the winning grid point) or half-open with the
-// boundary at the losing point (pay that supremum).
-//
 // The computation is truncated at i's departure slot: nothing past it
 // can change whether i wins, and keeping later arrivals out of the
 // grid makes the payment a pure function of i's observation window —
@@ -360,90 +398,228 @@ func (a *Auction) criticalValue(i core.PhoneID) float64 {
 	if a.critNow[i] == a.now {
 		return a.critVal[i]
 	}
-	cap := a.capAt[i]
-	bids := a.ledger.Bids()
-	arrivals := a.ledger.TaskArrivals()
-	until := bids[i].Departure
-	if until > a.now {
-		until = a.now
-	}
-
-	grid := make([]float64, 0, len(bids)+2)
-	grid = append(grid, 0, cap, a.ledger.Value())
-	for j := range bids {
-		if core.PhoneID(j) != i && bids[j].Arrival <= until {
-			grid = append(grid, bids[j].Cost)
-		}
-	}
-	sort.Float64s(grid)
-	uniq := grid[:1]
-	for _, g := range grid[1:] {
-		if g != uniq[len(uniq)-1] {
-			uniq = append(uniq, g)
-		}
-	}
-	grid = uniq
-
-	// Winning is monotone: a lower report pops earlier against weakly
-	// higher stage thresholds (effective thresholds only decay) and the
-	// gates never prefer a pricier report. Binary-search the first
-	// losing grid point.
-	lose := sort.Search(len(grid), func(k int) bool {
-		return !a.winsWithBid(bids, arrivals, until, i, grid[k])
-	})
-	var amount float64
-	switch lose {
-	case 0:
-		// No winning grid point. Unreachable for a real winner (its own
-		// cost wins and 0 ≤ cost); pay the cap so IR cannot break.
-		amount = cap
-	case len(grid):
-		// Every candidate wins, including ν: i is pivotal at the reserve.
-		amount = a.ledger.Value()
-	default:
-		gWin, gLose := grid[lose-1], grid[lose]
-		if a.winsWithBid(bids, arrivals, until, i, (gWin+gLose)/2) {
-			amount = gLose // half-open win set: the supremum is the losing point
-		} else {
-			amount = gWin
-		}
-	}
-	amount = math.Min(cap, amount)
+	until := a.pricedThrough(i)
+	amount := a.searchCritical(i, func(b float64) bool { return a.winsWithBid(i, b, until) })
 	a.critVal[i], a.critNow[i] = amount, a.now
 	return amount
 }
 
-// winsWithBid re-runs the round observed through slot `until` through a
-// fresh allocation-only auction with phone i's reported cost replaced
-// by b, and reports whether i wins a task. The replay is deterministic
-// and covers the full mechanism: stage layout, exclude-self
-// thresholds, both gates, and heap order.
-func (a *Auction) winsWithBid(bids []core.Bid, arrivals []core.Slot, until core.Slot, i core.PhoneID, b float64) bool {
-	cf, err := New(a.ledger.Slots(), a.ledger.Value(), a.ledger.AllocateAtLoss(), a.budget, a.eng)
-	if err != nil { // unreachable: the live auction was built with these
-		return false
+// pricedThrough returns the last slot of phone i's observation window
+// the auction has seen: its departure, or the clock if earlier.
+func (a *Auction) pricedThrough(i core.PhoneID) core.Slot {
+	return min(a.ledger.Bid(i).Departure, a.now)
+}
+
+// searchCritical finds winner i's capped critical value, asking wins
+// whether i wins with a given report. Many winners (most, under a
+// binding budget) still win at their cap, which settles the payment in
+// one probe. Otherwise the boundary lies between i's own bid, which
+// wins, and the cap. Winning is monotone: a lower report pops earlier
+// against weakly higher stage thresholds (effective thresholds only
+// decay) and the gates never prefer a pricier report. So a binary
+// search over the candidate grid in between finds the last winning
+// point lo and the next point hi (the first losing one, or the cap),
+// and the boundary lies in (lo, hi]. It is nearly always at an end:
+// closed at lo (the next float up loses: pay lo) or half-open at hi
+// (the float just below it wins: pay that supremum). Otherwise it sits
+// strictly inside — an algebraic boundary the grid cannot list, such
+// as i's own report reappearing in other winners' reserved caps — and
+// a bisection over the floats in between pays the largest winning
+// report.
+//
+// Starting from the bid changes nothing while winning is monotone:
+// every report below the bid wins too. Sample contamination can break
+// monotonicity on rare rounds (i's report moves other phones'
+// thresholds, and with them the reserves i competes against), and then
+// no payment makes i truthful; starting at the bid still pays at least
+// the bid, so individual rationality holds on every round.
+func (a *Auction) searchCritical(i core.PhoneID, wins func(b float64) bool) float64 {
+	cap := a.capAt[i]
+	if wins(cap) {
+		return cap // the boundary is at or above the cap
 	}
-	cf.replay = true
-	bi, ti := 0, 0
-	var arriving []core.StreamBid
-	for t := core.Slot(1); t <= until; t++ {
-		arriving = arriving[:0]
-		for ; bi < len(bids) && bids[bi].Arrival == t; bi++ {
-			c := bids[bi].Cost
-			if core.PhoneID(bi) == i {
-				c = b
-			}
-			arriving = append(arriving, core.StreamBid{Departure: bids[bi].Departure, Cost: c})
+	lo := a.ledger.Bid(i).Cost
+	grid := a.candidates(i, lo, cap)
+	lose := sort.Search(len(grid), func(k int) bool { return !wins(grid[k]) })
+	if lose > 0 {
+		lo = grid[lose-1]
+	}
+	hi := cap // lo wins, hi loses
+	if lose < len(grid) {
+		hi = grid[lose]
+	}
+	if up := math.Nextafter(lo, hi); up == hi || !wins(up) {
+		return lo
+	}
+	if down := math.Nextafter(hi, lo); wins(down) {
+		return hi
+	}
+	for {
+		mid := lo + (hi-lo)/2
+		if mid == lo || mid == hi {
+			return lo
 		}
-		tasks := 0
-		for ; ti < len(arrivals) && arrivals[ti] == t; ti++ {
-			tasks++
+		if wins(mid) {
+			lo = mid
+		} else {
+			hi = mid
 		}
-		if _, err := cf.Step(arriving, tasks); err != nil {
+	}
+}
+
+// candidates returns winner i's critical-value candidates strictly
+// between lo and hi, ascending and duplicate-free, in the auction's
+// reused buffer.
+//
+// The win/lose boundary is always a comparison against a report-
+// independent quantity: another phone's cost (heap order, cascade
+// chains), a stage threshold recomputed without i (both gates), or the
+// reserve ν (pool admission). A threshold is ν, another phone's cost,
+// or one of the engine's Breakpoints for an opened stage's allowance
+// and sample size. The grid {ν, other phones' costs, breakpoints}
+// therefore holds the boundary, unless i's own report moves a
+// quantity it is compared against (searchCritical bisects for those).
+func (a *Auction) candidates(i core.PhoneID, lo, hi float64) []float64 {
+	until := a.pricedThrough(i)
+	g := append(a.grid[:0], a.ledger.Value())
+	for j := 0; j < a.ledger.NumPhones(); j++ {
+		b := a.ledger.Bid(core.PhoneID(j))
+		if b.Arrival > until {
+			break // IDs are in arrival order
+		}
+		if core.PhoneID(j) != i {
+			g = append(g, b.Cost)
+		}
+	}
+	m := a.ledger.Slots()
+	for k := 1; k <= a.stages && (k == 1 || stageEnd(m, k-1, a.stages) < until); k++ {
+		g = a.eng.Breakpoints(g, allowanceAt(a.budget, k, a.stages), len(a.samples[k]))
+	}
+	a.grid = g
+	inside := g[:0]
+	for _, c := range g {
+		if lo < c && c < hi {
+			inside = append(inside, c)
+		}
+	}
+	sort.Float64s(inside)
+	uniq := inside[:0]
+	for _, c := range inside {
+		if len(uniq) == 0 || c != uniq[len(uniq)-1] {
+			uniq = append(uniq, c)
+		}
+	}
+	return uniq
+}
+
+// winsWithBid reports whether phone i wins a task when the round
+// observed through slot until is replayed, allocation only, with i's
+// reported cost replaced by b. The replay is deterministic and covers
+// the full mechanism: stage layout, exclude-self thresholds, both
+// gates, and heap order. It is the same replay as stepping a fresh
+// auction from slot 1 (the differential test holds it to that), made
+// cheaper three ways:
+//
+//   - Shared prefix. Before i arrives nothing can depend on its report,
+//     so the prefix scratch auction replays slots 1..arrival−1 once and
+//     every probe resumes from a copy of it. Phone IDs follow arrival
+//     order, so the winners of one settlement (and Outcome's ID-order
+//     walk) only move the prefix forward.
+//   - Early exit. A win is never revoked, and a phone refused by the
+//     reserve or discarded by the posted-price gate never returns to
+//     the pool, so the probe stops as soon as either happens.
+//   - Reused storage. Both scratch auctions are reset or overwritten in
+//     place rather than built per probe.
+func (a *Auction) winsWithBid(i core.PhoneID, b float64, until core.Slot) bool {
+	if a.prefix == nil {
+		a.prefix, a.probe = a.newReplay(), a.newReplay()
+	}
+	arrival := a.ledger.Bid(i).Arrival
+	if a.prefix.now >= arrival {
+		a.prefix.reset()
+	}
+	for a.prefix.now < arrival-1 {
+		if !a.replaySlot(a.prefix, core.NoPhone, 0) {
 			return false // unreachable: the live round accepted this stream
 		}
 	}
-	return cf.ledger.WonAt(i) != 0
+	cf := a.probe
+	cf.copyFrom(a.prefix)
+	cf.watch, cf.watchLost = i, false
+	for cf.now < until {
+		if !a.replaySlot(cf, i, b) {
+			return false // unreachable, as above
+		}
+		if cf.ledger.WonAt(i) != 0 {
+			return true
+		}
+		if cf.watchLost {
+			return false
+		}
+	}
+	return false
+}
+
+// newReplay returns an empty allocation-only auction of a's round.
+func (a *Auction) newReplay() *Auction {
+	cf, err := New(a.ledger.Slots(), a.ledger.Value(), a.ledger.AllocateAtLoss(), a.budget, a.eng)
+	if err != nil {
+		panic(err) // unreachable: a was built with these parameters
+	}
+	cf.replay = true
+	return cf
+}
+
+// replaySlot steps replay cf through its next slot of a's observed
+// round, with phone i's reported cost replaced by b (i = NoPhone: as
+// observed). It reports false only if the stream is rejected.
+func (a *Auction) replaySlot(cf *Auction, i core.PhoneID, b float64) bool {
+	t := cf.now + 1
+	a.arriving = a.arriving[:0]
+	for j := core.PhoneID(cf.ledger.NumPhones()); int(j) < a.ledger.NumPhones(); j++ {
+		bid := a.ledger.Bid(j)
+		if bid.Arrival != t {
+			break
+		}
+		c := bid.Cost
+		if j == i {
+			c = b
+		}
+		a.arriving = append(a.arriving, core.StreamBid{Departure: bid.Departure, Cost: c})
+	}
+	cf.now = t
+	cf.openStages(t)
+	cf.res = core.SlotResult{Slot: t, Joined: cf.res.Joined[:0], Assignments: cf.res.Assignments[:0]}
+	return cf.allocate(a.arriving, a.tasksAt[t], &cf.res) == nil
+}
+
+// reset empties replay a back to before slot 1, keeping its storage.
+func (a *Auction) reset() {
+	a.ledger.Reset()
+	a.now, a.stage, a.reserved = 0, 0, 0
+	a.pool.items = a.pool.items[:0]
+	a.arrivalStage = a.arrivalStage[:0]
+	a.capAt = a.capAt[:0]
+	for k := range a.samples {
+		a.samples[k] = a.samples[k][:0]
+		a.stageCosts[k] = a.stageCosts[k][:0]
+		a.rawThr[k] = 0
+	}
+}
+
+// copyFrom overwrites replay a with replay src's allocation state,
+// reusing a's storage. Both replay the same round.
+func (a *Auction) copyFrom(src *Auction) {
+	a.ledger.CopyFrom(src.ledger)
+	a.now, a.stage, a.reserved = src.now, src.stage, src.reserved
+	a.pool.items = append(a.pool.items[:0], src.pool.items...)
+	a.arrivalStage = append(a.arrivalStage[:0], src.arrivalStage...)
+	a.capAt = append(a.capAt[:0], src.capAt...)
+	copy(a.rawThr, src.rawThr)
+	for k := range a.samples {
+		a.samples[k] = append(a.samples[k][:0], src.samples[k]...)
+		a.stageCosts[k] = append(a.stageCosts[k][:0], src.stageCosts[k]...)
+	}
 }
 
 // Outcome assembles the round outcome so far: the ledger's allocation

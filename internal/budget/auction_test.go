@@ -3,6 +3,9 @@ package budget
 import (
 	"errors"
 	"math"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"dynacrowd/internal/core"
@@ -101,6 +104,26 @@ func TestThresholdEngines(t *testing.T) {
 	// Frugal is allowance-capped too.
 	if got := (Frugal{}).Threshold(4, 30, sample); got != 4 {
 		t.Errorf("Frugal allowance cap = %g, want 4", got)
+	}
+
+	// Every threshold is ν, a sample cost, or one of the engine's
+	// breakpoints for that allowance and sample size: the pricing grid
+	// relies on it.
+	rng := workload.NewRNG(5)
+	for trial := 0; trial < 200; trial++ {
+		sample := make([]float64, rng.Intn(12))
+		for k := range sample {
+			sample[k] = rng.Uniform(0, 40)
+		}
+		sort.Float64s(sample)
+		allowance := rng.Uniform(1, 100)
+		for _, eng := range []Engine{StageSampling{}, Frugal{}} {
+			thr := eng.Threshold(allowance, 30, sample)
+			listed := append(eng.Breakpoints(nil, allowance, len(sample)), append([]float64{30}, sample...)...)
+			if !slices.Contains(listed, thr) {
+				t.Fatalf("%s: threshold %v on %v (allowance %v) is not a listed breakpoint", eng.Name(), thr, sample, allowance)
+			}
+		}
 	}
 }
 
@@ -318,5 +341,113 @@ func TestMechanismNames(t *testing.T) {
 	}
 	if got := (&NaiveTruncated{Budget: 40}).Name(); got != "naive-truncated-B40" {
 		t.Errorf("naive name %q", got)
+	}
+}
+
+// TestPaidAtStageShareBoundary pins the individual-rationality fix: on
+// this Table I instance (the 80th of workload.NewRNG(16)'s stream)
+// phone 15, window [2,8] and bid 17.847, wins exactly while its bid
+// clears the stage-3 share C_3/7 = 125/7 = 17.857. That boundary is
+// neither a cost nor ν, so before the engine's breakpoints joined the
+// candidate grid the phone was paid the grid point below its own bid,
+// 16.546.
+func TestPaidAtStageShareBoundary(t *testing.T) {
+	rng := workload.NewRNG(16)
+	for k := 0; k < 79; k++ {
+		rng.Uint64()
+	}
+	in, err := workload.DefaultScenario().Generate(rng.Uint64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bid := in.Bids[15]
+	if bid.Arrival != 2 || bid.Departure != 8 || math.Abs(bid.Cost-17.847) > 1e-3 {
+		t.Fatalf("instance drifted: phone 15 is %+v", bid)
+	}
+	a, err := New(in.Slots, in.Value, in.AllocateAtLoss, 2000, StageSampling{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := streamInstance(a, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Allocation.WonAt[15] == 0 {
+		t.Fatal("phone 15 lost")
+	}
+	if got, want := out.Payments[15], allowanceAt(2000, 3, NumStages(in.Slots))/7; got != want || got < bid.Cost {
+		t.Errorf("phone 15 (bid %v) paid %v, want C_3/7 = %v", bid.Cost, got, want)
+	}
+}
+
+// TestRoundAllocationBounded pins that pricing reuses its replay
+// storage: a whole Table I round, every settled winner priced by
+// counterfactual replays, allocates under 1 MiB on either engine at a
+// binding and a loose budget. Building a fresh auction per probe (some
+// 600 per round) costs tens of MiB.
+func TestRoundAllocationBounded(t *testing.T) {
+	const bound = 1 << 20
+	in, err := workload.DefaultScenario().Generate(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	for _, eng := range []Engine{StageSampling{}, Frugal{}} {
+		for _, budget := range []float64{200, 2000} {
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			a, err := New(in.Slots, in.Value, in.AllocateAtLoss, budget, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := streamInstance(a, in)
+			runtime.ReadMemStats(&ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Allocation.Winners()) == 0 {
+				t.Fatalf("%s B=%g: no winners to price", eng.Name(), budget)
+			}
+			if got := ms.TotalAlloc - before; got > bound {
+				t.Errorf("%s B=%g: one round allocated %d bytes, want ≤ %d", eng.Name(), budget, got, bound)
+			}
+		}
+	}
+}
+
+// TestNonMonotoneWinnerPaidAtLeastBid pins individual rationality where
+// winning is not monotone in the report. In this Table I round (the
+// 4162nd of workload.NewRNG(4)'s stream) phone 1's cost sits in other
+// phones' stage samples, so its report moves their shares: it wins at
+// 12, loses at 14, and wins again at its own bid 16.714 up to 16.967.
+// No payment makes it truthful there, but searching up from its bid
+// pays the end of the winning run it is in, not the first boundary.
+func TestNonMonotoneWinnerPaidAtLeastBid(t *testing.T) {
+	rng := workload.NewRNG(4)
+	for k := 0; k < 4161; k++ {
+		rng.Uint64()
+	}
+	in, err := workload.DefaultScenario().Generate(rng.Uint64())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(in.Slots, in.Value, in.AllocateAtLoss, 2000, StageSampling{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := streamInstance(a, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bid := in.Bids[1]
+	if out.Allocation.WonAt[1] == 0 || math.Abs(bid.Cost-16.714) > 1e-3 {
+		t.Fatalf("instance drifted: phone 1 is %+v, won at %d", bid, out.Allocation.WonAt[1])
+	}
+	until := a.pricedThrough(1)
+	if !replayWins(a, 1, 12, until) || replayWins(a, 1, 14, until) {
+		t.Fatal("winning became monotone here; the test no longer covers a non-monotone round")
+	}
+	if got := out.Payments[1]; got < bid.Cost || math.Abs(got-16.967) > 1e-3 {
+		t.Errorf("phone 1 (bid %v) paid %v, want the end of its winning run, 16.967", bid.Cost, got)
 	}
 }

@@ -86,6 +86,13 @@ type Engine interface {
 	// posts the maximum IR price and lets the allowance gate pace
 	// spending.
 	Threshold(allowance, value float64, sample []float64) float64
+	// Breakpoints appends to dst every value Threshold can return for
+	// this allowance on a sample of at most n costs, other than ν and
+	// the sample's own costs. They must not depend on the sample's
+	// values: the budgeted auction adds them to each winner's
+	// critical-value candidate grid, because a winner's win/lose
+	// boundary can sit exactly at its own threshold.
+	Breakpoints(dst []float64, allowance float64, n int) []float64
 }
 
 // StageSampling is the OMG-style density-threshold engine: the
@@ -112,6 +119,16 @@ func (StageSampling) Threshold(allowance, value float64, sample []float64) float
 		share = allowance / float64(i)
 	}
 	return math.Min(value, share)
+}
+
+// Breakpoints implements Engine: the shares C_k/i for i = 1..n (the
+// i = 0 fallback posts C_k itself, the i = 1 share).
+func (StageSampling) Breakpoints(dst []float64, allowance float64, n int) []float64 {
+	dst = append(dst, allowance)
+	for i := 2; i <= n; i++ {
+		dst = append(dst, allowance/float64(i))
+	}
+	return dst
 }
 
 // DefaultCoverage is the Frugal engine's default coverage target.
@@ -154,6 +171,12 @@ func (f Frugal) Threshold(allowance, value float64, sample []float64) float64 {
 	return math.Min(value, math.Min(allowance, sample[q-1]))
 }
 
+// Breakpoints implements Engine: besides ν and the quantile cost, only
+// the allowance cap C_k.
+func (Frugal) Breakpoints(dst []float64, allowance float64, _ int) []float64 {
+	return append(dst, allowance)
+}
+
 // EngineByName resolves an engine identifier: "" or "stage" selects
 // StageSampling, "frugal" the Frugal engine at DefaultCoverage.
 func EngineByName(name string) (Engine, error) {
@@ -190,15 +213,21 @@ func allowanceAt(budget float64, k, stages int) float64 {
 	return budget / float64(uint64(1)<<(stages-k))
 }
 
-// mergeSorted merges an ascending sample with an unsorted batch of
-// newly observed costs into a fresh ascending slice.
-func mergeSorted(sorted, batch []float64) []float64 {
-	out := make([]float64, 0, len(sorted)+len(batch))
-	out = append(out, sorted...)
-	out = append(out, batch...)
-	sort.Float64s(out[len(sorted):])
-	if len(sorted) > 0 && len(batch) > 0 {
-		sort.Float64s(out) // two sorted runs; sort keeps it simple and O(n log n)
+// mergeSorted appends to dst the ascending merge of the ascending
+// sample and a batch of newly observed costs, sorting batch in place
+// first. dst must not share storage with either input.
+func mergeSorted(dst, sorted, batch []float64) []float64 {
+	sort.Float64s(batch)
+	i, j := 0, 0
+	for i < len(sorted) && j < len(batch) {
+		if batch[j] < sorted[i] {
+			dst = append(dst, batch[j])
+			j++
+		} else {
+			dst = append(dst, sorted[i])
+			i++
+		}
 	}
-	return out
+	dst = append(dst, sorted[i:]...)
+	return append(dst, batch[j:]...)
 }

@@ -127,7 +127,8 @@ func Restore(data []byte) (*Auction, error) {
 
 	// Replay: identical input stream => identical stage state, gates,
 	// reserves, and caps. Settlement is skipped (payments are recomputed
-	// deterministically by Outcome/Step once live again).
+	// deterministically by Outcome/Step once live again), so the
+	// settlement state is rebuilt after it.
 	a.replay = true
 	bi, ti := 0, 0
 	var arriving []core.StreamBid
@@ -147,6 +148,9 @@ func Restore(data []byte) (*Auction, error) {
 	a.replay = false
 	if bi != len(snap.Bids) {
 		return nil, fmt.Errorf("restore budget auction: bids not in arrival order (replayed %d of %d)", bi, len(snap.Bids))
+	}
+	for i, b := range snap.Bids {
+		a.trackPricing(core.PhoneID(i), b.Departure)
 	}
 
 	// The replayed assignment must agree with the stored one; a mismatch

@@ -149,6 +149,37 @@ func (l *Ledger) Assignable(i PhoneID) bool { return l.run.phoneTask[i] == NoTas
 // runner-up from AddTask.)
 func (l *Ledger) RecordUnserved(t Slot) { l.run.unserved[t]++ }
 
+// Reset empties the ledger for a fresh round of the same shape, keeping
+// its storage. Counterfactual replays (internal/budget) reset a scratch
+// ledger instead of allocating one per replay.
+func (l *Ledger) Reset() {
+	l.inst.Bids = l.inst.Bids[:0]
+	l.inst.Tasks = l.inst.Tasks[:0]
+	l.run.byTask = l.run.byTask[:0]
+	l.run.phoneTask = l.run.phoneTask[:0]
+	l.run.wonAt = l.run.wonAt[:0]
+	l.run.runnerUp = l.run.runnerUp[:0]
+	l.run.resetSlots(l.inst.Slots)
+	l.epoch++
+}
+
+// CopyFrom overwrites l with src's state, reusing l's storage. Both
+// ledgers must describe rounds of the same length m.
+func (l *Ledger) CopyFrom(src *Ledger) {
+	l.inst.Value, l.inst.AllocateAtLoss = src.inst.Value, src.inst.AllocateAtLoss
+	l.inst.Bids = append(l.inst.Bids[:0], src.inst.Bids...)
+	l.inst.Tasks = append(l.inst.Tasks[:0], src.inst.Tasks...)
+	l.run.byTask = append(l.run.byTask[:0], src.run.byTask...)
+	l.run.phoneTask = append(l.run.phoneTask[:0], src.run.phoneTask...)
+	l.run.wonAt = append(l.run.wonAt[:0], src.run.wonAt...)
+	l.run.runnerUp = append(l.run.runnerUp[:0], src.run.runnerUp...)
+	copy(l.run.unserved, src.run.unserved)
+	copy(l.run.max1, src.run.max1)
+	copy(l.run.max1p, src.run.max1p)
+	copy(l.run.max2, src.run.max2)
+	l.epoch++
+}
+
 // view returns an Instance header over the live backing arrays (not a
 // clone; do not hand to callers that may outlive a mutation).
 func (l *Ledger) view() Instance { return l.inst }

@@ -146,4 +146,43 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 			t.Fatalf("WonAtSlots[%d] = %d != %d", i, wonAt[i], l.WonAt(PhoneID(i)))
 		}
 	}
+
+	// CopyFrom overwrites a ledger holding another round, and a pricer
+	// that already priced that round sees the copy; Reset then leaves a
+	// ledger that records and prices like a fresh one.
+	cp, err := NewLedger(in.Slots, in.Value, in.AllocateAtLoss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := func(l *Ledger) {
+		id, err := l.AddBid(2, StreamBid{Departure: 3, Cost: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.RecordWin(l.AddTask(2), id, NoPhone, 2)
+		l.RecordUnserved(3)
+	}
+	small(cp)
+	pricer := cp.NewPricer(CascadePayments, nil)
+	cp.Outcome(pricer)
+	cp.CopyFrom(l)
+	got := cp.Outcome(pricer)
+	for i := range want.Payments {
+		if math.Float64bits(want.Payments[i]) != math.Float64bits(got.Payments[i]) {
+			t.Fatalf("copy: phone %d payment %v != %v", i, got.Payments[i], want.Payments[i])
+		}
+	}
+	cp.Reset()
+	if cp.NumPhones() != 0 || cp.NumTasks() != 0 {
+		t.Fatalf("reset ledger holds %d phones, %d tasks", cp.NumPhones(), cp.NumTasks())
+	}
+	fresh, err := NewLedger(in.Slots, in.Value, in.AllocateAtLoss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small(cp)
+	small(fresh)
+	if a, b := cp.Outcome(pricer), fresh.Outcome(fresh.NewPricer(CascadePayments, nil)); a.Payments[0] != b.Payments[0] || a.Welfare != b.Welfare {
+		t.Fatalf("reset ledger pays %v (welfare %v), fresh %v (welfare %v)", a.Payments[0], a.Welfare, b.Payments[0], b.Welfare)
+	}
 }
