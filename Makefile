@@ -63,13 +63,15 @@ soak:
 # deterministic budget: FuzzOfflineVCG cross-checks the fast interval
 # engine against the Hungarian+VCG oracle (welfare, payments, IR),
 # FuzzIntervalSolver pins the augmenting-path matcher to the dense
-# Hungarian optimum on arbitrary interval instances, FuzzCompletionOrder
-# drives arbitrary complete/default orderings through the online
-# auction's lifecycle and snapshot/restore, and the protocol fuzzer
-# feeds arbitrary bytes to the binary frame decoder (malformed input
-# must error, never panic or hang).
+# Hungarian optimum on arbitrary interval instances, FuzzCriticalPayments
+# pins the online cascade payments to the literal Algorithm 2 re-run,
+# FuzzCompletionOrder drives arbitrary complete/default orderings
+# through the online auction's lifecycle and snapshot/restore, and the
+# protocol fuzzer feeds arbitrary bytes to the binary frame decoder
+# (malformed input must error, never panic or hang).
 fuzz-smoke:
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzOfflineVCG -fuzztime 10s ./internal/core/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCriticalPayments -fuzztime 10s ./internal/core/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCompletionOrder -fuzztime 10s ./internal/core/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzIntervalSolver -fuzztime 5s ./internal/matching/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBinaryFrame -fuzztime 10s ./internal/protocol/
@@ -138,14 +140,23 @@ loadtest:
 	$(GO) run ./cmd/crowdsim -load -load-agents 100000 -load-ticks 50 \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section load-100k
 
-# diff-sweep proves the oracle-differential battery actually ran: the
-# grep fails the target unless the sweep's PASS line is in the verbose
-# output, so a -run filter, a skip, or a renamed test cannot silently
-# drop the offline engines' equivalence evidence from the gate.
+# diff-sweep proves the oracle-differential batteries actually ran: the
+# greps fail the target unless each battery's PASS line is in the
+# verbose output, so a -run filter, a skip, or a renamed test cannot
+# silently drop the equivalence evidence from the gate. The offline
+# sweep pins the interval engine to Hungarian+VCG; the cascade
+# batteries pin the online critical-value payments to the literal
+# Algorithm 2 re-run (short and dense within-slot chains) and to the
+# literal within-slot walk after defaults and snapshot restores.
 diff-sweep:
 	$(GO) test -count=1 -run TestOfflineDifferentialSweep -v ./internal/core/ \
 		| tee /tmp/dynacrowd-diff-sweep.out
 	grep -q -- '--- PASS: TestOfflineDifferentialSweep' /tmp/dynacrowd-diff-sweep.out
+	$(GO) test -count=1 -run 'TestCascadeMatchesOracleSweep|TestCascadeMatchesOracleDenseSlots|TestCascadeMatchesLiteralWalkWithDefaults' -v ./internal/core/ \
+		| tee /tmp/dynacrowd-cascade-sweep.out
+	grep -q -- '--- PASS: TestCascadeMatchesOracleSweep' /tmp/dynacrowd-cascade-sweep.out
+	grep -q -- '--- PASS: TestCascadeMatchesOracleDenseSlots' /tmp/dynacrowd-cascade-sweep.out
+	grep -q -- '--- PASS: TestCascadeMatchesLiteralWalkWithDefaults' /tmp/dynacrowd-cascade-sweep.out
 
 # staticcheck runs honnef.co/go/tools if it is installed; the tier-1
 # gate stays dependency-free, so a missing binary is a skip, not a

@@ -27,8 +27,6 @@ type Auction struct {
 	eng    Engine
 	stages int // K
 
-	pricer *core.Pricer
-
 	now   core.Slot
 	stage int // current stage, 0 before the first Step
 
@@ -108,7 +106,6 @@ func New(m core.Slot, value float64, allocateAtLoss bool, budget float64, eng En
 		watch:       core.NoPhone,
 	}
 	a.pool.ledger = l
-	a.pricer = l.NewPricer(core.CascadePayments, nil)
 	return a, nil
 }
 
@@ -140,7 +137,6 @@ func (a *Auction) BudgetExhausted() bool {
 // (nil disables).
 func (a *Auction) SetMetrics(m *core.Metrics) {
 	a.metrics = m
-	a.pricer = a.ledger.NewPricer(core.CascadePayments, m)
 }
 
 // SetInstruments attaches the budget observability bundle (remaining
@@ -627,7 +623,7 @@ func (a *Auction) copyFrom(src *Auction) {
 // value. Executed (settled) payments are final; the auction keeps its
 // own record of them. Total payments never exceed the budget.
 func (a *Auction) Outcome() *core.Outcome {
-	out := a.ledger.Outcome(a.pricer)
+	out := a.ledger.Outcome(nil)
 	for i := range out.Payments {
 		ph := core.PhoneID(i)
 		if a.ledger.WonAt(ph) == 0 {

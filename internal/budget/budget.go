@@ -37,12 +37,11 @@
 //
 // budget.Auction implements core.Auction, the stepping seam (Step, Now,
 // Done, Outcome, Bid, Instance, Snapshot), over a core.Ledger, so the
-// cascade payment engine, the platform, snapshots, and the sim/audit
-// harnesses all run unchanged; budget.Mechanism adapts it to
-// core.Mechanism for batch instances. Its setters (SetMetrics,
-// TrackDepartures, SetInstruments, SetTracer) are on the concrete type,
-// and it has no completion lifecycle: that exists only on
-// core.OnlineAuction. docs/BUDGET.md is the usage page and
+// platform, snapshots, and the sim/audit harnesses all run unchanged;
+// budget.Mechanism adapts it to core.Mechanism for batch instances. Its
+// setters (SetMetrics, TrackDepartures, SetInstruments, SetTracer) are
+// on the concrete type, and it has no completion lifecycle: that exists
+// only on core.OnlineAuction. docs/BUDGET.md is the usage page and
 // docs/THEORY.md §7 the argument sketch.
 package budget
 

@@ -258,11 +258,13 @@ func (c *completions) state(run *greedyRun, p PhoneID) CompletionState {
 }
 
 // rebuildSlotWinners recomputes slot t's top-2 winner-cost table from
-// the slot's current winners after a default mutated the winner set.
+// the slot's current winners after a default mutated the winner set,
+// and marks the slot's chain memo stale (even when no winner is left).
 // Tasks are stored in arrival order, so the slot's tasks form one
 // contiguous range.
 func rebuildSlotWinners(in *Instance, run *greedyRun, t Slot) {
 	run.max1[t], run.max2[t], run.max1p[t] = 0, 0, NoPhone
+	run.stale[t] = true
 	lo := sort.Search(len(in.Tasks), func(i int) bool { return in.Tasks[i].Arrival >= t })
 	for k := lo; k < len(in.Tasks) && in.Tasks[k].Arrival == t; k++ {
 		if p := run.byTask[k]; p != NoPhone {

@@ -1,20 +1,26 @@
 package core
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // PaymentEngine computes the online mechanism's critical-value payments
 // (Algorithm 2) for the winners of a baseline greedy run. All engines
 // produce bit-identical payments; they differ only in cost:
 //
 //   - CascadePayments derives every payment from the baseline run plus
-//     per-task runner-up state in O(window + cascade) per winner — no
-//     greedy re-runs. This is the default.
+//     per-task runner-up state in O(window + cascade slots) per winner —
+//     no greedy re-runs. A cascade segment within one slot is an O(1)
+//     jump after one O(tasks in slot) relink per slot. This is the
+//     default.
 //   - OraclePayments is the literal Algorithm 2: one full greedy re-run
 //     per winner. It is kept as the reference oracle the differential
 //     and fuzz tests check the cascade engine against.
 //
 // Engines are stateless and safe for concurrent use; the per-call
-// scratch lives in the paymentQuery each caller owns.
+// scratch lives in the paymentQuery each caller owns, and the cascade's
+// within-slot memo in the greedyRun it prices.
 type PaymentEngine interface {
 	// Name returns a short identifier ("cascade", "oracle").
 	Name() string
@@ -59,6 +65,12 @@ type greedyRun struct {
 	max1     []float64 // slot -> highest winner cost
 	max1p    []PhoneID // slot -> phone holding max1 (NoPhone if none)
 	max2     []float64 // slot -> second-highest winner cost
+
+	// The cascade's within-slot chain memo (see relinkSlot). slotEnd is
+	// sized lazily by the first relink and read only for slots whose
+	// stale flag is clear; every change to a slot's winners sets it.
+	slotEnd []TaskID // task -> where its within-slot chain stops
+	stale   []bool   // slot -> slotEnd entries need a relink
 }
 
 // resetSlots (re)sizes and clears the per-slot tables for an m-slot round.
@@ -70,6 +82,15 @@ func (g *greedyRun) resetSlots(m Slot) {
 	g.max1p = resize(g.max1p, n)
 	for i := range g.max1p {
 		g.max1p[i] = NoPhone
+	}
+	g.stale = resize(g.stale, n)
+	g.markStale()
+}
+
+// markStale invalidates the within-slot chain memo of every slot.
+func (g *greedyRun) markStale() {
+	for t := range g.stale {
+		g.stale[t] = true
 	}
 }
 
@@ -91,8 +112,10 @@ func (g *greedyRun) initRound(numPhones, numTasks int, m Slot) {
 }
 
 // noteWinner updates slot t's top-2 winner-cost table with phone p's
-// cost c. The ">=" keeps max2 correct when costs tie.
+// cost c. The ">=" keeps max2 correct when costs tie. A new winner can
+// extend the slot's runner-up chains, so the slot's memo goes stale.
 func (g *greedyRun) noteWinner(t Slot, p PhoneID, c float64) {
+	g.stale[t] = true
 	if c >= g.max1[t] {
 		g.max2[t] = g.max1[t]
 		g.max1[t], g.max1p[t] = c, p
@@ -108,6 +131,42 @@ func (g *greedyRun) maxExcluding(t Slot, p PhoneID) float64 {
 		return g.max2[t]
 	}
 	return g.max1[t]
+}
+
+// relinkSlot rebuilds the within-slot chain memo of slot t, the slot of
+// task tau, in one reverse pass over the slot's tasks. The chain from
+// task k follows k's runner-up to the task it wins in slot t; slotEnd[k]
+// is the last task reached. A forward link inherits the later task's
+// end. A chain end (no runner-up, or one winning no task of slot t) maps
+// to itself, and so does a backward link — a default drafted the
+// runner-up into an earlier task of the slot — which the walk then steps
+// literally. Runner-ups are recorded before they win, so links never
+// form a cycle.
+//
+// Only slot t's own winners decide its chains: a later slot's win never
+// makes a slot-t runner-up win in slot t. So a relink stays valid until
+// the slot's winner set changes, which marks it stale.
+func (g *greedyRun) relinkSlot(tasks []Task, tau TaskID, t Slot) {
+	if n := len(tasks); len(g.slotEnd) < n {
+		g.slotEnd = slices.Grow(g.slotEnd, n-len(g.slotEnd))[:n]
+	}
+	lo, hi := int(tau), int(tau)+1
+	for lo > 0 && tasks[lo-1].Arrival == t {
+		lo--
+	}
+	for hi < len(tasks) && tasks[hi].Arrival == t {
+		hi++
+	}
+	for k := hi - 1; k >= lo; k-- {
+		end := TaskID(k)
+		if r := g.runnerUp[k]; r != NoPhone {
+			if next := g.phoneTask[r]; int(next) > k && int(next) < hi {
+				end = g.slotEnd[next]
+			}
+		}
+		g.slotEnd[k] = end
+	}
+	g.stale[t] = false
 }
 
 // arrivalsIndex groups the phones admitted to the allocation pool by
@@ -214,16 +273,21 @@ func cascadePayment(in *Instance, run *greedyRun, i PhoneID, fixes []slotFix) (f
 		if t > dep {
 			break // Algorithm 2 only inspects slots up to i's departure
 		}
-		// Walk every cascade step landing in slot t: the slot's winner
-		// multiset loses the first debt and gains the last runner-up.
-		firstOut := debt
+		// Jump over every cascade step landing in slot t: the slot's
+		// winner multiset loses the first debt and gains the last
+		// runner-up. The memo jumps to the end of a forward run; a
+		// backward link left by a default is stepped literally.
+		if run.stale[t] {
+			run.relinkSlot(in.Tasks, tau, t)
+		}
+		tau = run.slotEnd[tau]
 		r := run.runnerUp[tau]
 		for r != NoPhone {
 			next := run.phoneTask[r]
 			if next == NoTask || in.Tasks[next].Arrival != t {
 				break
 			}
-			debt, tau = r, next
+			tau = run.slotEnd[next]
 			r = run.runnerUp[tau]
 		}
 		var cand float64
@@ -235,7 +299,7 @@ func cascadePayment(in *Instance, run *greedyRun, i PhoneID, fixes []slotFix) (f
 			cand = in.Value // Algorithm 2 prices any short slot at ν
 			debt, tau = r, run.phoneTask[r]
 		default:
-			cand = run.maxExcluding(t, firstOut)
+			cand = run.maxExcluding(t, debt)
 			if c := bids[r].Cost; c > cand {
 				cand = c
 			}

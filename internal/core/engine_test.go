@@ -199,6 +199,37 @@ func TestMechanismConcurrentUse(t *testing.T) {
 	}
 }
 
+// streamRound replays in through core.OnlineAuction slot by slot and
+// returns every payment issued at a departure plus the final Outcome.
+// Generated bids are in arrival order, so the stream assigns every phone
+// its batch ID.
+func streamRound(t *testing.T, in *core.Instance) (map[core.PhoneID]float64, *core.Outcome) {
+	t.Helper()
+	byArrival := make(map[core.Slot][]core.StreamBid)
+	for _, b := range in.Bids {
+		byArrival[b.Arrival] = append(byArrival[b.Arrival], core.StreamBid{Departure: b.Departure, Cost: b.Cost})
+	}
+	tasksAt := make(map[core.Slot]int)
+	for _, task := range in.Tasks {
+		tasksAt[task.Arrival]++
+	}
+	oa, err := core.NewOnlineAuction(in.Slots, in.Value, in.AllocateAtLoss)
+	if err != nil {
+		t.Fatalf("auction: %v", err)
+	}
+	notices := make(map[core.PhoneID]float64)
+	for !oa.Done() {
+		res, err := oa.Step(byArrival[oa.Now()+1], tasksAt[oa.Now()+1])
+		if err != nil {
+			t.Fatalf("step: %v", err)
+		}
+		for _, p := range res.Payments {
+			notices[p.Phone] = p.Amount
+		}
+	}
+	return notices, oa.Outcome()
+}
+
 // TestStreamEnginesAgree drives the streaming auction over each input
 // and checks every payment finalized at a departure against the batch
 // oracle's — the streaming cascade prices from retained state at the
@@ -212,30 +243,7 @@ func TestStreamEnginesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		byArrival := make(map[core.Slot][]core.StreamBid)
-		for _, b := range in.Bids {
-			byArrival[b.Arrival] = append(byArrival[b.Arrival], core.StreamBid{Departure: b.Departure, Cost: b.Cost})
-		}
-		tasksAt := make(map[core.Slot]int)
-		for _, task := range in.Tasks {
-			tasksAt[task.Arrival]++
-		}
-		oa, err := core.NewOnlineAuction(in.Slots, in.Value, in.AllocateAtLoss)
-		if err != nil {
-			t.Fatalf("auction: %v", err)
-		}
-		cascade := make(map[core.PhoneID]float64)
-		for !oa.Done() {
-			res, err := oa.Step(byArrival[oa.Now()+1], tasksAt[oa.Now()+1])
-			if err != nil {
-				t.Fatalf("step: %v", err)
-			}
-			for _, p := range res.Payments {
-				cascade[p.Phone] = p.Amount
-			}
-		}
-		// Generated bids are in arrival order, so the stream assigns
-		// every phone its batch ID.
+		cascade, _ := streamRound(t, in)
 		oracle, err := (&core.OnlineMechanism{Payments: core.OraclePayments}).Run(in)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
@@ -253,5 +261,77 @@ func TestStreamEnginesAgree(t *testing.T) {
 		if len(cascade) != winners {
 			t.Fatalf("seed %d: stream paid %d phones, oracle %d winners", seed, len(cascade), winners)
 		}
+	}
+}
+
+// TestCascadeMatchesOracleDenseSlots is the differential for long
+// within-slot chains: at least 100 tasks in every slot, with bursts,
+// where a task's runner-up usually wins the slot's next task, so most
+// cascades run through the rest of their slot. Batch payments, the
+// streaming auction's departure notices, and its Outcome must all equal
+// the literal Algorithm 2 re-run bit for bit, in both reserve modes.
+func TestCascadeMatchesOracleDenseSlots(t *testing.T) {
+	scn := workload.HeavyScenario{
+		Slots:           8,
+		PhoneRate:       320,
+		ZipfExponent:    1.1,
+		MaxActiveLength: 8,
+		MeanCost:        25,
+		Value:           30,
+		TaskRate:        140,
+		BurstEvery:      3,
+		BurstFactor:     2.5,
+	}
+	for _, atLoss := range []bool{false, true} {
+		scn.AllocateAtLoss = atLoss
+		t.Run(fmt.Sprintf("atLoss=%v", atLoss), func(t *testing.T) {
+			for seed := uint64(1); seed <= 2; seed++ {
+				in, err := scn.Generate(seed)
+				if err != nil {
+					t.Fatalf("generate seed %d: %v", seed, err)
+				}
+				for s, n := range in.TasksPerSlot() {
+					if n < 100 {
+						t.Fatalf("seed %d: slot %d has %d tasks, want a dense slot (>= 100)", seed, s+1, n)
+					}
+				}
+				ref, err := (&core.OnlineMechanism{Payments: core.OraclePayments}).Run(in)
+				if err != nil {
+					t.Fatalf("oracle seed %d: %v", seed, err)
+				}
+				batch, err := (&core.OnlineMechanism{}).Run(in)
+				if err != nil {
+					t.Fatalf("cascade seed %d: %v", seed, err)
+				}
+				notices, stream := streamRound(t, in)
+				winners := 0
+				for k := range ref.Allocation.ByTask {
+					if batch.Allocation.ByTask[k] != ref.Allocation.ByTask[k] || stream.Allocation.ByTask[k] != ref.Allocation.ByTask[k] {
+						t.Fatalf("seed %d: task %d -> batch %d, stream %d, oracle %d", seed, k,
+							batch.Allocation.ByTask[k], stream.Allocation.ByTask[k], ref.Allocation.ByTask[k])
+					}
+				}
+				for i, want := range ref.Payments {
+					p := core.PhoneID(i)
+					if batch.Payments[i] != want || stream.Payments[i] != want {
+						t.Fatalf("seed %d: phone %d paid batch %v, stream outcome %v, oracle %v",
+							seed, i, batch.Payments[i], stream.Payments[i], want)
+					}
+					if ref.Allocation.ByPhone[i] == core.NoTask {
+						continue
+					}
+					winners++
+					if amt, ok := notices[p]; !ok || amt != want {
+						t.Fatalf("seed %d: phone %d notice %v (issued %v), oracle %v", seed, i, amt, ok, want)
+					}
+				}
+				if len(notices) != winners {
+					t.Fatalf("seed %d: %d departure notices for %d winners", seed, len(notices), winners)
+				}
+				if testing.Verbose() {
+					t.Logf("seed %d: %d tasks over %d slots, %d winners", seed, len(in.Tasks), in.Slots, winners)
+				}
+			}
+		})
 	}
 }

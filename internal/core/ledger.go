@@ -32,8 +32,9 @@ var _ Auction = (*OnlineAuction)(nil)
 // allocator — the bids and tasks seen so far plus the cascade side
 // state (per-task runner-ups, per-slot winner-cost tables) the payment
 // engines price from. The budgeted engine (internal/budget) records its
-// own allocation decisions into a Ledger and prices them through a
-// Pricer. When the recorded decisions are exactly those the greedy would
+// own allocation decisions into a Ledger and prices them by
+// counterfactual replay; a Pricer prices them with a PaymentEngine
+// instead. When the recorded decisions are exactly those the greedy would
 // make (RecordWin with the same winners and runner-ups, RecordUnserved
 // for the same tasks), every PaymentEngine prices its winners to the
 // same floats as OnlineAuction.
@@ -164,7 +165,9 @@ func (l *Ledger) Reset() {
 }
 
 // CopyFrom overwrites l with src's state, reusing l's storage. Both
-// ledgers must describe rounds of the same length m.
+// ledgers must describe rounds of the same length m. The cascade's
+// within-slot memo is not copied: every slot of l is marked stale and
+// relinked on first pricing, so copies that are never priced carry none.
 func (l *Ledger) CopyFrom(src *Ledger) {
 	l.inst.Value, l.inst.AllocateAtLoss = src.inst.Value, src.inst.AllocateAtLoss
 	l.inst.Bids = append(l.inst.Bids[:0], src.inst.Bids...)
@@ -177,6 +180,7 @@ func (l *Ledger) CopyFrom(src *Ledger) {
 	copy(l.run.max1, src.run.max1)
 	copy(l.run.max1p, src.run.max1p)
 	copy(l.run.max2, src.run.max2)
+	l.run.markStale()
 	l.epoch++
 }
 
@@ -191,7 +195,8 @@ func (l *Ledger) Instance() *Instance {
 }
 
 // Outcome assembles the allocation recorded so far and prices every
-// current winner with the given pricer.
+// current winner with the given pricer. A nil pricer leaves every
+// payment zero, for callers that price winners their own way.
 func (l *Ledger) Outcome(p *Pricer) *Outcome {
 	alloc := NewAllocation(l.NumTasks(), l.NumPhones())
 	for k, ph := range l.run.byTask {
@@ -203,6 +208,9 @@ func (l *Ledger) Outcome(p *Pricer) *Outcome {
 		Allocation: alloc,
 		Payments:   make([]float64, l.NumPhones()),
 		Welfare:    alloc.Welfare(&l.inst),
+	}
+	if p == nil {
+		return out
 	}
 	for i, task := range l.run.phoneTask {
 		if task != NoTask {

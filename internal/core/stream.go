@@ -47,7 +47,8 @@ type SlotResult struct {
 // (per-task runner-ups, per-slot winner-cost tables), so a departure is
 // priced by a cascade walk over that state instead of re-simulating the
 // round from a snapshot — the platform's per-slot hot path stays
-// O(window + cascade) per departing winner.
+// O(window + cascade slots) per departing winner, plus one
+// O(tasks in slot) relink of each slot's within-slot chain memo.
 type OnlineAuction struct {
 	slots          Slot
 	value          float64
