@@ -144,14 +144,17 @@ loadtest:
 # greps fail the target unless each battery's PASS line is in the
 # verbose output, so a -run filter, a skip, or a renamed test cannot
 # silently drop the equivalence evidence from the gate. The offline
-# sweep pins the interval engine to Hungarian+VCG; the cascade
+# sweep pins the interval engine to Hungarian+VCG, and the literal-VCG
+# check pins its payments to ω*(B) + b_i − ω*(B₋ᵢ) re-solved from
+# scratch for every winner; the cascade
 # batteries pin the online critical-value payments to the literal
 # Algorithm 2 re-run (short and dense within-slot chains) and to the
 # literal within-slot walk after defaults and snapshot restores.
 diff-sweep:
-	$(GO) test -count=1 -run TestOfflineDifferentialSweep -v ./internal/core/ \
+	$(GO) test -count=1 -run 'TestOfflineDifferentialSweep|TestOfflineLiteralVCG' -v ./internal/core/ \
 		| tee /tmp/dynacrowd-diff-sweep.out
 	grep -q -- '--- PASS: TestOfflineDifferentialSweep' /tmp/dynacrowd-diff-sweep.out
+	grep -q -- '--- PASS: TestOfflineLiteralVCG' /tmp/dynacrowd-diff-sweep.out
 	$(GO) test -count=1 -run 'TestCascadeMatchesOracleSweep|TestCascadeMatchesOracleDenseSlots|TestCascadeMatchesLiteralWalkWithDefaults' -v ./internal/core/ \
 		| tee /tmp/dynacrowd-cascade-sweep.out
 	grep -q -- '--- PASS: TestCascadeMatchesOracleSweep' /tmp/dynacrowd-cascade-sweep.out

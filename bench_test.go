@@ -21,8 +21,8 @@
 // -bench=.` tractable.
 //
 // Ablation benchmarks cover the design choices called out in DESIGN.md:
-// Hungarian vs min-cost-flow matching (internal/matching), incremental
-// vs naive VCG pricing, and the per-component mechanism costs.
+// the interval offline engine vs the Hungarian oracle, the cascade vs
+// oracle online payment engines, and the per-component mechanism costs.
 package dynacrowd_test
 
 import (
@@ -33,7 +33,6 @@ import (
 	"dynacrowd/internal/core"
 	"dynacrowd/internal/experiments"
 	"dynacrowd/internal/market"
-	"dynacrowd/internal/matching"
 	"dynacrowd/internal/multitask"
 	"dynacrowd/internal/sim"
 	"dynacrowd/internal/typed"
@@ -163,15 +162,15 @@ func BenchmarkOfflineMechanism(b *testing.B) {
 }
 
 // BenchmarkOfflineEngines ablates the offline solver engines on the same
-// instances: the interval fast path against the dense Hungarian oracle
-// and the two generic matchers. All four return the same welfare and
-// (modulo ties) the same payments — see TestOfflineDifferentialSweep —
-// so the spread here is pure engine cost.
+// instances: the interval fast path against the dense Hungarian oracle.
+// Both return the same welfare and (modulo ties) the same payments —
+// see TestOfflineDifferentialSweep — so the spread here is pure engine
+// cost.
 func BenchmarkOfflineEngines(b *testing.B) {
 	for _, m := range []core.Slot{25, 50, 100} {
 		in := generated(b, m)
 		for _, eng := range []core.OfflineEngine{
-			core.IntervalOffline, core.HungarianOffline, core.FlowOffline, core.SSPOffline,
+			core.IntervalOffline, core.HungarianOffline,
 		} {
 			b.Run(fmt.Sprintf("%s/slots=%d", eng.Name(), m), func(b *testing.B) {
 				mech := &core.OfflineMechanism{Engine: eng}
@@ -204,33 +203,6 @@ func BenchmarkOfflineSweep(b *testing.B) {
 			mech := &core.OfflineMechanism{}
 			b.ReportMetric(float64(in.NumPhones()), "phones/op")
 			b.ReportMetric(float64(in.NumTasks()), "tasks/op")
-			for i := 0; i < b.N; i++ {
-				if _, err := mech.Run(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkOfflinePaymentsAblation compares the default incremental VCG
-// pricing (O(s²) dual re-optimization per winner) against the naive
-// re-solve (O(s³) per winner) that a straightforward implementation of
-// the paper would use. The naive path is ~100× slower at Table I scale,
-// so the ablation stops at 25 slots; the gap only widens beyond.
-func BenchmarkOfflinePaymentsAblation(b *testing.B) {
-	for _, m := range []core.Slot{15, 25} {
-		in := generated(b, m)
-		b.Run(fmt.Sprintf("incremental/slots=%d", m), func(b *testing.B) {
-			mech := &core.OfflineMechanism{}
-			for i := 0; i < b.N; i++ {
-				if _, err := mech.Run(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("naive/slots=%d", m), func(b *testing.B) {
-			mech := &core.OfflineMechanism{Matcher: matching.MaxWeightMatching}
 			for i := 0; i < b.N; i++ {
 				if _, err := mech.Run(in); err != nil {
 					b.Fatal(err)

@@ -8,7 +8,10 @@
 // optimization, "current" after); re-recording a section replaces it and
 // leaves the others untouched. Every metric the benchmark emitted is
 // kept — ns/op, B/op, allocs/op, and custom metrics like the figure
-// benchmarks' welfare_online / sigma_online series.
+// benchmarks' welfare_online / sigma_online series. A benchmark repeated
+// with `go test -count N` is recorded as the per-metric median of its N
+// result lines, with N under "samples"; the section records the run's
+// GOMAXPROCS.
 //
 // With -merge, benchjson instead combines several trajectory files into
 // one (no benchmark output is read):
@@ -45,10 +48,12 @@ type trajectory struct {
 type section struct {
 	Go         string             `json:"go"`
 	Recorded   string             `json:"recorded"`
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	Benchmarks map[string]metrics `json:"benchmarks"`
 }
 
-// metrics maps unit -> value for one benchmark, plus the iteration count.
+// metrics maps unit -> value for one benchmark, plus the iteration count
+// and the number of samples the values are the median of.
 type metrics map[string]float64
 
 // cpuSuffix is the -GOMAXPROCS suffix go test appends to benchmark names
@@ -58,8 +63,13 @@ var cpuSuffix = regexp.MustCompile(`-\d+$`)
 // parse extracts benchmark result lines from `go test -bench` output.
 // Benchmarks are keyed "<pkg>/<name>" using the preceding `pkg:` line
 // (bare name if none was seen), so multi-package runs don't collide.
-func parse(r io.Reader) (map[string]metrics, error) {
-	out := make(map[string]metrics)
+// Repeated lines for one benchmark fold into the per-metric median. It
+// also returns the run's GOMAXPROCS, read from the stripped name suffix
+// (none means 1); input mixing CPU counts is rejected, since its lines
+// would fold into one median.
+func parse(r io.Reader) (map[string]metrics, int, error) {
+	runs := make(map[string][]metrics)
+	procs := 0
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -81,7 +91,15 @@ func parse(r io.Reader) (map[string]metrics, error) {
 		if err != nil {
 			continue // e.g. "BenchmarkX ... FAIL" status lines
 		}
-		name := cpuSuffix.ReplaceAllString(fields[0], "")
+		name, p := fields[0], 1
+		if loc := cpuSuffix.FindStringIndex(name); loc != nil {
+			p, _ = strconv.Atoi(name[loc[0]+1:]) // digits only, by the pattern
+			name = name[:loc[0]]
+		}
+		if procs != 0 && p != procs {
+			return nil, 0, fmt.Errorf("benchjson: %s: GOMAXPROCS %d, earlier lines %d", fields[0], p, procs)
+		}
+		procs = p
 		if pkg != "" {
 			name = pkg + "/" + name
 		}
@@ -89,16 +107,39 @@ func parse(r io.Reader) (map[string]metrics, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchjson: %s: bad value %q", fields[0], fields[i])
+				return nil, 0, fmt.Errorf("benchjson: %s: bad value %q", fields[0], fields[i])
 			}
 			m[fields[i+1]] = v
 		}
-		out[name] = m
+		runs[name] = append(runs[name], m)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("benchjson: read: %w", err)
+		return nil, 0, fmt.Errorf("benchjson: read: %w", err)
 	}
-	return out, nil
+	out := make(map[string]metrics, len(runs))
+	for name, samples := range runs {
+		out[name] = median(samples)
+	}
+	return out, procs, nil
+}
+
+// median folds repeated samples of one benchmark into the per-metric
+// median (the mean of the middle two for an even count), recording the
+// sample count under "samples".
+func median(samples []metrics) metrics {
+	vals := make(map[string][]float64)
+	for _, m := range samples {
+		for unit, v := range m {
+			vals[unit] = append(vals[unit], v)
+		}
+	}
+	out := metrics{"samples": float64(len(samples))}
+	for unit, vs := range vals {
+		sort.Float64s(vs)
+		n := len(vs)
+		out[unit] = (vs[(n-1)/2] + vs[n/2]) / 2
+	}
+	return out
 }
 
 // merge loads the existing trajectory (if any), replaces the named
@@ -218,7 +259,7 @@ func run(args []string, stdin io.Reader, stderr io.Writer) error {
 		defer f.Close()
 		src = f
 	}
-	benches, err := parse(src)
+	benches, procs, err := parse(src)
 	if err != nil {
 		return err
 	}
@@ -233,6 +274,7 @@ func run(args []string, stdin io.Reader, stderr io.Writer) error {
 	data, err := merge(existing, *name, &section{
 		Go:         runtime.Version(),
 		Recorded:   time.Now().UTC().Format(time.RFC3339),
+		GOMAXPROCS: procs,
 		Benchmarks: benches,
 	})
 	if err != nil {

@@ -12,15 +12,15 @@ const sample = `goos: linux
 goarch: amd64
 pkg: dynacrowd
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkOnlineMechanism/slots=100        	   88958	     26158 ns/op	   17408 B/op	       6 allocs/op
+BenchmarkOnlineMechanism/slots=100-8      	   88958	     26158 ns/op	   17408 B/op	       6 allocs/op
 BenchmarkFig6WelfareVsSlots/slots=30-8    	       1	  12345678 ns/op	       434.9 welfare_online	       512.3 welfare_offline	         0.52 sigma_online	         0.61 sigma_offline
-BenchmarkStreamingSlot                    	   48362	     59043 ns/op	        50.00 slots/op	   89848 B/op	     532 allocs/op
+BenchmarkStreamingSlot-8                  	   48362	     59043 ns/op	        50.00 slots/op	   89848 B/op	     532 allocs/op
 PASS
 ok  	dynacrowd	11.074s
 `
 
 func TestParse(t *testing.T) {
-	got, err := parse(strings.NewReader(sample))
+	got, procs, err := parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +42,41 @@ func TestParse(t *testing.T) {
 	}
 	if fig["welfare_online"] != 434.9 || fig["sigma_offline"] != 0.61 {
 		t.Errorf("custom metrics lost: %v", fig)
+	}
+	if procs != 8 || m["samples"] != 1 {
+		t.Errorf("GOMAXPROCS %d, samples %v; want 8 and 1", procs, m["samples"])
+	}
+
+	// go test -count 3: every line is a sample; each metric records its
+	// median, not the last line.
+	got, procs, err = parse(strings.NewReader(`pkg: dynacrowd
+BenchmarkStreamingSlot-2   	   100	     900 ns/op	  50.00 slots/op	  512 B/op
+BenchmarkStreamingSlot-2   	   300	     500 ns/op	  50.00 slots/op	  256 B/op
+BenchmarkStreamingSlot-2   	   200	     700 ns/op	  50.00 slots/op	  768 B/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := metrics{"iterations": 200, "ns/op": 700, "slots/op": 50, "B/op": 512, "samples": 3}
+	if m := got["dynacrowd/BenchmarkStreamingSlot"]; len(m) != len(want) {
+		t.Fatalf("repeated lines: got %v, want %v", m, want)
+	} else {
+		for unit, v := range want {
+			if m[unit] != v {
+				t.Errorf("repeated lines: %s = %v, want %v", unit, m[unit], v)
+			}
+		}
+	}
+	if procs != 2 {
+		t.Errorf("GOMAXPROCS %d, want 2", procs)
+	}
+
+	// No suffix means one CPU; mixing CPU counts is an error.
+	if _, procs, err := parse(strings.NewReader("BenchmarkX 10 5 ns/op\n")); err != nil || procs != 1 {
+		t.Errorf("unsuffixed: GOMAXPROCS %d, err %v; want 1", procs, err)
+	}
+	if _, _, err := parse(strings.NewReader("BenchmarkX 10 5 ns/op\nBenchmarkX-4 10 5 ns/op\n")); err == nil {
+		t.Error("mixed GOMAXPROCS accepted")
 	}
 }
 
@@ -84,7 +119,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(data, &traj); err != nil {
 		t.Fatal(err)
 	}
-	if traj.Sections["current"] == nil || len(traj.Sections["current"].Benchmarks) != 3 {
+	if traj.Sections["current"] == nil || len(traj.Sections["current"].Benchmarks) != 3 || traj.Sections["current"].GOMAXPROCS != 8 {
 		t.Fatalf("bad trajectory: %s", data)
 	}
 }

@@ -29,12 +29,11 @@
 //	                  a typed reason (default 0: unbudgeted; incompatible
 //	                  with -completion-deadline; see docs/BUDGET.md)
 //	-budget-engine e  budget threshold engine: stage (default) | frugal
-//	-offline-benchmark e
+//	-offline-benchmark
 //	                  solve each completed round's offline VCG optimum ω*
-//	                  with engine e (interval | hungarian | flow | ssp) and
-//	                  log it beside the realized online welfare — the
-//	                  paper's competitive-ratio check, live (default "":
-//	                  disabled)
+//	                  with the interval engine and log it beside the
+//	                  realized online welfare — the paper's
+//	                  competitive-ratio check, live (default false)
 //	-obs-addr a       serve Prometheus metrics, health, trace dumps and
 //	                  pprof on this address (e.g. 127.0.0.1:7390); empty
 //	                  disables observability
@@ -58,26 +57,37 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7381", "listen address")
-	slots := flag.Int("slots", 50, "round length in slots")
-	value := flag.Float64("value", 30, "per-task value ν")
-	taskRate := flag.Float64("task-rate", 3, "mean tasks per slot (Poisson)")
-	slotEvery := flag.Duration("slot-every", time.Second, "slot duration")
-	seed := flag.Uint64("seed", 1, "task arrival seed")
-	rounds := flag.Int("rounds", 1, "consecutive auction rounds")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file (resume if present)")
-	completionDeadline := flag.Int("completion-deadline", 0, "slots a winner has to report completion before defaulting (0 disables)")
-	obsAddr := flag.String("obs-addr", "", "observability HTTP address (metrics, trace, pprof); empty disables")
-	trace := flag.String("trace", "", "append auction trace events to this JSONL file")
-	offlineBench := flag.String("offline-benchmark", "", "solve each round's offline VCG optimum with this engine: interval | hungarian | flow | ssp (empty disables)")
-	budgetFlag := flag.Float64("budget", 0, "hard round budget B (0 = unbudgeted)")
-	budgetEngine := flag.String("budget-engine", "stage", "budget threshold engine: stage | frugal")
-	flag.Parse()
-
-	if err := run(*addr, *slots, *value, *taskRate, *slotEvery, *seed, *rounds, *completionDeadline, *checkpoint, *obsAddr, *trace, *offlineBench, *budgetFlag, *budgetEngine); err != nil {
+	if err := runArgs(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "crowd-platform:", err)
 		os.Exit(1)
 	}
+}
+
+// runArgs parses the command line and runs the platform. A malformed
+// flag exits the process with the usage text; a stray positional
+// argument is an error, since the flag parser stops at it and would
+// drop every flag after it.
+func runArgs(args []string) error {
+	fs := flag.NewFlagSet("crowd-platform", flag.ExitOnError)
+	addr := fs.String("addr", "127.0.0.1:7381", "listen address")
+	slots := fs.Int("slots", 50, "round length in slots")
+	value := fs.Float64("value", 30, "per-task value ν")
+	taskRate := fs.Float64("task-rate", 3, "mean tasks per slot (Poisson)")
+	slotEvery := fs.Duration("slot-every", time.Second, "slot duration")
+	seed := fs.Uint64("seed", 1, "task arrival seed")
+	rounds := fs.Int("rounds", 1, "consecutive auction rounds")
+	checkpoint := fs.String("checkpoint", "", "checkpoint file (resume if present)")
+	completionDeadline := fs.Int("completion-deadline", 0, "slots a winner has to report completion before defaulting (0 disables)")
+	obsAddr := fs.String("obs-addr", "", "observability HTTP address (metrics, trace, pprof); empty disables")
+	trace := fs.String("trace", "", "append auction trace events to this JSONL file")
+	offlineBench := fs.Bool("offline-benchmark", false, "solve each round's offline VCG optimum and log it beside the online welfare")
+	budgetFlag := fs.Float64("budget", 0, "hard round budget B (0 = unbudgeted)")
+	budgetEngine := fs.String("budget-engine", "stage", "budget threshold engine: stage | frugal")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits instead of returning
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return run(*addr, *slots, *value, *taskRate, *slotEvery, *seed, *rounds, *completionDeadline, *checkpoint, *obsAddr, *trace, *offlineBench, *budgetFlag, *budgetEngine)
 }
 
 // buildObs assembles the observability stack for the -obs-addr and
@@ -97,7 +107,7 @@ func buildObs(obsAddr, trace string) (*obs.Observability, error) {
 	return obs.New(obs.Options{Addr: obsAddr, Sinks: sinks})
 }
 
-func run(addr string, slots int, value, taskRate float64, slotEvery time.Duration, seed uint64, rounds, completionDeadline int, checkpoint, obsAddr, trace, offlineBench string, budgetB float64, budgetEngine string) error {
+func run(addr string, slots int, value, taskRate float64, slotEvery time.Duration, seed uint64, rounds, completionDeadline int, checkpoint, obsAddr, trace string, offlineBench bool, budgetB float64, budgetEngine string) error {
 	// Surface bad -budget knobs as the typed errors before any socket or
 	// file is touched; platform.Listen re-checks the combination rules.
 	if budgetB != 0 {
@@ -105,14 +115,6 @@ func run(addr string, slots int, value, taskRate float64, slotEvery time.Duratio
 			return err
 		}
 		if _, err := budget.EngineByName(budgetEngine); err != nil {
-			return err
-		}
-	}
-	var offlineEngine core.OfflineEngine
-	var err error
-	if offlineBench != "" {
-		offlineEngine, err = core.OfflineEngineByName(offlineBench)
-		if err != nil {
 			return err
 		}
 	}
@@ -128,7 +130,7 @@ func run(addr string, slots int, value, taskRate float64, slotEvery time.Duratio
 		CompletionDeadline: core.Slot(completionDeadline),
 		Budget:             budgetB,
 		BudgetEngine:       budgetEngine,
-		OfflineBenchmark:   offlineEngine,
+		OfflineBenchmark:   offlineBench,
 		Obs:                observ, // server owns it: srv.Close flushes and stops it
 	}
 	if observ != nil && observ.HTTP != nil {
@@ -180,13 +182,13 @@ func run(addr string, slots int, value, taskRate float64, slotEvery time.Duratio
 		log.Printf("completions: %d reported, %d winners defaulted, %d tasks re-allocated, %d unreplaced, %.2f clawed back",
 			st.CompletionsReported, st.WinnersDefaulted, st.TasksReallocated, st.TasksUnreplaced, st.ClawbackTotal)
 	}
-	if offlineEngine != nil && st.OfflineRounds > 0 {
+	if offlineBench && st.OfflineRounds > 0 {
 		ratio := 1.0
 		if st.OfflineOptimum > 0 {
 			ratio = st.TotalWelfare / st.OfflineOptimum
 		}
-		log.Printf("offline benchmark (%s): optimum %.2f over %d round(s), online welfare %.2f, ratio %.3f",
-			offlineEngine.Name(), st.OfflineOptimum, st.OfflineRounds, st.TotalWelfare, ratio)
+		log.Printf("offline benchmark: optimum %.2f over %d round(s), online welfare %.2f, ratio %.3f",
+			st.OfflineOptimum, st.OfflineRounds, st.TotalWelfare, ratio)
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ func TestRunPlaysRoundOnWallClock(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "round.ckpt")
 	trace := filepath.Join(dir, "round.trace.jsonl")
-	err := run("127.0.0.1:0", 3, 10, 1, 3*time.Millisecond, 1, 1, 0, ckpt, "127.0.0.1:0", trace, "", 0, "stage")
+	err := run("127.0.0.1:0", 3, 10, 1, 3*time.Millisecond, 1, 1, 0, ckpt, "127.0.0.1:0", trace, false, 0, "stage")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,30 +43,35 @@ func TestRunPlaysRoundOnWallClock(t *testing.T) {
 // from the checkpoint file instead of starting over.
 func TestRunResumesFromCheckpoint(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "round.ckpt")
-	if err := run("127.0.0.1:0", 4, 10, 1, 3*time.Millisecond, 1, 1, 0, ckpt, "", "", "", 0, "stage"); err != nil {
+	if err := run("127.0.0.1:0", 4, 10, 1, 3*time.Millisecond, 1, 1, 0, ckpt, "", "", false, 0, "stage"); err != nil {
 		t.Fatal(err)
 	}
 	// The final checkpoint captures the last pre-completion state;
 	// resuming finishes the remaining slots and exits cleanly.
-	if err := run("127.0.0.1:0", 4, 10, 1, 3*time.Millisecond, 1, 1, 0, ckpt, "", "", "", 0, "stage"); err != nil {
+	if err := run("127.0.0.1:0", 4, 10, 1, 3*time.Millisecond, 1, 1, 0, ckpt, "", "", false, 0, "stage"); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRunRejectsUnknownOfflineEngine: -offline-benchmark is a bool, so
+// an engine name after it is a stray argument. It is rejected by name
+// before anything starts, rather than ending flag parsing and silently
+// dropping -slots.
 func TestRunRejectsUnknownOfflineEngine(t *testing.T) {
-	if err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", "magic", 0, "stage"); err == nil {
-		t.Fatal("want unknown offline engine error")
+	err := runArgs([]string{"-addr", "127.0.0.1:0", "-offline-benchmark", "magic", "-slots", "3"})
+	if err == nil || !strings.Contains(err.Error(), `"magic"`) {
+		t.Fatalf("err = %v, want an error naming the stray argument", err)
 	}
 }
 
 func TestRunRejectsBadAddress(t *testing.T) {
-	if err := run("256.0.0.1:99999", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", "", 0, "stage"); err == nil {
+	if err := run("256.0.0.1:99999", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", false, 0, "stage"); err == nil {
 		t.Fatal("want listen error")
 	}
 }
 
 func TestRunMultiRound(t *testing.T) {
-	if err := run("127.0.0.1:0", 2, 10, 0.5, 3*time.Millisecond, 2, 2, 0, "", "", "", "interval", 0, "stage"); err != nil {
+	if err := run("127.0.0.1:0", 2, 10, 0.5, 3*time.Millisecond, 2, 2, 0, "", "", "", true, 0, "stage"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -75,7 +80,7 @@ func TestRunMultiRound(t *testing.T) {
 // before any listener is opened.
 func TestRunRejectsBadBudget(t *testing.T) {
 	for _, b := range []float64{-5, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", "", b, "stage")
+		err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", false, b, "stage")
 		if !errors.Is(err, budget.ErrInvalidBudget) {
 			t.Errorf("budget %g: err = %v, want ErrInvalidBudget", b, err)
 		}
@@ -83,7 +88,7 @@ func TestRunRejectsBadBudget(t *testing.T) {
 }
 
 func TestRunRejectsUnknownBudgetEngine(t *testing.T) {
-	err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", "", 5, "simplex")
+	err := run("127.0.0.1:0", 3, 10, 1, time.Millisecond, 1, 1, 0, "", "", "", false, 5, "simplex")
 	if err == nil || !strings.Contains(err.Error(), "simplex") {
 		t.Fatalf("err = %v, want unknown budget engine", err)
 	}
@@ -92,7 +97,7 @@ func TestRunRejectsUnknownBudgetEngine(t *testing.T) {
 // TestRunBudgetedRound: the CLI plays a budgeted round unattended on
 // the wall clock.
 func TestRunBudgetedRound(t *testing.T) {
-	err := run("127.0.0.1:0", 3, 10, 1, 3*time.Millisecond, 1, 1, 0, "", "", "", "", 25, "frugal")
+	err := run("127.0.0.1:0", 3, 10, 1, 3*time.Millisecond, 1, 1, 0, "", "", "", false, 25, "frugal")
 	if err != nil {
 		t.Fatal(err)
 	}

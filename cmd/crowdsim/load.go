@@ -93,6 +93,11 @@ func runLoad(opt loadOptions, out io.Writer) error {
 		wires = []string{protocol.WireJSON, protocol.WireBinary}
 	}
 	fmt.Fprintln(out, "pkg: dynacrowd/cmd/crowdsim")
+	// go test's name suffix for GOMAXPROCS > 1, which benchjson records.
+	procs := ""
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		procs = fmt.Sprintf("-%d", n)
+	}
 	byWire := make(map[string]*loadResult, len(wires))
 	for _, wire := range wires {
 		res, err := runLoadOnce(opt, wire)
@@ -100,8 +105,8 @@ func runLoad(opt loadOptions, out io.Writer) error {
 			return fmt.Errorf("load (%s): %w", wire, err)
 		}
 		byWire[wire] = res
-		fmt.Fprintf(out, "BenchmarkLoadHarness/agents=%d/ticks=%d/wire=%s 1 %.1f bids/s %.1f msgs/s %.1f msgs/s/core %.0f ns/fanout-p50 %.0f ns/fanout-p99 %.4f allocs/msg\n",
-			opt.agents, opt.ticks, wire,
+		fmt.Fprintf(out, "BenchmarkLoadHarness/agents=%d/ticks=%d/wire=%s%s 1 %.1f bids/s %.1f msgs/s %.1f msgs/s/core %.0f ns/fanout-p50 %.0f ns/fanout-p99 %.4f allocs/msg\n",
+			opt.agents, opt.ticks, wire, procs,
 			res.bidsPerSec, res.msgsPerSec, res.msgsPerSec/float64(runtime.GOMAXPROCS(0)),
 			res.fanoutP50*1e9, res.fanoutP99*1e9, res.allocsPerMsg)
 		fmt.Fprintf(os.Stderr, "crowdsim: load %s: %d agents, %d ticks: %.0f bids/s, %.0f msgs/s, fan-out p50 %s p99 %s, %.4f allocs/msg (%d delivered, %d slot notices decoded)\n",

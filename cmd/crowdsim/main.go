@@ -27,10 +27,6 @@
 //	               paper's online mechanism in every sweep (default 0 =
 //	               unbudgeted)
 //	-budget-engine e  budget threshold engine: stage (default) | frugal
-//	-offline-engine e  solver engine for the offline VCG benchmark:
-//	               interval (default, augmenting-path fast path),
-//	               hungarian (dense oracle), flow, or ssp
-//	               (welfare is identical across engines)
 //	-quick         3 seeds and a thinned sweep, for smoke runs
 //	-cpuprofile f  write a CPU profile of the run to f (go tool pprof)
 //	-memprofile f  write an end-of-run heap profile to f
@@ -80,7 +76,6 @@ func run(args []string, out io.Writer) error {
 	value := fs.Float64("value", 0, "per-task value ν override (0 = scenario default)")
 	budgetFlag := fs.Float64("budget", 0, "hard round budget B for the online mechanism (0 = unbudgeted)")
 	budgetEngine := fs.String("budget-engine", "stage", "budget threshold engine: stage | frugal")
-	offlineEngine := fs.String("offline-engine", "", "offline solver engine: interval | hungarian | flow | ssp (default interval)")
 	quick := fs.Bool("quick", false, "3 seeds and thinned sweeps")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -95,6 +90,9 @@ func run(args []string, out io.Writer) error {
 	loadMinMsgs := fs.Float64("load-min-msgs", 0, "load: fail if sustained msgs/s falls below this floor (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 
 	if *obsAddr != "" {
@@ -163,13 +161,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		opt.Online = &budget.Mechanism{Budget: *budgetFlag, Engine: eng}
-	}
-	if *offlineEngine != "" {
-		eng, err := core.OfflineEngineByName(*offlineEngine)
-		if err != nil {
-			return err
-		}
-		opt.Offline = &core.OfflineMechanism{Engine: eng}
 	}
 	if *quick {
 		opt.Seeds = 3

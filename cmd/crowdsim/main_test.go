@@ -63,6 +63,19 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsPositionalArgs: a stray word is an error naming it, not
+// a silently dropped figure choice (and flags after it are not lost).
+func TestRunRejectsPositionalArgs(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-quick", "fig6", "-format", "csv"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `"fig6"`) {
+		t.Fatalf("err = %v, want an error naming the stray argument", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("ran despite the stray argument:\n%s", buf.String())
+	}
+}
+
 func TestRunValueOverride(t *testing.T) {
 	var a, b bytes.Buffer
 	if err := run([]string{"-quick", "-figure", "fig6", "-value", "60"}, &a); err != nil {

@@ -295,7 +295,6 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 		id := a.ledger.AddTask(t)
 		winner := a.pool.popEligible(t)
 		if winner == core.NoPhone {
-			a.ledger.RecordUnserved(t)
 			res.Unserved++
 			continue
 		}
@@ -309,7 +308,6 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 			if winner == a.watch {
 				a.watchLost = true
 			}
-			a.ledger.RecordUnserved(t)
 			res.Unserved++
 			if a.inst != nil {
 				a.inst.ThresholdRejects.Inc()
@@ -321,15 +319,13 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 			// cap. Later stages have larger allowances, so the phone returns
 			// to the pool; the task goes unserved.
 			a.pool.push(winner)
-			a.ledger.RecordUnserved(t)
 			res.Unserved++
 			if a.inst != nil {
 				a.inst.AllowanceRejects.Inc()
 			}
 			continue
 		}
-		runner := a.pool.peekEligible(t)
-		a.ledger.RecordWin(id, winner, runner, t)
+		a.ledger.RecordWin(id, winner, t)
 		a.capAt[winner] = eff
 		a.reserved += eff
 		res.Assignments = append(res.Assignments, core.Assignment{Task: id, Phone: winner, Slot: t})
@@ -623,7 +619,7 @@ func (a *Auction) copyFrom(src *Auction) {
 // value. Executed (settled) payments are final; the auction keeps its
 // own record of them. Total payments never exceed the budget.
 func (a *Auction) Outcome() *core.Outcome {
-	out := a.ledger.Outcome(nil)
+	out := a.ledger.Outcome()
 	for i := range out.Payments {
 		ph := core.PhoneID(i)
 		if a.ledger.WonAt(ph) == 0 {
@@ -712,19 +708,6 @@ func (h *poolHeap) popEligible(t core.Slot) core.PhoneID {
 		if h.ledger.Bid(p).Departure >= t && h.ledger.Assignable(p) {
 			return p
 		}
-	}
-	return core.NoPhone
-}
-
-// peekEligible reports the phone popEligible would return next,
-// discarding dead entries but leaving the survivor in place.
-func (h *poolHeap) peekEligible(t core.Slot) core.PhoneID {
-	for len(h.items) > 0 {
-		p := h.items[0]
-		if h.ledger.Bid(p).Departure >= t && h.ledger.Assignable(p) {
-			return p
-		}
-		h.pop()
 	}
 	return core.NoPhone
 }

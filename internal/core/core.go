@@ -171,8 +171,8 @@ func (in *Instance) Clone() *Instance {
 
 // WithoutPhone returns a copy of the instance with phone i's bid removed.
 // The remaining bids keep their original PhoneIDs, so the copy is NOT a
-// valid argument to Validate; it is used internally for VCG/critical-value
-// payment computations, which only need window/cost data.
+// valid argument to Validate; it serves literal VCG computations of
+// ω*(B₋ᵢ), which only need window/cost data.
 func (in *Instance) WithoutPhone(i PhoneID) *Instance {
 	out := &Instance{Slots: in.Slots, Value: in.Value, AllocateAtLoss: in.AllocateAtLoss}
 	out.Bids = make([]Bid, 0, len(in.Bids)-1)

@@ -29,23 +29,18 @@ type Auction interface {
 var _ Auction = (*OnlineAuction)(nil)
 
 // Ledger is the round state of a greedy run assembled by an external
-// allocator — the bids and tasks seen so far plus the cascade side
-// state (per-task runner-ups, per-slot winner-cost tables) the payment
-// engines price from. The budgeted engine (internal/budget) records its
-// own allocation decisions into a Ledger and prices them by
-// counterfactual replay; a Pricer prices them with a PaymentEngine
-// instead. When the recorded decisions are exactly those the greedy would
-// make (RecordWin with the same winners and runner-ups, RecordUnserved
-// for the same tasks), every PaymentEngine prices its winners to the
-// same floats as OnlineAuction.
+// allocator: the bids and tasks seen so far plus the recorded
+// allocation (each task's winner and each phone's task and winning
+// slot). The budgeted engine (internal/budget) records its own
+// allocation decisions into a Ledger and prices its winners by
+// counterfactual replay.
 //
 // A Ledger is not safe for concurrent use.
 type Ledger struct {
-	inst Instance
-	run  greedyRun
-	// epoch counts structural growth (AddBid/AddTask). Pricers use it to
-	// refresh their instance view and invalidate cached arrival indexes.
-	epoch uint64
+	inst      Instance
+	byTask    []PhoneID // task -> winner (NoPhone if unserved)
+	phoneTask []TaskID  // phone -> its won task (NoTask if it lost)
+	wonAt     []Slot    // phone -> winning slot (0 if it lost)
 }
 
 // NewLedger creates the ledger of an m-slot round with per-task value ν.
@@ -56,9 +51,7 @@ func NewLedger(m Slot, value float64, allocateAtLoss bool) (*Ledger, error) {
 	if value < 0 {
 		return nil, fmt.Errorf("ledger: negative task value %g", value)
 	}
-	l := &Ledger{inst: Instance{Slots: m, Value: value, AllocateAtLoss: allocateAtLoss}}
-	l.run.resetSlots(m)
-	return l, nil
+	return &Ledger{inst: Instance{Slots: m, Value: value, AllocateAtLoss: allocateAtLoss}}, nil
 }
 
 // Slots returns the round length m.
@@ -80,7 +73,7 @@ func (l *Ledger) NumTasks() int { return len(l.inst.Tasks) }
 func (l *Ledger) Bid(i PhoneID) Bid { return l.inst.Bids[i] }
 
 // WonAt returns the slot phone i won in (0 if it has not won).
-func (l *Ledger) WonAt(i PhoneID) Slot { return l.run.wonAt[i] }
+func (l *Ledger) WonAt(i PhoneID) Slot { return l.wonAt[i] }
 
 // Bids returns a copy of the admitted bids in ID order.
 func (l *Ledger) Bids() []Bid { return append([]Bid(nil), l.inst.Bids...) }
@@ -96,11 +89,11 @@ func (l *Ledger) TaskArrivals() []Slot {
 
 // ByTask returns a copy of the task -> winner table (NoPhone entries
 // for unserved tasks).
-func (l *Ledger) ByTask() []PhoneID { return append([]PhoneID(nil), l.run.byTask...) }
+func (l *Ledger) ByTask() []PhoneID { return append([]PhoneID(nil), l.byTask...) }
 
 // WonAtSlots returns a copy of the phone -> winning-slot table (0
 // entries for losers).
-func (l *Ledger) WonAtSlots() []Slot { return append([]Slot(nil), l.run.wonAt...) }
+func (l *Ledger) WonAtSlots() []Slot { return append([]Slot(nil), l.wonAt...) }
 
 // AddBid admits a bid arriving in slot `arrival` and returns its dense
 // phone ID. The bid is validated (including the typed ErrWindowInverted
@@ -112,43 +105,31 @@ func (l *Ledger) AddBid(arrival Slot, sb StreamBid) (PhoneID, error) {
 		return NoPhone, err
 	}
 	l.inst.Bids = append(l.inst.Bids, b)
-	l.run.phoneTask = append(l.run.phoneTask, NoTask)
-	l.run.wonAt = append(l.run.wonAt, 0)
-	l.epoch++
+	l.phoneTask = append(l.phoneTask, NoTask)
+	l.wonAt = append(l.wonAt, 0)
 	return id, nil
 }
 
 // AddTask announces a task arriving in slot t and returns its dense
-// task ID. Tasks must be added in non-decreasing arrival order.
+// task ID. Tasks must be added in non-decreasing arrival order. The
+// task stays unserved unless RecordWin assigns it.
 func (l *Ledger) AddTask(t Slot) TaskID {
 	id := TaskID(len(l.inst.Tasks))
 	l.inst.Tasks = append(l.inst.Tasks, Task{ID: id, Arrival: t})
-	l.run.byTask = append(l.run.byTask, NoPhone)
-	l.run.runnerUp = append(l.run.runnerUp, NoPhone)
-	l.epoch++
+	l.byTask = append(l.byTask, NoPhone)
 	return id
 }
 
-// RecordWin records task k being assigned to `winner` in slot t, with
-// `runnerUp` the next-cheapest eligible phone at assignment time
-// (NoPhone if none) — exactly the state the sequential greedy would
-// have recorded, which is what keeps cascade payments identical.
-func (l *Ledger) RecordWin(k TaskID, winner, runnerUp PhoneID, t Slot) {
-	l.run.byTask[k] = winner
-	l.run.phoneTask[winner] = k
-	l.run.wonAt[winner] = t
-	l.run.noteWinner(t, winner, l.inst.Bids[winner].Cost)
-	l.run.runnerUp[k] = runnerUp
+// RecordWin records task k being assigned to `winner` in slot t.
+func (l *Ledger) RecordWin(k TaskID, winner PhoneID, t Slot) {
+	l.byTask[k] = winner
+	l.phoneTask[winner] = k
+	l.wonAt[winner] = t
 }
 
 // Assignable reports whether phone i holds no task yet, so an allocator
 // may still draft it.
-func (l *Ledger) Assignable(i PhoneID) bool { return l.run.phoneTask[i] == NoTask }
-
-// RecordUnserved records that a task arriving in slot t found no
-// eligible phone. (The task keeps its NoPhone assignment and NoPhone
-// runner-up from AddTask.)
-func (l *Ledger) RecordUnserved(t Slot) { l.run.unserved[t]++ }
+func (l *Ledger) Assignable(i PhoneID) bool { return l.phoneTask[i] == NoTask }
 
 // Reset empties the ledger for a fresh round of the same shape, keeping
 // its storage. Counterfactual replays (internal/budget) reset a scratch
@@ -156,37 +137,21 @@ func (l *Ledger) RecordUnserved(t Slot) { l.run.unserved[t]++ }
 func (l *Ledger) Reset() {
 	l.inst.Bids = l.inst.Bids[:0]
 	l.inst.Tasks = l.inst.Tasks[:0]
-	l.run.byTask = l.run.byTask[:0]
-	l.run.phoneTask = l.run.phoneTask[:0]
-	l.run.wonAt = l.run.wonAt[:0]
-	l.run.runnerUp = l.run.runnerUp[:0]
-	l.run.resetSlots(l.inst.Slots)
-	l.epoch++
+	l.byTask = l.byTask[:0]
+	l.phoneTask = l.phoneTask[:0]
+	l.wonAt = l.wonAt[:0]
 }
 
 // CopyFrom overwrites l with src's state, reusing l's storage. Both
-// ledgers must describe rounds of the same length m. The cascade's
-// within-slot memo is not copied: every slot of l is marked stale and
-// relinked on first pricing, so copies that are never priced carry none.
+// ledgers must describe rounds of the same length m.
 func (l *Ledger) CopyFrom(src *Ledger) {
 	l.inst.Value, l.inst.AllocateAtLoss = src.inst.Value, src.inst.AllocateAtLoss
 	l.inst.Bids = append(l.inst.Bids[:0], src.inst.Bids...)
 	l.inst.Tasks = append(l.inst.Tasks[:0], src.inst.Tasks...)
-	l.run.byTask = append(l.run.byTask[:0], src.run.byTask...)
-	l.run.phoneTask = append(l.run.phoneTask[:0], src.run.phoneTask...)
-	l.run.wonAt = append(l.run.wonAt[:0], src.run.wonAt...)
-	l.run.runnerUp = append(l.run.runnerUp[:0], src.run.runnerUp...)
-	copy(l.run.unserved, src.run.unserved)
-	copy(l.run.max1, src.run.max1)
-	copy(l.run.max1p, src.run.max1p)
-	copy(l.run.max2, src.run.max2)
-	l.run.markStale()
-	l.epoch++
+	l.byTask = append(l.byTask[:0], src.byTask...)
+	l.phoneTask = append(l.phoneTask[:0], src.phoneTask...)
+	l.wonAt = append(l.wonAt[:0], src.wonAt...)
 }
-
-// view returns an Instance header over the live backing arrays (not a
-// clone; do not hand to callers that may outlive a mutation).
-func (l *Ledger) view() Instance { return l.inst }
 
 // Instance returns a deep copy of the bids and tasks recorded so far.
 func (l *Ledger) Instance() *Instance {
@@ -194,67 +159,18 @@ func (l *Ledger) Instance() *Instance {
 	return in.Clone()
 }
 
-// Outcome assembles the allocation recorded so far and prices every
-// current winner with the given pricer. A nil pricer leaves every
-// payment zero, for callers that price winners their own way.
-func (l *Ledger) Outcome(p *Pricer) *Outcome {
+// Outcome assembles the allocation recorded so far with every payment
+// zero: the ledger's owner prices its winners its own way.
+func (l *Ledger) Outcome() *Outcome {
 	alloc := NewAllocation(l.NumTasks(), l.NumPhones())
-	for k, ph := range l.run.byTask {
+	for k, ph := range l.byTask {
 		if ph != NoPhone {
 			alloc.Assign(TaskID(k), ph, l.inst.Tasks[k].Arrival)
 		}
 	}
-	out := &Outcome{
+	return &Outcome{
 		Allocation: alloc,
 		Payments:   make([]float64, l.NumPhones()),
 		Welfare:    alloc.Welfare(&l.inst),
 	}
-	if p == nil {
-		return out
-	}
-	for i, task := range l.run.phoneTask {
-		if task != NoTask {
-			out.Payments[i] = p.price(PhoneID(i))
-		}
-	}
-	return out
-}
-
-// Pricer computes critical-value payments for a ledger's winners with a
-// fixed engine, reusing its own scratch across calls. A Pricer is not
-// safe for concurrent use.
-type Pricer struct {
-	ledger *Ledger
-	engine PaymentEngine
-	m      *Metrics
-	view   Instance
-	epoch  uint64
-	fresh  bool
-	q      paymentQuery
-}
-
-// NewPricer creates a pricer over the ledger. A nil engine selects
-// CascadePayments; metrics may be nil.
-func (l *Ledger) NewPricer(engine PaymentEngine, m *Metrics) *Pricer {
-	if engine == nil {
-		engine = CascadePayments
-	}
-	return &Pricer{ledger: l, engine: engine, m: m}
-}
-
-// price returns winner i's critical-value payment under the ledger's
-// current state. The oracle engine's arrivals index is cached across
-// calls and rebuilt only after the ledger has grown.
-func (p *Pricer) price(i PhoneID) float64 {
-	l := p.ledger
-	if !p.fresh || p.epoch != l.epoch {
-		p.view = l.view()
-		p.q.idx = nil
-		p.epoch = l.epoch
-		p.fresh = true
-	}
-	p.q.in = &p.view
-	p.q.run = &l.run
-	p.q.m = p.m
-	return p.engine.price(&p.q, i)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -52,8 +51,10 @@ func TestNewLedgerValidation(t *testing.T) {
 }
 
 // TestLedgerMirrorsOnlineAuction rebuilds an OnlineAuction round
-// decision-by-decision through the Ledger API and checks that the
-// Pricer prices every winner to the same floats under both engines.
+// decision-by-decision through the Ledger API and checks that
+// Ledger.Outcome reports the auction's allocation, winning slots and
+// welfare with every payment left zero — on the recording ledger, on a
+// ledger overwritten by CopyFrom, and on one replayed again after Reset.
 func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	in := &Instance{
 		Slots: 6, Value: 30,
@@ -83,56 +84,64 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLedger(in.Slots, in.Value, in.AllocateAtLoss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mirror the sequential engine through the Ledger: a single global
-	// heap plays the allocator, the Ledger records its decisions.
-	var h costHeap
 	for s := Slot(1); s <= in.Slots; s++ {
-		for _, sb := range byArrival[s] {
-			id, err := l.AddBid(s, sb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if l.AllocateAtLoss() || sb.Cost < l.Value() {
-				h.bids = l.Bids() // refresh the view after growth
-				h.push(id)
-			}
-		}
-		h.bids = l.Bids()
-		for k := 0; k < perSlot[s-1]; k++ {
-			id := l.AddTask(s)
-			winner := h.popEligible(s)
-			if winner == NoPhone {
-				l.RecordUnserved(s)
-				continue
-			}
-			l.RecordWin(id, winner, h.peekEligible(s), s)
-		}
 		if _, err := oa.Step(byArrival[s], perSlot[s-1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-
 	want := oa.Outcome()
-	for _, engine := range []PaymentEngine{CascadePayments, OraclePayments} {
-		got := l.Outcome(l.NewPricer(engine, nil))
-		for k := range want.Allocation.ByTask {
-			if want.Allocation.ByTask[k] != got.Allocation.ByTask[k] {
-				t.Fatalf("%s: task %d winner %d != %d", engine.Name(), k, got.Allocation.ByTask[k], want.Allocation.ByTask[k])
+
+	// mirror replays the round into l: a single global heap plays the
+	// allocator, the Ledger records its decisions.
+	mirror := func(l *Ledger) {
+		var h costHeap
+		for s := Slot(1); s <= in.Slots; s++ {
+			for _, sb := range byArrival[s] {
+				id, err := l.AddBid(s, sb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if l.AllocateAtLoss() || sb.Cost < l.Value() {
+					h.bids = l.Bids() // refresh the view after growth
+					h.push(id)
+				}
 			}
-		}
-		for i := range want.Payments {
-			if math.Float64bits(want.Payments[i]) != math.Float64bits(got.Payments[i]) {
-				t.Fatalf("%s: phone %d payment %v != %v", engine.Name(), i, got.Payments[i], want.Payments[i])
+			h.bids = l.Bids()
+			for k := 0; k < perSlot[s-1]; k++ {
+				id := l.AddTask(s)
+				if winner := h.popEligible(s); winner != NoPhone {
+					l.RecordWin(id, winner, s)
+				}
 			}
-		}
-		if want.Welfare != got.Welfare {
-			t.Fatalf("%s: welfare %v != %v", engine.Name(), got.Welfare, want.Welfare)
 		}
 	}
+	check := func(tag string, l *Ledger) {
+		t.Helper()
+		got := l.Outcome()
+		for k := range want.Allocation.ByTask {
+			if got.Allocation.ByTask[k] != want.Allocation.ByTask[k] {
+				t.Fatalf("%s: task %d winner %d != %d", tag, k, got.Allocation.ByTask[k], want.Allocation.ByTask[k])
+			}
+		}
+		for i := range want.Allocation.WonAt {
+			if got.Allocation.WonAt[i] != want.Allocation.WonAt[i] || l.WonAt(PhoneID(i)) != want.Allocation.WonAt[i] {
+				t.Fatalf("%s: phone %d won at %d (WonAt %d), want %d", tag, i, got.Allocation.WonAt[i], l.WonAt(PhoneID(i)), want.Allocation.WonAt[i])
+			}
+			if got.Payments[i] != 0 {
+				t.Fatalf("%s: phone %d paid %v by the ledger", tag, i, got.Payments[i])
+			}
+		}
+		if got.Welfare != want.Welfare {
+			t.Fatalf("%s: welfare %v != %v", tag, got.Welfare, want.Welfare)
+		}
+	}
+
+	l, err := NewLedger(in.Slots, in.Value, in.AllocateAtLoss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror(l)
+	check("ledger", l)
 
 	// Bulk accessors feed snapshots; they must match the live state.
 	byTask, wonAt := l.ByTask(), l.WonAtSlots()
@@ -147,42 +156,24 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 		}
 	}
 
-	// CopyFrom overwrites a ledger holding another round, and a pricer
-	// that already priced that round sees the copy; Reset then leaves a
-	// ledger that records and prices like a fresh one.
+	// CopyFrom overwrites a ledger holding another round; Reset then
+	// leaves a ledger that records the round like a fresh one.
 	cp, err := NewLedger(in.Slots, in.Value, in.AllocateAtLoss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := func(l *Ledger) {
-		id, err := l.AddBid(2, StreamBid{Departure: 3, Cost: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.RecordWin(l.AddTask(2), id, NoPhone, 2)
-		l.RecordUnserved(3)
+	id, err := cp.AddBid(2, StreamBid{Departure: 3, Cost: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	small(cp)
-	pricer := cp.NewPricer(CascadePayments, nil)
-	cp.Outcome(pricer)
+	cp.RecordWin(cp.AddTask(2), id, 2)
+	cp.AddTask(3)
 	cp.CopyFrom(l)
-	got := cp.Outcome(pricer)
-	for i := range want.Payments {
-		if math.Float64bits(want.Payments[i]) != math.Float64bits(got.Payments[i]) {
-			t.Fatalf("copy: phone %d payment %v != %v", i, got.Payments[i], want.Payments[i])
-		}
-	}
+	check("copy", cp)
 	cp.Reset()
 	if cp.NumPhones() != 0 || cp.NumTasks() != 0 {
 		t.Fatalf("reset ledger holds %d phones, %d tasks", cp.NumPhones(), cp.NumTasks())
 	}
-	fresh, err := NewLedger(in.Slots, in.Value, in.AllocateAtLoss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	small(cp)
-	small(fresh)
-	if a, b := cp.Outcome(pricer), fresh.Outcome(fresh.NewPricer(CascadePayments, nil)); a.Payments[0] != b.Payments[0] || a.Welfare != b.Welfare {
-		t.Fatalf("reset ledger pays %v (welfare %v), fresh %v (welfare %v)", a.Payments[0], a.Welfare, b.Payments[0], b.Welfare)
-	}
+	mirror(cp)
+	check("reset", cp)
 }

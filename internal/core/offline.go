@@ -21,27 +21,19 @@ import (
 // The algorithm is selected by Engine. The default IntervalOffline
 // engine solves the matching by weight-ordered augmenting paths over
 // the instance's interval structure and derives every payment from one
-// substitute-weight sweep — near-linear, against the oracle engines'
-// cubic solves (see OfflineEngine and docs/THEORY.md §6).
+// substitute-weight sweep — near-linear, against the Hungarian oracle's
+// cubic solve (see OfflineEngine and docs/THEORY.md §6).
 type OfflineMechanism struct {
 	// Engine selects the solve/payment backend; nil means the fast
 	// IntervalOffline engine. HungarianOffline is the literal
 	// Hungarian+VCG oracle kept for differential testing.
 	Engine OfflineEngine
-	// Matcher is the legacy backend seam: a non-nil matcher overrides
-	// Engine, computing the allocation with the given function and
-	// pricing each winner by a full re-solve without it. Kept for
-	// ablation benchmarks and tests that inject a specific solver.
-	Matcher func(numLeft, numRight int, w matching.WeightFunc) matching.Result
 }
 
 // Name implements Mechanism.
 func (of *OfflineMechanism) Name() string { return "offline-vcg" }
 
 func (of *OfflineMechanism) engine() OfflineEngine {
-	if of.Matcher != nil {
-		return matcherOfflineEngine{name: "custom", match: of.Matcher}
-	}
 	if of.Engine != nil {
 		return of.Engine
 	}

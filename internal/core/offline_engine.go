@@ -1,15 +1,11 @@
 package core
 
-import (
-	"fmt"
-
-	"dynacrowd/internal/matching"
-)
+import "dynacrowd/internal/matching"
 
 // OfflineEngine selects how OfflineMechanism computes the optimal
-// allocation and the VCG payments. Mirroring PaymentEngine, every
-// engine produces the optimal welfare and — up to tie-breaking among
-// equal-weight optima — the same payments; they differ only in cost:
+// allocation and the VCG payments. Both engines produce the optimal
+// welfare and — up to tie-breaking among equal-weight optima — the same
+// payments; they differ only in cost:
 //
 //   - IntervalOffline exploits the instance's interval structure: tasks
 //     within a slot are interchangeable and edge weights depend only on
@@ -20,13 +16,10 @@ import (
 //   - HungarianOffline is the literal dense O((n+γ)³) Hungarian solve
 //     with O((n+γ)²) post-optimal dual queries per winner — the
 //     differential oracle the fast engine is pinned against.
-//   - FlowOffline and SSPOffline run the generic min-cost-flow and
-//     successive-shortest-path matchers with one full re-solve per
-//     winner — slow, independent cross-checks for the test battery.
 //
 // Engines are stateless and safe for concurrent use.
 type OfflineEngine interface {
-	// Name returns a short identifier ("interval", "hungarian", ...).
+	// Name returns a short identifier ("interval", "hungarian").
 	Name() string
 	// run computes the welfare-optimal allocation and VCG payments for a
 	// validated instance.
@@ -40,26 +33,7 @@ type OfflineEngine interface {
 var (
 	IntervalOffline  OfflineEngine = intervalOfflineEngine{}
 	HungarianOffline OfflineEngine = hungarianOfflineEngine{}
-	FlowOffline      OfflineEngine = matcherOfflineEngine{name: "flow", match: matching.MaxWeightMatchingFlow}
-	SSPOffline       OfflineEngine = matcherOfflineEngine{name: "ssp", match: matching.MaxWeightMatchingSSP}
 )
-
-// OfflineEngineByName resolves a CLI/config engine name. The empty
-// string selects the default (interval) engine.
-func OfflineEngineByName(name string) (OfflineEngine, error) {
-	switch name {
-	case "", "interval":
-		return IntervalOffline, nil
-	case "hungarian":
-		return HungarianOffline, nil
-	case "flow":
-		return FlowOffline, nil
-	case "ssp":
-		return SSPOffline, nil
-	default:
-		return nil, fmt.Errorf("unknown offline engine %q (want interval, hungarian, flow, or ssp)", name)
-	}
-}
 
 // intervalOfflineEngine is the fast path: it collapses the tasks×phones
 // matching into the interval-capacity problem matching.SolveInterval
@@ -163,49 +137,4 @@ func (hungarianOfflineEngine) run(in *Instance) (*Outcome, error) {
 
 func (hungarianOfflineEngine) welfare(in *Instance) float64 {
 	return matching.MaxWeightMatching(in.NumTasks(), in.NumPhones(), weightFunc(in)).Weight
-}
-
-// matcherOfflineEngine adapts any generic matcher into an engine: one
-// solve for the allocation and one reduced re-solve per winner for its
-// payment. This is the legacy Matcher seam and the flow/ssp
-// cross-checks.
-type matcherOfflineEngine struct {
-	name  string
-	match func(numLeft, numRight int, w matching.WeightFunc) matching.Result
-}
-
-func (e matcherOfflineEngine) Name() string { return e.name }
-
-func (e matcherOfflineEngine) run(in *Instance) (*Outcome, error) {
-	alloc, welfare := solveWithMatcher(in, e.match)
-	out := &Outcome{
-		Allocation: alloc,
-		Payments:   make([]float64, in.NumPhones()),
-		Welfare:    welfare,
-	}
-	// VCG payments: for each winner i, re-solve without i. weightFunc
-	// indexes bids positionally, so it applies unchanged to the reduced
-	// instance.
-	for _, i := range alloc.Winners() {
-		reduced := in.WithoutPhone(i)
-		wWithout := e.match(len(reduced.Tasks), len(reduced.Bids), weightFunc(reduced)).Weight
-		out.Payments[i] = welfare + in.Bids[i].Cost - wWithout
-	}
-	return out, nil
-}
-
-func (e matcherOfflineEngine) welfare(in *Instance) float64 {
-	return e.match(in.NumTasks(), in.NumPhones(), weightFunc(in)).Weight
-}
-
-func solveWithMatcher(in *Instance, match func(int, int, matching.WeightFunc) matching.Result) (*Allocation, float64) {
-	res := match(in.NumTasks(), in.NumPhones(), weightFunc(in))
-	alloc := NewAllocation(in.NumTasks(), in.NumPhones())
-	for task, phone := range res.MatchLeft {
-		if phone == matching.Unmatched {
-			continue
-		}
-		alloc.Assign(TaskID(task), PhoneID(phone), in.Tasks[task].Arrival)
-	}
-	return alloc, res.Weight
 }

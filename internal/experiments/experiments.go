@@ -31,12 +31,6 @@ type Options struct {
 	// online mechanism in every sweep (nil: core.OnlineMechanism).
 	// crowdsim -budget plugs the budgeted mechanism in here.
 	Online core.Mechanism
-	// Offline substitutes an alternative implementation for the paper's
-	// offline VCG benchmark (nil: core.OfflineMechanism under its
-	// default interval engine). Used to pin figures to a specific
-	// core.OfflineEngine; all engines produce the same welfare, so this
-	// is a performance/differential knob only.
-	Offline core.Mechanism
 }
 
 func (o Options) withDefaults() Options {
@@ -112,17 +106,13 @@ type Result struct {
 }
 
 // mechanisms returns the two paper mechanisms in figure order,
-// honouring the Online and Offline overrides.
+// honouring the Online override.
 func (o Options) mechanisms() []core.Mechanism {
 	online := o.Online
 	if online == nil {
 		online = &core.OnlineMechanism{}
 	}
-	offline := o.Offline
-	if offline == nil {
-		offline = &core.OfflineMechanism{}
-	}
-	return []core.Mechanism{online, offline}
+	return []core.Mechanism{online, &core.OfflineMechanism{}}
 }
 
 const (

@@ -2,58 +2,8 @@ package matching
 
 import "math"
 
-// MaxWeightMatchingFlow computes a maximum weight matching by reduction
-// to min-cost flow, augmenting unit flow along the most-negative-cost
-// path (SPFA / Bellman–Ford with a queue) until no negative-cost
-// augmenting path remains. It is asymptotically slower than the Hungarian
-// solver and exists as an independent cross-check implementation.
-func MaxWeightMatchingFlow(numLeft, numRight int, w WeightFunc) Result {
-	res := Result{MatchLeft: make([]int, numLeft)}
-	for i := range res.MatchLeft {
-		res.MatchLeft[i] = Unmatched
-	}
-	if numLeft == 0 || numRight == 0 {
-		return res
-	}
-
-	g := newFlowGraph(2 + numLeft + numRight)
-	src := 0
-	snk := 1 + numLeft + numRight
-	left := func(i int) int { return 1 + i }
-	right := func(j int) int { return 1 + numLeft + j }
-
-	for i := 0; i < numLeft; i++ {
-		g.addEdge(src, left(i), 1, 0)
-		for j := 0; j < numRight; j++ {
-			if wt := w(i, j); wt > 0 {
-				g.addEdge(left(i), right(j), 1, -wt)
-			}
-		}
-	}
-	for j := 0; j < numRight; j++ {
-		g.addEdge(right(j), snk, 1, 0)
-	}
-
-	for {
-		cost, ok := g.augment(src, snk)
-		if !ok || cost >= 0 {
-			break
-		}
-		res.Weight += -cost
-	}
-
-	// Recover the matching from saturated left->right edges.
-	for i := 0; i < numLeft; i++ {
-		for _, eid := range g.adj[left(i)] {
-			e := &g.edges[eid]
-			if e.to >= right(0) && e.to < right(numRight) && e.cap == 0 && e.cost != 0 {
-				res.MatchLeft[i] = e.to - right(0)
-			}
-		}
-	}
-	return res
-}
-
+// flowGraph is the residual graph behind Network: unit-augmenting
+// min-cost flow with SPFA path search.
 type flowEdge struct {
 	to   int
 	cap  int
@@ -79,7 +29,7 @@ func (g *flowGraph) addEdge(from, to, cap int, cost float64) {
 // augment finds the cheapest src->snk path in the residual graph and
 // pushes one unit of flow along it. It returns the path cost and whether
 // a path exists. The path is found with SPFA, which tolerates the
-// negative residual costs that arise from the -w edge weights.
+// negative edge and residual costs.
 func (g *flowGraph) augment(src, snk int) (float64, bool) {
 	n := len(g.adj)
 	dist := make([]float64, n)

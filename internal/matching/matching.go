@@ -1,18 +1,22 @@
-// Package matching provides bipartite matching algorithms used as the
-// optimization substrate for the offline auction mechanism.
+// Package matching provides the bipartite matching algorithms behind
+// the offline auction mechanism.
 //
-// The central entry point is MaxWeightMatching, which computes a maximum
-// weight bipartite matching in O(s³) time (s = max side size) using the
-// Hungarian algorithm with dual potentials (Kuhn 1955; the O(n³) variant
-// of Edmonds–Karp 1972 / Tomizawa 1971 cited by the paper). Two
-// independent implementations — a successive-shortest-path min-cost-flow
-// solver and an exhaustive brute-force solver — are provided as
-// cross-checking oracles for tests and ablation benchmarks.
+// SolveInterval is the offline engine's solver: the tasks×phones
+// matching collapsed onto slot capacities and phone windows, solved by
+// weight-ordered augmenting paths with substitute queries for VCG
+// pricing. MaxWeightMatching (and Solver, which keeps its dual
+// potentials for O(s²) post-optimal queries) is the general O(s³)
+// Hungarian algorithm (Kuhn 1955; the O(n³) variant of Edmonds–Karp
+// 1972 / Tomizawa 1971 cited by the paper), kept as the differential
+// oracle the interval solver is pinned against. BruteForceMaxWeight is
+// an exhaustive test oracle for small instances. Network is a general
+// min-cost-flow network for allocation problems beyond plain bipartite
+// matching (the multi-task extension).
 //
-// All solvers share a convention: only strictly positive-weight edges are
-// ever matched. Leaving a vertex unmatched is always permitted, so edges
-// with weight ≤ 0 can never improve a maximum weight matching and are
-// treated as absent.
+// All matching solvers share a convention: only strictly
+// positive-weight edges are ever matched. Leaving a vertex unmatched is
+// always permitted, so edges with weight ≤ 0 can never improve a
+// maximum weight matching and are treated as absent.
 package matching
 
 // Unmatched is the sentinel value in matching arrays for an unmatched

@@ -114,9 +114,8 @@ func randomMatrix(rng *rand.Rand, l, r int, density float64, lo, hi float64) [][
 	return m
 }
 
-// TestSolversAgreeRandom cross-checks all four solvers — Hungarian,
-// SPFA flow, successive-shortest-path, brute force — on random
-// instances of increasing size (brute force only where tractable).
+// TestSolversAgreeRandom cross-checks the Hungarian solver against brute
+// force on random instances small enough to enumerate.
 func TestSolversAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -125,30 +124,56 @@ func TestSolversAgreeRandom(t *testing.T) {
 		m := randomMatrix(rng, l, r, 0.6, -2, 10)
 		w := denseWeights(m)
 		b := BruteForceMaxWeight(l, r, w)
-		for name, solve := range solvers() {
-			res := solve(l, r, w)
-			if !almostEqual(res.Weight, b.Weight) {
-				t.Fatalf("trial %d (%dx%d): %s %g != brute %g\nmatrix %v", trial, l, r, name, res.Weight, b.Weight, m)
-			}
-			if !res.Verify(l, r, w) {
-				t.Fatalf("trial %d: %s produced invalid matching %+v", trial, name, res)
-			}
+		res := MaxWeightMatching(l, r, w)
+		if !almostEqual(res.Weight, b.Weight) {
+			t.Fatalf("trial %d (%dx%d): hungarian %g != brute %g\nmatrix %v", trial, l, r, res.Weight, b.Weight, m)
+		}
+		if !res.Verify(l, r, w) {
+			t.Fatalf("trial %d: hungarian produced invalid matching %+v", trial, res)
 		}
 	}
 }
 
-// solvers returns every generic max-weight matcher in the package, for
-// the agreement sweeps.
-func solvers() map[string]func(int, int, WeightFunc) Result {
-	return map[string]func(int, int, WeightFunc) Result{
-		"hungarian": MaxWeightMatching,
-		"flow":      MaxWeightMatchingFlow,
-		"ssp":       MaxWeightMatchingSSP,
+// flowMatching solves the max-weight matching as min-cost flow on a
+// Network (source → left → right → sink, unit capacities, cost −w on
+// the positive edges), an implementation independent of the Hungarian
+// solver, and reads the matching back from the edge flows.
+func flowMatching(numLeft, numRight int, w WeightFunc) (Result, float64) {
+	net := NewNetwork(2 + numLeft + numRight)
+	src, snk := 0, 1+numLeft+numRight
+	type edge struct {
+		id   EdgeID
+		l, r int
 	}
+	var edges []edge
+	for l := 0; l < numLeft; l++ {
+		net.AddEdge(src, 1+l, 1, 0)
+		for r := 0; r < numRight; r++ {
+			if wt := w(l, r); wt > 0 {
+				edges = append(edges, edge{net.AddEdge(1+l, 1+numLeft+r, 1, -wt), l, r})
+			}
+		}
+	}
+	for r := 0; r < numRight; r++ {
+		net.AddEdge(1+numLeft+r, snk, 1, 0)
+	}
+	_, profit := net.MaxProfit(src, snk)
+	res := Result{MatchLeft: make([]int, numLeft)}
+	for l := range res.MatchLeft {
+		res.MatchLeft[l] = Unmatched
+	}
+	for _, e := range edges {
+		if net.Flow(e.id) == 1 {
+			res.MatchLeft[e.l] = e.r
+			res.Weight += w(e.l, e.r)
+		}
+	}
+	return res, profit
 }
 
-// TestSolversAgreeLarger cross-checks Hungarian vs flow vs ssp on sizes
-// beyond brute-force reach.
+// TestSolversAgreeLarger cross-checks the Hungarian solver against a
+// min-cost-flow matching built on Network, at sizes beyond brute
+// force's reach.
 func TestSolversAgreeLarger(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -160,20 +185,18 @@ func TestSolversAgreeLarger(t *testing.T) {
 		if !h.Verify(l, r, w) {
 			t.Fatalf("trial %d: invalid hungarian matching", trial)
 		}
-		for name, solve := range solvers() {
-			res := solve(l, r, w)
-			if !almostEqual(h.Weight, res.Weight) {
-				t.Fatalf("trial %d (%dx%d): hungarian %g != %s %g", trial, l, r, h.Weight, name, res.Weight)
-			}
-			if !res.Verify(l, r, w) {
-				t.Fatalf("trial %d: %s produced invalid matching", trial, name)
-			}
+		flow, profit := flowMatching(l, r, w)
+		if !almostEqual(h.Weight, profit) {
+			t.Fatalf("trial %d (%dx%d): hungarian %g != network profit %g", trial, l, r, h.Weight, profit)
+		}
+		if !flow.Verify(l, r, w) || !almostEqual(flow.Weight, profit) {
+			t.Fatalf("trial %d: network flow is not a matching of weight %g: %+v", trial, profit, flow)
 		}
 	}
 }
 
 // TestSolversIgnoreNaNWeights: a NaN edge weight means "no usable edge"
-// for every solver (NaN > 0 is false), and Verify rejects any matching
+// for the Hungarian solver (NaN > 0 is false), and Verify rejects any matching
 // that claims one. Regression for the offline engines, whose weight
 // functions must never let a poisoned cost select an edge.
 func TestSolversIgnoreNaNWeights(t *testing.T) {
@@ -193,14 +216,12 @@ func TestSolversIgnoreNaNWeights(t *testing.T) {
 			}
 		}
 		want := BruteForceMaxWeight(l, r, denseWeights(clean)).Weight
-		for name, solve := range solvers() {
-			res := solve(l, r, denseWeights(m))
-			if !almostEqual(res.Weight, want) || math.IsNaN(res.Weight) {
-				t.Fatalf("trial %d: %s with NaN edges = %g, want %g", trial, name, res.Weight, want)
-			}
-			if !res.Verify(l, r, denseWeights(m)) {
-				t.Fatalf("trial %d: %s matched a NaN edge: %+v", trial, name, res)
-			}
+		res := MaxWeightMatching(l, r, denseWeights(m))
+		if !almostEqual(res.Weight, want) || math.IsNaN(res.Weight) {
+			t.Fatalf("trial %d: hungarian with NaN edges = %g, want %g", trial, res.Weight, want)
+		}
+		if !res.Verify(l, r, denseWeights(m)) {
+			t.Fatalf("trial %d: hungarian matched a NaN edge: %+v", trial, res)
 		}
 	}
 	// Verify itself must reject a matching asserting a NaN edge.
@@ -222,17 +243,15 @@ func TestSolversRectangularTasksExceedPhones(t *testing.T) {
 		m := randomMatrix(rng, l, r, 0.8, -1, 10)
 		w := denseWeights(m)
 		want := BruteForceMaxWeight(l, r, w).Weight
-		for name, solve := range solvers() {
-			res := solve(l, r, w)
-			if !almostEqual(res.Weight, want) {
-				t.Fatalf("shape %d (%dx%d): %s %g != brute %g", trial, l, r, name, res.Weight, want)
-			}
-			if !res.Verify(l, r, w) {
-				t.Fatalf("shape %d: %s invalid matching %+v", trial, name, res)
-			}
-			if got := res.Size(); got > l || got > r {
-				t.Fatalf("shape %d: %s matched %d pairs on a %dx%d graph", trial, name, got, l, r)
-			}
+		res := MaxWeightMatching(l, r, w)
+		if !almostEqual(res.Weight, want) {
+			t.Fatalf("shape %d (%dx%d): hungarian %g != brute %g", trial, l, r, res.Weight, want)
+		}
+		if !res.Verify(l, r, w) {
+			t.Fatalf("shape %d: hungarian invalid matching %+v", trial, res)
+		}
+		if got := res.Size(); got > l || got > r {
+			t.Fatalf("shape %d: hungarian matched %d pairs on a %dx%d graph", trial, got, l, r)
 		}
 	}
 }
@@ -293,85 +312,6 @@ func TestMatchingSubsetBound(t *testing.T) {
 	}
 }
 
-func TestMaxCardinality(t *testing.T) {
-	tests := []struct {
-		name string
-		l, r int
-		adj  [][]int
-		want int
-	}{
-		{"empty", 0, 0, nil, 0},
-		{"no edges", 3, 3, [][]int{{}, {}, {}}, 0},
-		{"perfect", 3, 3, [][]int{{0}, {1}, {2}}, 3},
-		{"contention", 3, 1, [][]int{{0}, {0}, {0}}, 1},
-		{"augmenting path needed", 2, 2, [][]int{{0, 1}, {0}}, 2},
-		{"classic", 4, 4, [][]int{{0, 1}, {0}, {1, 2}, {2}}, 3},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			match, size := MaxCardinality(tc.l, tc.r, tc.adj)
-			if size != tc.want {
-				t.Fatalf("size = %d, want %d (match %v)", size, tc.want, match)
-			}
-			seen := map[int]bool{}
-			got := 0
-			for l, r := range match {
-				if r == Unmatched {
-					continue
-				}
-				got++
-				if seen[r] {
-					t.Fatalf("right vertex %d matched twice", r)
-				}
-				seen[r] = true
-				ok := false
-				for _, cand := range tc.adj[l] {
-					if cand == r {
-						ok = true
-					}
-				}
-				if !ok {
-					t.Fatalf("matched non-edge (%d,%d)", l, r)
-				}
-			}
-			if got != size {
-				t.Fatalf("reported size %d != matched pairs %d", size, got)
-			}
-		})
-	}
-}
-
-// TestMaxCardinalityAgreesWithWeighted: with unit weights, the weighted
-// optimum equals the maximum cardinality.
-func TestMaxCardinalityAgreesWithWeighted(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 100; trial++ {
-		l := 1 + rng.Intn(12)
-		r := 1 + rng.Intn(12)
-		adj := make([][]int, l)
-		present := make(map[[2]int]bool)
-		for i := range adj {
-			for j := 0; j < r; j++ {
-				if rng.Float64() < 0.3 {
-					adj[i] = append(adj[i], j)
-					present[[2]int{i, j}] = true
-				}
-			}
-		}
-		_, size := MaxCardinality(l, r, adj)
-		unit := func(a, b int) float64 {
-			if present[[2]int{a, b}] {
-				return 1
-			}
-			return 0
-		}
-		res := MaxWeightMatching(l, r, unit)
-		if int(res.Weight+0.5) != size {
-			t.Fatalf("trial %d: cardinality %d != weighted optimum %g", trial, size, res.Weight)
-		}
-	}
-}
-
 func TestResultMatchRight(t *testing.T) {
 	res := Result{MatchLeft: []int{2, Unmatched, 0}}
 	right := res.MatchRight(3)
@@ -411,16 +351,6 @@ func BenchmarkMatchers(b *testing.B) {
 		b.Run("hungarian/"+itoa(size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MaxWeightMatching(size, size, w)
-			}
-		})
-		b.Run("flow/"+itoa(size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MaxWeightMatchingFlow(size, size, w)
-			}
-		})
-		b.Run("ssp/"+itoa(size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MaxWeightMatchingSSP(size, size, w)
 			}
 		})
 	}

@@ -7,13 +7,13 @@ import (
 	"dynacrowd/internal/core"
 )
 
-// TestOfflineBenchmarkStats: a server configured with an offline
-// benchmark engine solves ω* when the round closes, and the stats
+// TestOfflineBenchmarkStats: a server with the offline benchmark on
+// solves ω* when the round closes, and the stats
 // expose it. The optimum must match a direct offline solve of the
 // equivalent batch instance and dominate the realized online welfare
 // (the live competitive-ratio check).
 func TestOfflineBenchmarkStats(t *testing.T) {
-	s := newTestServer(t, Config{Slots: 3, Value: 25, OfflineBenchmark: core.IntervalOffline})
+	s := newTestServer(t, Config{Slots: 3, Value: 25, OfflineBenchmark: true})
 	a := dialAgent(t, s.Addr())
 	b := dialAgent(t, s.Addr())
 
@@ -48,7 +48,7 @@ func TestOfflineBenchmarkStats(t *testing.T) {
 	}
 }
 
-// TestOfflineBenchmarkDisabled: without the engine the tallies stay
+// TestOfflineBenchmarkDisabled: with the benchmark off the tallies stay
 // zero — the solve must not run at all on the default path.
 func TestOfflineBenchmarkDisabled(t *testing.T) {
 	s := newTestServer(t, Config{Slots: 2, Value: 10})
@@ -69,7 +69,7 @@ func TestOfflineBenchmarkDisabled(t *testing.T) {
 // TestOfflineBenchmarkMultiRound: the tally accumulates across
 // configured rounds, one solve per round close.
 func TestOfflineBenchmarkMultiRound(t *testing.T) {
-	s := newTestServer(t, Config{Slots: 2, Value: 15, Rounds: 3, OfflineBenchmark: core.SSPOffline})
+	s := newTestServer(t, Config{Slots: 2, Value: 15, Rounds: 3, OfflineBenchmark: true})
 	a := dialAgent(t, s.Addr())
 	for round := 0; round < 3; round++ {
 		if err := a.SubmitBid("a", 1, 5); err != nil {

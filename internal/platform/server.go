@@ -76,14 +76,14 @@ type Config struct {
 	// defaulted, and only then does the round close. Zero (the default)
 	// disables tracking; the disabled path is allocation-free.
 	CompletionDeadline core.Slot
-	// OfflineBenchmark, when non-nil, solves the offline VCG optimum ω*
-	// over each completed round's full bid history under the given
-	// engine (core.IntervalOffline is the intended choice; the dense
-	// oracles work but cost more). The optimum is logged alongside the
-	// online welfare — the paper's competitive-ratio check, live — and
-	// accumulated in Stats.OfflineOptimum / Stats.OfflineRounds. Nil
-	// (the default) disables the solve entirely.
-	OfflineBenchmark core.OfflineEngine
+	// OfflineBenchmark, when set, solves the offline VCG optimum ω* over
+	// each completed round's full bid history with the near-linear
+	// interval engine (core.IntervalOffline). The optimum is logged
+	// alongside the online welfare — the paper's competitive-ratio
+	// check, live — and accumulated in Stats.OfflineOptimum /
+	// Stats.OfflineRounds. False (the default) disables the solve
+	// entirely.
+	OfflineBenchmark bool
 	// Obs enables observability: the platform and its auction register
 	// metrics in Obs.Registry and emit structured auction events to
 	// Obs.Tracer (see docs/OBSERVABILITY.md for the catalog). The
@@ -842,15 +842,13 @@ func (s *Server) finishRound(slot core.Slot) error {
 // benchmarkRound solves the round's offline optimum when
 // Config.OfflineBenchmark is set, logging it next to the realized
 // online welfare and accumulating the Stats tallies. Caller holds s.mu;
-// the solve runs on the round-close path, so it must stay cheap — the
-// interval engine is near-linear in the bid count, the dense oracles
-// are not.
+// the solve runs on the round-close path, so it must stay cheap: the
+// interval engine is near-linear in the bid count.
 func (s *Server) benchmarkRound(out *core.Outcome) {
-	if s.cfg.OfflineBenchmark == nil {
+	if !s.cfg.OfflineBenchmark {
 		return
 	}
-	mech := &core.OfflineMechanism{Engine: s.cfg.OfflineBenchmark}
-	opt, err := mech.Welfare(s.auction.Instance())
+	opt, err := (&core.OfflineMechanism{}).Welfare(s.auction.Instance())
 	if err != nil {
 		s.cfg.Logger.Warn("offline benchmark failed", "round", s.round, "err", err)
 		return
@@ -862,8 +860,7 @@ func (s *Server) benchmarkRound(out *core.Outcome) {
 		ratio = out.Welfare / opt
 	}
 	s.cfg.Logger.Info("offline benchmark",
-		"round", s.round, "engine", s.cfg.OfflineBenchmark.Name(),
-		"optimum", opt, "welfare", out.Welfare, "ratio", ratio)
+		"round", s.round, "optimum", opt, "welfare", out.Welfare, "ratio", ratio)
 }
 
 // drainTick plays one virtual slot past the round's end: no bids are

@@ -153,21 +153,6 @@ func EngineMechs() []core.Mechanism {
 	}
 }
 
-// OfflineEngineMechs returns the offline mechanism under each engine —
-// the interval augmenting-path fast path (the default), the dense
-// Hungarian + dual-query oracle, and the generic flow and
-// successive-shortest-path re-solve cross-checks — for differential
-// comparisons and engine benchmarks. All engines produce the optimal
-// welfare on every instance.
-func OfflineEngineMechs() []core.Mechanism {
-	return []core.Mechanism{
-		&core.OfflineMechanism{},
-		&core.OfflineMechanism{Engine: core.HungarianOffline},
-		&core.OfflineMechanism{Engine: core.FlowOffline},
-		&core.OfflineMechanism{Engine: core.SSPOffline},
-	}
-}
-
 // Seeds returns n deterministic seeds derived from base, suitable for
 // Compare. Distinct bases give disjoint-looking seed sets.
 func Seeds(base uint64, n int) []uint64 {

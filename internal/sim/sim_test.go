@@ -111,32 +111,6 @@ func TestCompareRunsAllMechanismsOnSameInstance(t *testing.T) {
 	}
 }
 
-func TestOfflineEngineMechsAgreeOnWelfare(t *testing.T) {
-	mechs := OfflineEngineMechs()
-	if len(mechs) != 4 {
-		t.Fatalf("got %d engines, want 4", len(mechs))
-	}
-	reps, err := Compare(smallScenario(), Seeds(7, 6), mechs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range reps {
-		ref := rep.Results[0]
-		for _, m := range rep.Results[1:] {
-			// Every engine solves the same assignment LP to optimality, so
-			// the welfare (and the total served count under distinct costs)
-			// must agree exactly; payments may differ only on ties.
-			if math.Abs(m.Welfare-ref.Welfare) > 1e-9 {
-				t.Fatalf("seed %d: engine %q welfare %g != %q welfare %g",
-					rep.Seed, m.Mechanism, m.Welfare, ref.Mechanism, ref.Welfare)
-			}
-			if m.TotalPayment < m.TotalWinnerCost-1e-9 {
-				t.Fatalf("seed %d: engine %q aggregate IR violated", rep.Seed, m.Mechanism)
-			}
-		}
-	}
-}
-
 func TestCompareDeterministicAcrossWorkerCounts(t *testing.T) {
 	scn := smallScenario()
 	mechs := []core.Mechanism{&core.OnlineMechanism{}}

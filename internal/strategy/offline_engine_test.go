@@ -18,7 +18,6 @@ func TestOfflineEnginesTruthfulUnderAudit(t *testing.T) {
 	for _, mech := range []core.Mechanism{
 		&core.OfflineMechanism{}, // interval engine, the default
 		&core.OfflineMechanism{Engine: core.HungarianOffline},
-		&core.OfflineMechanism{Engine: core.SSPOffline},
 	} {
 		results, err := Audit(mech, in, AuditOptions{})
 		if err != nil {
