@@ -6,7 +6,7 @@ BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: all check vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit budget-bench loadtest-smoke loadtest bench bench-merge staticcheck profile obs-demo clean
+.PHONY: all check vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance budget-bench loadtest-smoke loadtest bench bench-merge staticcheck profile obs-demo clean
 
 all: check
 
@@ -20,7 +20,7 @@ all: check
 # so a shutdown race cannot hide behind a lucky single run.
 # perfbench-check vets and tests the benchmark module, which the root
 # build skips.
-check: vet build test agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit
+check: vet build test agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance
 
 vet:
 	$(GO) vet ./...
@@ -66,9 +66,11 @@ soak:
 # Hungarian optimum on arbitrary interval instances, FuzzCriticalPayments
 # pins the online cascade payments to the literal Algorithm 2 re-run,
 # FuzzCompletionOrder drives arbitrary complete/default orderings
-# through the online auction's lifecycle and snapshot/restore, and the
+# through the online auction's lifecycle and snapshot/restore, the
 # protocol fuzzer feeds arbitrary bytes to the binary frame decoder
-# (malformed input must error, never panic or hang).
+# (malformed input must error, never panic or hang), and FuzzRestore
+# feeds arbitrary bytes, seeded with the golden checkpoints, to both
+# auctions' restore (it must error or round-trip, never panic).
 fuzz-smoke:
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzOfflineVCG -fuzztime 10s ./internal/core/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCriticalPayments -fuzztime 10s ./internal/core/
@@ -76,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzIntervalSolver -fuzztime 5s ./internal/matching/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBinaryFrame -fuzztime 10s ./internal/protocol/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBudgetSnapshot -fuzztime 10s ./internal/budget/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzRestore -fuzztime 10s ./internal/core/auctiontest/
 
 # wire-diff proves the binary framing is transport dressing only: the
 # same scripted multi-round auction (completions, defaults, clawbacks)
@@ -160,6 +163,21 @@ diff-sweep:
 	grep -q -- '--- PASS: TestCascadeMatchesOracleSweep' /tmp/dynacrowd-cascade-sweep.out
 	grep -q -- '--- PASS: TestCascadeMatchesOracleDenseSlots' /tmp/dynacrowd-cascade-sweep.out
 	grep -q -- '--- PASS: TestCascadeMatchesLiteralWalkWithDefaults' /tmp/dynacrowd-cascade-sweep.out
+
+# conformance proves the core.Auction conformance suite and the golden
+# checkpoint test ran: every auction kind (online, online with its
+# completion lifecycle, budgeted under each engine) steps, checkpoints
+# at every slot boundary, rejects each malformed checkpoint, and
+# restores the version-1 checkpoints under testdata/ byte-identically.
+# The greps fail the target if a test was filtered out or skipped.
+conformance:
+	$(GO) test -count=1 -run 'TestBidAndInstance|TestCheckpointEverySlot|TestRestoreRejectsMalformed|TestRestoreAsOtherKind|TestGoldenCheckpoints' -v ./internal/core/auctiontest/ \
+		| tee /tmp/dynacrowd-conformance.out
+	grep -q -- '--- PASS: TestBidAndInstance' /tmp/dynacrowd-conformance.out
+	grep -q -- '--- PASS: TestCheckpointEverySlot' /tmp/dynacrowd-conformance.out
+	grep -q -- '--- PASS: TestRestoreRejectsMalformed' /tmp/dynacrowd-conformance.out
+	grep -q -- '--- PASS: TestRestoreAsOtherKind' /tmp/dynacrowd-conformance.out
+	grep -q -- '--- PASS: TestGoldenCheckpoints' /tmp/dynacrowd-conformance.out
 
 # staticcheck runs honnef.co/go/tools if it is installed; the tier-1
 # gate stays dependency-free, so a missing binary is a skip, not a

@@ -37,7 +37,9 @@
 //
 // budget.Auction implements core.Auction, the stepping seam (Step, Now,
 // Done, Outcome, Bid, Instance, Snapshot), over a core.Ledger, so the
-// platform, snapshots, and the sim/audit harnesses all run unchanged;
+// platform and the sim/audit harnesses run unchanged. Its Snapshot
+// writes the shared core.Checkpoint plus a budget section, and Restore
+// rebuilds the stage state through the shared Step replay;
 // budget.Mechanism adapts it to core.Mechanism for batch instances. Its
 // setters (SetMetrics, TrackDepartures, SetInstruments, SetTracer) are
 // on the concrete type, and it has no completion lifecycle: that exists

@@ -47,23 +47,15 @@ func (m *Mechanism) Run(in *core.Instance) (*core.Outcome, error) {
 // streamInstance replays a batch instance slot by slot through any
 // core.Auction and maps the outcome back to instance phone IDs.
 func streamInstance(a core.Auction, in *core.Instance) (*core.Outcome, error) {
-	byArrival := make([][]int, in.Slots+1)
-	for i, b := range in.Bids {
-		byArrival[b.Arrival] = append(byArrival[b.Arrival], i)
+	if err := core.StepThrough(a, in, in.Slots, nil); err != nil {
+		return nil, fmt.Errorf("budget mechanism: %w", err)
 	}
-	perSlot := in.TasksPerSlot()
-	perm := make([]core.PhoneID, 0, len(in.Bids)) // stream ID -> instance ID
-	arriving := make([]core.StreamBid, 0, 8)
-	for t := core.Slot(1); t <= in.Slots; t++ {
-		arriving = arriving[:0]
-		for _, i := range byArrival[t] {
-			arriving = append(arriving, core.StreamBid{Departure: in.Bids[i].Departure, Cost: in.Bids[i].Cost})
-			perm = append(perm, core.PhoneID(i))
-		}
-		if _, err := a.Step(arriving, perSlot[t-1]); err != nil {
-			return nil, fmt.Errorf("budget mechanism: slot %d: %w", t, err)
-		}
+	// Streamed IDs follow arrival order, instance IDs within a slot.
+	perm := make([]core.PhoneID, len(in.Bids)) // stream ID -> instance ID
+	for i := range perm {
+		perm[i] = core.PhoneID(i)
 	}
+	sort.SliceStable(perm, func(x, y int) bool { return in.Bids[perm[x]].Arrival < in.Bids[perm[y]].Arrival })
 
 	got := a.Outcome()
 	out := &core.Outcome{

@@ -19,25 +19,10 @@ func replayWins(a *Auction, i core.PhoneID, b float64, until core.Slot) bool {
 		return false
 	}
 	cf.replay = true
-	bids, arrivals := a.ledger.Bids(), a.ledger.TaskArrivals()
-	bi, ti := 0, 0
-	var arriving []core.StreamBid
-	for t := core.Slot(1); t <= until; t++ {
-		arriving = arriving[:0]
-		for ; bi < len(bids) && bids[bi].Arrival == t; bi++ {
-			c := bids[bi].Cost
-			if core.PhoneID(bi) == i {
-				c = b
-			}
-			arriving = append(arriving, core.StreamBid{Departure: bids[bi].Departure, Cost: c})
-		}
-		tasks := 0
-		for ; ti < len(arrivals) && arrivals[ti] == t; ti++ {
-			tasks++
-		}
-		if _, err := cf.Step(arriving, tasks); err != nil {
-			return false
-		}
+	in := a.ledger.Instance()
+	in.Bids[i].Cost = b
+	if err := core.StepThrough(cf, in, until, nil); err != nil {
+		return false
 	}
 	return cf.ledger.WonAt(i) != 0
 }

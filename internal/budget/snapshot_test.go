@@ -15,19 +15,8 @@ func driveTo(t testing.TB, in *core.Instance, budget float64, eng Engine, upTo c
 	if err != nil {
 		t.Fatal(err)
 	}
-	byArrival := make([][]int, in.Slots+1)
-	for i, b := range in.Bids {
-		byArrival[b.Arrival] = append(byArrival[b.Arrival], i)
-	}
-	perSlot := in.TasksPerSlot()
-	for slot := core.Slot(1); slot <= upTo; slot++ {
-		var arriving []core.StreamBid
-		for _, i := range byArrival[slot] {
-			arriving = append(arriving, core.StreamBid{Departure: in.Bids[i].Departure, Cost: in.Bids[i].Cost})
-		}
-		if _, err := a.Step(arriving, perSlot[slot-1]); err != nil {
-			t.Fatal(err)
-		}
+	if err := core.StepThrough(a, in, upTo, nil); err != nil {
+		t.Fatal(err)
 	}
 	return a
 }
@@ -35,19 +24,8 @@ func driveTo(t testing.TB, in *core.Instance, budget float64, eng Engine, upTo c
 // finish drives the remaining slots of in through a.
 func finish(t testing.TB, a *Auction, in *core.Instance) *core.Outcome {
 	t.Helper()
-	byArrival := make([][]int, in.Slots+1)
-	for i, b := range in.Bids {
-		byArrival[b.Arrival] = append(byArrival[b.Arrival], i)
-	}
-	perSlot := in.TasksPerSlot()
-	for slot := a.Now() + 1; slot <= in.Slots; slot++ {
-		var arriving []core.StreamBid
-		for _, i := range byArrival[slot] {
-			arriving = append(arriving, core.StreamBid{Departure: in.Bids[i].Departure, Cost: in.Bids[i].Cost})
-		}
-		if _, err := a.Step(arriving, perSlot[slot-1]); err != nil {
-			t.Fatal(err)
-		}
+	if err := core.StepThrough(a, in, in.Slots, nil); err != nil {
+		t.Fatal(err)
 	}
 	return a.Outcome()
 }

@@ -247,9 +247,10 @@ func BenchmarkCascadeDenseSlot(b *testing.B) {
 			in := denseSlotInstance(rand.New(rand.NewSource(1)), 20, r, false)
 			var idx arrivalsIndex
 			idx.build(in)
-			var run greedyRun
-			run.initRound(len(in.Bids), len(in.Tasks), in.Slots)
-			runBaseline(in, &idx, &run, nil, in.Slots)
+			alloc := NewAllocation(len(in.Tasks), len(in.Bids))
+			run := greedyRun{byTask: alloc.ByTask, phoneTask: alloc.ByPhone, wonAt: alloc.WonAt, runnerUp: make([]PhoneID, len(in.Tasks))}
+			run.resetSlots(in.Slots)
+			runBaseline(in, &idx, &run, nil)
 			winners := 0
 			for _, task := range run.phoneTask {
 				if task != NoTask {

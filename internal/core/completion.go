@@ -216,27 +216,23 @@ func (c *completions) marshal() *CompletionSnapshot {
 	}
 }
 
-// restoreFrom overwrites the tracker with snapshot state. The default
-// log is expected to have been replayed already (it rebuilt the
-// allocation-side mutations); statuses, issued payments, and counters
-// are restored verbatim.
-func (c *completions) restoreFrom(snap *CompletionSnapshot, numPhones int) error {
-	if len(snap.Statuses) != numPhones {
-		return fmt.Errorf("completions: %d statuses for %d phones", len(snap.Statuses), numPhones)
+// restoreFrom overwrites the tracker with snapshot state once a replay
+// has rebuilt the allocation and re-applied the default log. Each
+// recorded status must equal the replayed one, except that a completed
+// phone replays as assigned (completions are not logged); issued
+// payments and counters are restored verbatim. Checkpoint.Replay has
+// checked the section's sizes.
+func (c *completions) restoreFrom(snap *CompletionSnapshot) error {
+	for p, s := range snap.Statuses {
+		if s != c.status[p] && (s != StatusCompleted || c.status[p] != StatusAssigned) {
+			return fmt.Errorf("completions: phone %d status %v disagrees with replay %v", p, s, c.status[p])
+		}
 	}
-	if len(snap.Paid) != 0 && len(snap.Paid) != numPhones {
-		return fmt.Errorf("completions: %d paid amounts for %d phones", len(snap.Paid), numPhones)
-	}
-	if len(snap.PaidAt) != len(snap.Paid) {
-		return fmt.Errorf("completions: paid/paidAt length mismatch")
-	}
-	c.enabled = true
-	c.status = append(c.status[:0], snap.Statuses...)
-	c.paid = resize(c.paid, numPhones)
-	c.paidAt = resize(c.paidAt, numPhones)
+	copy(c.status, snap.Statuses)
+	clear(c.paid)
+	clear(c.paidAt)
 	copy(c.paid, snap.Paid)
 	copy(c.paidAt, snap.PaidAt)
-	c.log = append(c.log[:0], snap.Log...)
 	c.counts = snap.Counts
 	return nil
 }

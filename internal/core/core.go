@@ -20,6 +20,13 @@
 //
 // Both satisfy the auction-theoretic properties proved in the paper
 // (Theorems 1-7); the test suite audits them on randomized instances.
+//
+// OnlineAuction runs the online mechanism slot by slot behind Auction,
+// the stepping seam the budgeted auction (internal/budget) also
+// implements. Both checkpoint to one format, Checkpoint, and both
+// restore by replaying the recorded input through Step
+// (Checkpoint.Replay); internal/core/auctiontest holds both to one
+// conformance suite.
 package core
 
 import (

@@ -94,23 +94,6 @@ func (g *greedyRun) markStale() {
 	}
 }
 
-// initRound (re)sizes the per-phone and per-task state with sentinel
-// entries, reusing capacity. Callers that alias these slices to an
-// Allocation's arrays skip this and rely on NewAllocation's sentinels.
-func (g *greedyRun) initRound(numPhones, numTasks int, m Slot) {
-	g.byTask = resize(g.byTask, numTasks)
-	for i := range g.byTask {
-		g.byTask[i] = NoPhone
-	}
-	g.phoneTask = resize(g.phoneTask, numPhones)
-	for i := range g.phoneTask {
-		g.phoneTask[i] = NoTask
-	}
-	g.wonAt = resize(g.wonAt, numPhones)
-	g.runnerUp = resize(g.runnerUp, numTasks)
-	g.resetSlots(m)
-}
-
 // noteWinner updates slot t's top-2 winner-cost table with phone p's
 // cost c. The ">=" keeps max2 correct when costs tie. A new winner can
 // extend the slot's runner-up chains, so the slot's memo goes stale.
@@ -210,15 +193,14 @@ func (ix *arrivalsIndex) at(t Slot) []PhoneID {
 	return ix.phones[ix.start[t]:ix.start[t+1]]
 }
 
-// runBaseline executes Algorithm 1 over slots [1, upTo], recording the
+// runBaseline executes Algorithm 1 over the whole round, recording the
 // winners plus the cascade side state. heapBuf is reused storage for
 // the allocation pool; the (possibly grown) storage is returned so the
-// caller can keep it — for the streaming auction it still holds the
-// live pool.
-func runBaseline(in *Instance, idx *arrivalsIndex, run *greedyRun, heapBuf []PhoneID, upTo Slot) []PhoneID {
+// caller can keep it.
+func runBaseline(in *Instance, idx *arrivalsIndex, run *greedyRun, heapBuf []PhoneID) []PhoneID {
 	h := costHeap{bids: in.Bids, items: heapBuf[:0]}
 	ti := 0
-	for t := Slot(1); t <= upTo; t++ {
+	for t := Slot(1); t <= in.Slots; t++ {
 		for _, p := range idx.at(t) {
 			h.push(p)
 		}

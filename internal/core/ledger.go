@@ -75,25 +75,12 @@ func (l *Ledger) Bid(i PhoneID) Bid { return l.inst.Bids[i] }
 // WonAt returns the slot phone i won in (0 if it has not won).
 func (l *Ledger) WonAt(i PhoneID) Slot { return l.wonAt[i] }
 
-// Bids returns a copy of the admitted bids in ID order.
-func (l *Ledger) Bids() []Bid { return append([]Bid(nil), l.inst.Bids...) }
-
-// TaskArrivals returns each task's arrival slot in ID order.
-func (l *Ledger) TaskArrivals() []Slot {
-	out := make([]Slot, len(l.inst.Tasks))
-	for k, t := range l.inst.Tasks {
-		out[k] = t.Arrival
-	}
-	return out
+// Checkpoint records the ledger's round state at clock now for an
+// auction's Snapshot. It aliases the ledger's storage: encode it before
+// the ledger changes.
+func (l *Ledger) Checkpoint(now Slot) *Checkpoint {
+	return newCheckpoint(&l.inst, now, l.byTask, l.wonAt)
 }
-
-// ByTask returns a copy of the task -> winner table (NoPhone entries
-// for unserved tasks).
-func (l *Ledger) ByTask() []PhoneID { return append([]PhoneID(nil), l.byTask...) }
-
-// WonAtSlots returns a copy of the phone -> winning-slot table (0
-// entries for losers).
-func (l *Ledger) WonAtSlots() []Slot { return append([]Slot(nil), l.wonAt...) }
 
 // AddBid admits a bid arriving in slot `arrival` and returns its dense
 // phone ID. The bid is validated (including the typed ErrWindowInverted

@@ -102,11 +102,11 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 					t.Fatal(err)
 				}
 				if l.AllocateAtLoss() || sb.Cost < l.Value() {
-					h.bids = l.Bids() // refresh the view after growth
+					h.bids = l.inst.Bids // refresh the view after growth
 					h.push(id)
 				}
 			}
-			h.bids = l.Bids()
+			h.bids = l.inst.Bids
 			for k := 0; k < perSlot[s-1]; k++ {
 				id := l.AddTask(s)
 				if winner := h.popEligible(s); winner != NoPhone {
@@ -143,16 +143,16 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	mirror(l)
 	check("ledger", l)
 
-	// Bulk accessors feed snapshots; they must match the live state.
-	byTask, wonAt := l.ByTask(), l.WonAtSlots()
-	for k := range byTask {
-		if byTask[k] != want.Allocation.ByTask[k] {
-			t.Fatalf("ByTask[%d] = %d != %d", k, byTask[k], want.Allocation.ByTask[k])
+	// The checkpoint feeds snapshots; it must match the live state.
+	c := l.Checkpoint(in.Slots)
+	for k := range c.ByTask {
+		if c.ByTask[k] != want.Allocation.ByTask[k] {
+			t.Fatalf("Checkpoint ByTask[%d] = %d != %d", k, c.ByTask[k], want.Allocation.ByTask[k])
 		}
 	}
-	for i := range wonAt {
-		if wonAt[i] != l.WonAt(PhoneID(i)) {
-			t.Fatalf("WonAtSlots[%d] = %d != %d", i, wonAt[i], l.WonAt(PhoneID(i)))
+	for i := range c.WonAt {
+		if c.WonAt[i] != l.WonAt(PhoneID(i)) {
+			t.Fatalf("Checkpoint WonAt[%d] = %d != %d", i, c.WonAt[i], l.WonAt(PhoneID(i)))
 		}
 	}
 

@@ -89,7 +89,7 @@ func (on *OnlineMechanism) Run(in *Instance) (*Outcome, error) {
 	run.wonAt = alloc.WonAt
 	run.runnerUp = resize(run.runnerUp, in.NumTasks())
 	run.resetSlots(in.Slots)
-	sc.heap = runBaseline(in, &sc.idx, run, sc.heap, in.Slots)
+	sc.heap = runBaseline(in, &sc.idx, run, sc.heap)
 
 	if met != nil {
 		met.SlotAllocSeconds.Observe(time.Since(start).Seconds())

@@ -2,20 +2,29 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
-// snapshotVersion guards the checkpoint format.
-const snapshotVersion = 1
+// checkpointVersion guards the checkpoint format.
+const checkpointVersion = 1
 
-// auctionSnapshot is the serialized state of an OnlineAuction. Only
-// decision-relevant state is stored; the allocation pool and the
-// incremental pricing state (runner-ups, per-slot winner-cost tables)
-// are rebuilt on restore by replaying the greedy allocation, which is
-// deterministic: the heap pops by (cost, id), so the replay reproduces
-// every past decision exactly and the stored assignment doubles as an
-// integrity check.
-type auctionSnapshot struct {
+// ErrCheckpointKind rejects restoring one auction kind's checkpoint as
+// another kind: a budgeted checkpoint as an OnlineAuction, or an
+// unbudgeted one as a budgeted auction. Matchable via errors.Is.
+var ErrCheckpointKind = errors.New("checkpoint belongs to another auction kind")
+
+// Checkpoint is the serialized state of a core.Auction, the one
+// checkpoint format both auctions write. It stores only the round's
+// input and the decisions taken: the header, the bids and task arrivals
+// seen so far, and each task's winner and each phone's winning slot.
+// Everything else — the allocation pool, the pricing state, a budgeted
+// engine's stage samples and thresholds — is rebuilt by Replay, which
+// steps a fresh auction through the recorded input. Allocation is
+// deterministic (phones pop by cost, then ID), so the replay reproduces
+// every past decision, and the recorded ByTask and WonAt double as an
+// integrity check. Payments are recomputed, not stored.
+type Checkpoint struct {
 	Version        int       `json:"version"`
 	Slots          Slot      `json:"slots"`
 	Value          float64   `json:"value"`
@@ -25,184 +34,245 @@ type auctionSnapshot struct {
 	TaskArrivals   []Slot    `json:"taskArrivals"`
 	ByTask         []PhoneID `json:"byTask"`
 	WonAt          []Slot    `json:"wonAt"`
-	// Completions carries the assignment lifecycle when tracking is on.
-	// Its default log is replayed on restore interleaved with the greedy
-	// slots (a default mutates the winner set and pricing tables at a
-	// specific clock value), after which statuses and issued payments are
-	// restored verbatim. Absent for pre-lifecycle snapshots, which keep
-	// the fast replay path.
+	// Completions carries an OnlineAuction's assignment lifecycle when
+	// tracking is on. Its default log is replayed at the clock each
+	// default happened; statuses, issued payments and counters are
+	// restored from it.
 	Completions *CompletionSnapshot `json:"completions,omitempty"`
+	// Budget is the budgeted auction's section (internal/budget). Core
+	// treats it as opaque: its presence marks the budgeted kind.
+	Budget json.RawMessage `json:"budget,omitempty"`
+}
+
+// newCheckpoint records the round state of an auction at clock now. It
+// aliases the given slices: encode it before the auction moves on.
+func newCheckpoint(in *Instance, now Slot, byTask []PhoneID, wonAt []Slot) *Checkpoint {
+	c := &Checkpoint{
+		Version:        checkpointVersion,
+		Slots:          in.Slots,
+		Value:          in.Value,
+		AllocateAtLoss: in.AllocateAtLoss,
+		Now:            now,
+		Bids:           in.Bids,
+		ByTask:         byTask,
+		WonAt:          wonAt,
+	}
+	for _, t := range in.Tasks {
+		c.TaskArrivals = append(c.TaskArrivals, t.Arrival)
+	}
+	return c
+}
+
+// Encode serializes the checkpoint as self-contained JSON.
+func (c *Checkpoint) Encode() ([]byte, error) {
+	data, err := json.Marshal(c)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return data, nil
+}
+
+// DecodeCheckpoint parses a checkpoint written by Encode. It does not
+// validate it: Replay does.
+func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
+	var c Checkpoint
+	if err := json.Unmarshal(data, &c); err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return &c, nil
+}
+
+// validate checks that the checkpoint describes a state some live
+// auction could have reached: a supported version, a clock inside the
+// round, consistent state sizes, dense phone IDs, valid bids arriving
+// in order by the clock, tasks arriving in order by the clock, every
+// winner's slot equal to its task's slot, and a completions section
+// sized to the bids whose default log is in clock order.
+func (c *Checkpoint) validate() error {
+	if c.Version != checkpointVersion {
+		return fmt.Errorf("checkpoint: unsupported version %d (want %d)", c.Version, checkpointVersion)
+	}
+	if c.Now < 0 || c.Now > c.Slots {
+		return fmt.Errorf("checkpoint: clock %d outside round [0,%d]", c.Now, c.Slots)
+	}
+	if len(c.WonAt) != len(c.Bids) || len(c.ByTask) != len(c.TaskArrivals) {
+		return fmt.Errorf("checkpoint: %d bids with %d winning slots, %d tasks with %d winners",
+			len(c.Bids), len(c.WonAt), len(c.TaskArrivals), len(c.ByTask))
+	}
+	var prev Slot
+	for i, b := range c.Bids {
+		if b.Phone != PhoneID(i) {
+			return fmt.Errorf("checkpoint: bid %d has phone id %d", i, b.Phone)
+		}
+		if err := b.Validate(c.Slots); err != nil {
+			return fmt.Errorf("checkpoint: %w", err)
+		}
+		if b.Arrival > c.Now {
+			return fmt.Errorf("checkpoint: bid %d arrives at %d, after clock %d", i, b.Arrival, c.Now)
+		}
+		if b.Arrival < prev {
+			return fmt.Errorf("checkpoint: bid %d arrives at %d, before bid %d (%d)", i, b.Arrival, i-1, prev)
+		}
+		prev = b.Arrival
+	}
+	prev = 0
+	for k, arrival := range c.TaskArrivals {
+		if arrival < 1 || arrival > c.Now {
+			return fmt.Errorf("checkpoint: task %d arrival %d outside [1,%d]", k, arrival, c.Now)
+		}
+		if arrival < prev {
+			return fmt.Errorf("checkpoint: task %d arrives at %d, before task %d (%d)", k, arrival, k-1, prev)
+		}
+		prev = arrival
+		p := c.ByTask[k]
+		if p == NoPhone {
+			continue
+		}
+		if p < 0 || int(p) >= len(c.Bids) {
+			return fmt.Errorf("checkpoint: task %d assigned to unknown phone %d", k, p)
+		}
+		if c.WonAt[p] != arrival {
+			return fmt.Errorf("checkpoint: task %d slot %d disagrees with winner %d's slot %d", k, arrival, p, c.WonAt[p])
+		}
+	}
+	if comp := c.Completions; comp != nil {
+		if len(comp.Statuses) != len(c.Bids) {
+			return fmt.Errorf("checkpoint: %d completion statuses for %d phones", len(comp.Statuses), len(c.Bids))
+		}
+		if len(comp.Paid) != 0 && len(comp.Paid) != len(c.Bids) || len(comp.PaidAt) != len(comp.Paid) {
+			return fmt.Errorf("checkpoint: %d paid amounts and %d payment clocks for %d phones",
+				len(comp.Paid), len(comp.PaidAt), len(c.Bids))
+		}
+		prev = 1
+		for i, e := range comp.Log {
+			if e.Slot < prev || e.Slot > c.Now {
+				return fmt.Errorf("checkpoint: default log entry %d at clock %d out of clock order or outside [1,%d]", i, e.Slot, c.Now)
+			}
+			prev = e.Slot
+		}
+	}
+	return nil
+}
+
+// Replay validates the checkpoint and rebuilds a — a fresh auction of
+// the checkpoint's round — by stepping it through the recorded bids and
+// task arrivals up to the checkpoint's clock (see StepThrough). after,
+// when non-nil, runs after each slot's Step. Last, replayed must report
+// a's state, and its allocation must equal the recorded ByTask and
+// WonAt: a mismatch means the checkpoint was tampered with or written
+// by different code.
+func (c *Checkpoint) Replay(a Auction, after func(*SlotResult) error, replayed func() *Checkpoint) error {
+	if err := c.validate(); err != nil {
+		return err
+	}
+	in := &Instance{Slots: c.Slots, Value: c.Value, Bids: c.Bids, AllocateAtLoss: c.AllocateAtLoss}
+	for k, t := range c.TaskArrivals {
+		in.Tasks = append(in.Tasks, Task{ID: TaskID(k), Arrival: t})
+	}
+	if err := StepThrough(a, in, c.Now, after); err != nil {
+		return fmt.Errorf("checkpoint replay: %w", err)
+	}
+	got := replayed()
+	for k, p := range c.ByTask {
+		if got.ByTask[k] != p {
+			return fmt.Errorf("checkpoint: task %d assignment %d disagrees with replay %d", k, p, got.ByTask[k])
+		}
+	}
+	for i, w := range c.WonAt {
+		if got.WonAt[i] != w {
+			return fmt.Errorf("checkpoint: phone %d winning slot %d disagrees with replay %d", i, w, got.WonAt[i])
+		}
+	}
+	return nil
+}
+
+// StepThrough steps a through in's bids and tasks from slot a.Now()+1
+// to upTo (≥ 0): each bid joins in its arrival slot (one slot's bids in ID
+// order) and each slot announces the tasks arriving in it. Bids and
+// tasks arriving outside those slots are skipped. after, when non-nil,
+// runs after each slot's Step with its result. A streamed bid's phone
+// ID equals its instance ID when in's bids are in arrival order.
+func StepThrough(a Auction, in *Instance, upTo Slot, after func(*SlotResult) error) error {
+	from := a.Now() + 1
+	arriving := make([][]StreamBid, upTo+1)
+	for _, b := range in.Bids {
+		if from <= b.Arrival && b.Arrival <= upTo {
+			arriving[b.Arrival] = append(arriving[b.Arrival], StreamBid{Departure: b.Departure, Cost: b.Cost})
+		}
+	}
+	tasks := make([]int, upTo+1)
+	for _, task := range in.Tasks {
+		if from <= task.Arrival && task.Arrival <= upTo {
+			tasks[task.Arrival]++
+		}
+	}
+	for t := from; t <= upTo; t++ {
+		res, err := a.Step(arriving[t], tasks[t])
+		if err == nil && after != nil {
+			err = after(res)
+		}
+		if err != nil {
+			return fmt.Errorf("slot %d: %w", t, err)
+		}
+	}
+	return nil
+}
+
+// checkpoint records the auction's state (see newCheckpoint).
+func (oa *OnlineAuction) checkpoint() *Checkpoint {
+	return newCheckpoint(oa.instance(), oa.now, oa.run.byTask, oa.run.wonAt)
 }
 
 // Snapshot serializes the auction's full state so a platform can
 // checkpoint mid-round and resume after a crash. The snapshot is
 // self-contained JSON; restore with RestoreOnlineAuction.
 func (oa *OnlineAuction) Snapshot() ([]byte, error) {
-	snap := auctionSnapshot{
-		Version:        snapshotVersion,
-		Slots:          oa.slots,
-		Value:          oa.value,
-		AllocateAtLoss: oa.allocateAtLoss,
-		Now:            oa.now,
-		Bids:           oa.bids,
-		ByTask:         oa.run.byTask,
-		WonAt:          oa.run.wonAt,
-		Completions:    oa.comp.marshal(),
-	}
-	for _, t := range oa.tasks {
-		snap.TaskArrivals = append(snap.TaskArrivals, t.Arrival)
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return nil, fmt.Errorf("auction snapshot: %w", err)
-	}
-	return data, nil
+	c := oa.checkpoint()
+	c.Completions = oa.comp.marshal()
+	return c.Encode()
 }
 
-// RestoreOnlineAuction reconstructs an auction from a Snapshot. The
-// restored auction continues the round exactly as the original would
-// have: identical future allocations and payments for identical future
-// input.
+// RestoreOnlineAuction reconstructs an auction from a Snapshot by
+// replaying the round through Step (see Checkpoint.Replay), with each
+// logged default applied at the clock it happened. The restored auction
+// continues the round exactly as the original would have: identical
+// future allocations and payments for identical future input. A
+// checkpoint with a budget section is rejected with ErrCheckpointKind.
 func RestoreOnlineAuction(data []byte) (*OnlineAuction, error) {
-	var snap auctionSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("restore auction: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("restore auction: unsupported version %d (want %d)", snap.Version, snapshotVersion)
-	}
-	oa, err := NewOnlineAuction(snap.Slots, snap.Value, snap.AllocateAtLoss)
+	c, err := DecodeCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("restore auction: %w", err)
 	}
-	if snap.Now < 0 || snap.Now > snap.Slots {
-		return nil, fmt.Errorf("restore auction: clock %d outside round [0,%d]", snap.Now, snap.Slots)
+	if c.Budget != nil {
+		return nil, fmt.Errorf("restore auction: budget section: %w", ErrCheckpointKind)
 	}
-	if len(snap.WonAt) != len(snap.Bids) || len(snap.ByTask) != len(snap.TaskArrivals) {
-		return nil, fmt.Errorf("restore auction: inconsistent state sizes")
+	oa, err := NewOnlineAuction(c.Slots, c.Value, c.AllocateAtLoss)
+	if err != nil {
+		return nil, fmt.Errorf("restore auction: %w", err)
 	}
-	oa.now = snap.Now
-	oa.bids = snap.Bids
-	for i, b := range snap.Bids {
-		if b.Phone != PhoneID(i) {
-			return nil, fmt.Errorf("restore auction: bid %d has phone id %d", i, b.Phone)
-		}
-		if err := b.Validate(snap.Slots); err != nil {
-			return nil, fmt.Errorf("restore auction: %w", err)
-		}
-		if b.Arrival > snap.Now {
-			return nil, fmt.Errorf("restore auction: bid %d arrives at %d, after clock %d", i, b.Arrival, snap.Now)
-		}
-	}
-	var prev Slot
-	for k, arrival := range snap.TaskArrivals {
-		if arrival < 1 || arrival > snap.Now {
-			return nil, fmt.Errorf("restore auction: task %d arrival %d outside [1,%d]", k, arrival, snap.Now)
-		}
-		if arrival < prev {
-			return nil, fmt.Errorf("restore auction: task %d out of arrival order", k)
-		}
-		prev = arrival
-		oa.tasks = append(oa.tasks, Task{ID: TaskID(k), Arrival: arrival})
-	}
-	for k, p := range snap.ByTask {
-		if p == NoPhone {
-			continue
-		}
-		if p < 0 || int(p) >= len(snap.Bids) {
-			return nil, fmt.Errorf("restore auction: task %d assigned to unknown phone %d", k, p)
-		}
-		if snap.WonAt[p] != snap.TaskArrivals[k] {
-			return nil, fmt.Errorf("restore auction: task %d slot %d disagrees with winner slot %d",
-				k, snap.TaskArrivals[k], snap.WonAt[p])
+	var after func(*SlotResult) error
+	if c.Completions != nil {
+		// A default mutates the winner set and the pricing tables at a
+		// specific clock, so each is applied right after its slot's Step.
+		// Replay validates the log's clock order first.
+		oa.TrackCompletions(true)
+		log := c.Completions.Log
+		after = func(res *SlotResult) error {
+			for ; len(log) > 0 && log[0].Slot == res.Slot; log = log[1:] {
+				if _, err := oa.Default(log[0].Phone); err != nil {
+					return fmt.Errorf("logged default of phone %d: %w", log[0].Phone, err)
+				}
+			}
+			return nil
 		}
 	}
-
-	if snap.Completions != nil && len(snap.Completions.Log) > 0 {
-		// Defaults mutated the winner set and pricing tables at specific
-		// clock values, so the flat greedy replay below cannot reproduce
-		// the stored state. Re-run the round slot by slot through Step,
-		// applying each logged default at the clock it happened.
-		if err := oa.restageWithDefaults(snap.Completions.Log); err != nil {
-			return nil, fmt.Errorf("restore auction: %w", err)
-		}
-	} else {
-		// Replay the greedy allocation over the restored bids and tasks. This
-		// rebuilds everything the snapshot does not carry — the live heap, the
-		// per-task runner-ups, and the per-slot winner-cost tables the cascade
-		// engine prices from — and reproduces the original pool exactly
-		// (phones the original auction lazily discarded re-enter and are
-		// re-discarded on their first pop, which leaves behaviour unchanged).
-		in := oa.instance()
-		var idx arrivalsIndex
-		idx.build(in)
-		oa.run.initRound(len(oa.bids), len(oa.tasks), oa.slots)
-		oa.heap.bids = oa.bids
-		oa.heap.items = runBaseline(in, &idx, &oa.run, nil, snap.Now)
+	if err := c.Replay(oa, after, oa.checkpoint); err != nil {
+		return nil, fmt.Errorf("restore auction: %w", err)
 	}
-
-	// The replayed assignment must agree with the stored one; a mismatch
-	// means the snapshot was tampered with or produced by different code.
-	for k, p := range snap.ByTask {
-		if oa.run.byTask[k] != p {
-			return nil, fmt.Errorf("restore auction: task %d assignment %d disagrees with replay %d",
-				k, p, oa.run.byTask[k])
-		}
-	}
-	for i, w := range snap.WonAt {
-		if oa.run.wonAt[i] != w {
-			return nil, fmt.Errorf("restore auction: phone %d winning slot %d disagrees with replay %d",
-				i, w, oa.run.wonAt[i])
-		}
-	}
-	if snap.Completions != nil {
-		// Statuses, issued payments, and counters restore verbatim; the
-		// replay above only rebuilt the allocation-side mutations.
-		if err := oa.comp.restoreFrom(snap.Completions, len(oa.bids)); err != nil {
+	if c.Completions != nil {
+		if err := oa.comp.restoreFrom(c.Completions); err != nil {
 			return nil, fmt.Errorf("restore auction: %w", err)
 		}
 	}
 	return oa, nil
-}
-
-// restageWithDefaults rebuilds the allocation state by re-running the
-// restored round through Step with completion tracking on, replaying
-// each logged default at the auction clock it originally happened so
-// the re-allocation scans see the same state they saw live.
-func (oa *OnlineAuction) restageWithDefaults(log []CompletionEvent) error {
-	re, err := NewOnlineAuction(oa.slots, oa.value, oa.allocateAtLoss)
-	if err != nil {
-		return err
-	}
-	re.TrackCompletions(true)
-	bi, ti, li := 0, 0, 0
-	var arriving []StreamBid
-	for t := Slot(1); t <= oa.now; t++ {
-		arriving = arriving[:0]
-		for ; bi < len(oa.bids) && oa.bids[bi].Arrival == t; bi++ {
-			arriving = append(arriving, StreamBid{Departure: oa.bids[bi].Departure, Cost: oa.bids[bi].Cost})
-		}
-		tasks := 0
-		for ; ti < len(oa.tasks) && oa.tasks[ti].Arrival == t; ti++ {
-			tasks++
-		}
-		if _, err := re.Step(arriving, tasks); err != nil {
-			return err
-		}
-		for ; li < len(log) && log[li].Slot == t; li++ {
-			if _, err := re.Default(log[li].Phone); err != nil {
-				return fmt.Errorf("default log entry %d (phone %d at clock %d): %w", li, log[li].Phone, t, err)
-			}
-		}
-	}
-	if bi != len(oa.bids) {
-		return fmt.Errorf("bids not in arrival order (replayed %d of %d)", bi, len(oa.bids))
-	}
-	if li != len(log) {
-		return fmt.Errorf("default log not in clock order (replayed %d of %d)", li, len(log))
-	}
-	oa.heap = re.heap
-	oa.run = re.run
-	oa.comp = re.comp
-	return nil
 }

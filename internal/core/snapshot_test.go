@@ -10,15 +10,11 @@ import (
 // driveSlots advances an auction through instance slots [from, to].
 func driveSlots(t *testing.T, oa *OnlineAuction, in *Instance, from, to Slot) {
 	t.Helper()
-	perSlot := in.TasksPerSlot()
-	byArrival := make([][]StreamBid, in.Slots+1)
-	for _, b := range in.Bids {
-		byArrival[b.Arrival] = append(byArrival[b.Arrival], StreamBid{Departure: b.Departure, Cost: b.Cost})
+	if oa.Now() != from-1 {
+		t.Fatalf("auction at slot %d, want %d", oa.Now(), from-1)
 	}
-	for s := from; s <= to; s++ {
-		if _, err := oa.Step(byArrival[s], perSlot[s-1]); err != nil {
-			t.Fatalf("slot %d: %v", s, err)
-		}
+	if err := StepThrough(oa, in, to, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

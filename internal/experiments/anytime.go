@@ -39,25 +39,19 @@ func RunAnytime(opt Options) (*stats.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		tasks := in.TasksPerSlot()
-		byArrival := make([][]core.StreamBid, in.Slots+1)
-		for _, b := range in.Bids {
-			byArrival[b.Arrival] = append(byArrival[b.Arrival], core.StreamBid{Departure: b.Departure, Cost: b.Cost})
-		}
 		of := &core.OfflineMechanism{}
-		for t := core.Slot(1); t <= in.Slots; t++ {
-			if _, err := oa.Step(byArrival[t], tasks[t-1]); err != nil {
-				return nil, err
-			}
-			prefix := oa.Instance() // bids and tasks seen so far
-			opt, err := of.Welfare(prefix)
+		err = core.StepThrough(oa, in, in.Slots, func(res *core.SlotResult) error {
+			opt, err := of.Welfare(oa.Instance()) // bids and tasks seen so far
 			if err != nil {
-				return nil, err
+				return err
 			}
-			online := oa.Outcome().Welfare
 			if opt > 0 {
-				perSlot[t] = append(perSlot[t], online/opt)
+				perSlot[res.Slot] = append(perSlot[res.Slot], oa.Outcome().Welfare/opt)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	for t := core.Slot(1); t <= m; t++ {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"errors"
 	"log/slog"
 	"math"
 	"strings"
@@ -81,6 +82,82 @@ func TestCheckpointResume(t *testing.T) {
 func TestResumeRejectsGarbage(t *testing.T) {
 	if _, err := Resume("127.0.0.1:0", Config{Slots: 3, Value: 10}, []byte("{broken")); err == nil {
 		t.Fatal("want error")
+	}
+}
+
+// resumeMismatch checkpoints one slot of a round played under written,
+// resumes it under resumed, and returns the mismatch Resume reports.
+// The slot announces no task, so no decision tells the kinds apart:
+// the header is all that can catch the mismatch.
+func resumeMismatch(t *testing.T, written, resumed Config) *CheckpointMismatchError {
+	t.Helper()
+	s := newTestServer(t, written)
+	a := dialAgent(t, s.Addr())
+	if err := a.SubmitBid("a", 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Tick(0); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Resume("127.0.0.1:0", resumed, checkpoint)
+	var mismatch *CheckpointMismatchError
+	if !errors.As(err, &mismatch) {
+		if s2 != nil {
+			s2.Close()
+		}
+		t.Fatalf("Resume err = %v, want a CheckpointMismatchError", err)
+	}
+	return mismatch
+}
+
+// TestResumeRejectsLongerRound: a 4-slot checkpoint resumed with Slots
+// 40 would accept bids its 4-slot auction rejects at the tick.
+func TestResumeRejectsLongerRound(t *testing.T) {
+	m := resumeMismatch(t, Config{Slots: 4, Value: 30}, Config{Slots: 40, Value: 30})
+	if m.Field != "Slots" || m.Checkpoint != core.Slot(4) || m.Config != core.Slot(40) {
+		t.Fatalf("mismatch %+v, want Slots 4 vs 40", m)
+	}
+}
+
+// TestResumeRejectsDroppedBudget: a budgeted checkpoint resumed without
+// a budget would run the round unbudgeted.
+func TestResumeRejectsDroppedBudget(t *testing.T) {
+	m := resumeMismatch(t, Config{Slots: 4, Value: 30, Budget: 5}, Config{Slots: 4, Value: 30})
+	if m.Field != "Budget" || m.Checkpoint != 5.0 || m.Config != 0.0 {
+		t.Fatalf("mismatch %+v, want Budget 5 vs 0", m)
+	}
+}
+
+// TestResumeRejectsOtherBudget: a checkpoint with budget 5 resumed with
+// Budget 500 would announce 500 while its auction enforces 5.
+func TestResumeRejectsOtherBudget(t *testing.T) {
+	m := resumeMismatch(t, Config{Slots: 4, Value: 30, Budget: 5}, Config{Slots: 4, Value: 30, Budget: 500})
+	if m.Field != "Budget" || m.Checkpoint != 5.0 || m.Config != 500.0 {
+		t.Fatalf("mismatch %+v, want Budget 5 vs 500", m)
+	}
+}
+
+// TestResumeRejectsOtherHeader covers the remaining fields a checkpoint
+// fixes.
+func TestResumeRejectsOtherHeader(t *testing.T) {
+	online := Config{Slots: 4, Value: 30}
+	budgeted := Config{Slots: 4, Value: 30, Budget: 5}
+	for _, tc := range []struct {
+		field            string
+		written, resumed Config
+	}{
+		{"Value", online, Config{Slots: 4, Value: 31}},
+		{"AllocateAtLoss", online, Config{Slots: 4, Value: 30, AllocateAtLoss: true}},
+		{"Budget", online, budgeted},
+		{"BudgetEngine", budgeted, Config{Slots: 4, Value: 30, Budget: 5, BudgetEngine: "frugal"}},
+	} {
+		if m := resumeMismatch(t, tc.written, tc.resumed); m.Field != tc.field {
+			t.Errorf("%s: mismatch names %s: %v", tc.field, m.Field, m)
+		}
 	}
 }
 

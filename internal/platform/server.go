@@ -202,7 +202,9 @@ func Serve(ln net.Listener, cfg Config) (*Server, error) {
 // Resume starts a platform server that continues a round from a
 // checkpoint written by Checkpoint. Bids that were pending (received
 // but not yet admitted at a slot tick) at checkpoint time are not part
-// of the auction state; their agents must resubmit.
+// of the auction state; their agents must resubmit. cfg must agree
+// with the checkpoint on the round it fixes; a *CheckpointMismatchError
+// names the first field that does not.
 func Resume(addr string, cfg Config, checkpoint []byte) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -261,49 +263,21 @@ func start(ln net.Listener, cfg Config, checkpoint []byte) (*Server, error) {
 // clock. Caller holds s.mu or owns s alone.
 func (s *Server) openRound(checkpoint []byte) error {
 	c := s.cfg
-	var auction core.Auction
-	if c.Budget != 0 {
-		if err := budget.ValidateBudget(c.Budget); err != nil {
-			return err
-		}
-		eng, err := budget.EngineByName(c.BudgetEngine)
-		if err != nil {
-			return err
-		}
-		var a *budget.Auction
-		if checkpoint == nil {
-			a, err = budget.New(c.Slots, c.Value, c.AllocateAtLoss, c.Budget, eng)
-		} else {
-			// The snapshot's budget section pins the engine and budget
-			// the round started with; the replay rebuilds stage state.
-			a, err = budget.Restore(checkpoint)
-		}
-		if err != nil {
-			return err
-		}
-		if c.Obs != nil {
+	auction, err := c.newAuction(checkpoint)
+	if err != nil {
+		return err
+	}
+	if c.Obs != nil {
+		switch a := auction.(type) {
+		case *budget.Auction:
 			a.SetMetrics(s.coreMetrics)
 			a.TrackDepartures(true)
 			a.SetInstruments(budget.NewMetrics(c.Obs.Registry))
 			a.SetTracer(s.tracer)
-		}
-		auction = a
-	} else {
-		var a *core.OnlineAuction
-		var err error
-		if checkpoint == nil {
-			a, err = core.NewOnlineAuction(c.Slots, c.Value, c.AllocateAtLoss)
-		} else {
-			a, err = core.RestoreOnlineAuction(checkpoint)
-		}
-		if err != nil {
-			return err
-		}
-		if c.Obs != nil {
+		case *core.OnlineAuction:
 			a.SetMetrics(s.coreMetrics)
 			a.TrackDepartures(true)
 		}
-		auction = a
 	}
 	var lifecycle *core.OnlineAuction
 	if c.CompletionDeadline > 0 {
@@ -332,6 +306,84 @@ func (s *Server) openRound(checkpoint []byte) error {
 		}
 	}
 	return nil
+}
+
+// newAuction builds a round's auction of the kind the Config names:
+// fresh, or restored from checkpoint when that is non-nil. A restored
+// auction must agree with the Config (see CheckpointMismatchError).
+func (c Config) newAuction(checkpoint []byte) (core.Auction, error) {
+	budgeted := c.Budget != 0
+	var eng budget.Engine
+	if budgeted {
+		if err := budget.ValidateBudget(c.Budget); err != nil {
+			return nil, err
+		}
+		var err error
+		if eng, err = budget.EngineByName(c.BudgetEngine); err != nil {
+			return nil, err
+		}
+	}
+	switch {
+	case checkpoint == nil && budgeted:
+		return budget.New(c.Slots, c.Value, c.AllocateAtLoss, c.Budget, eng)
+	case checkpoint == nil:
+		return core.NewOnlineAuction(c.Slots, c.Value, c.AllocateAtLoss)
+	}
+	a, err := restore(checkpoint, budgeted)
+	if errors.Is(err, core.ErrCheckpointKind) {
+		// Restored as its own kind, the checkpoint names the budget it
+		// disagrees on.
+		a, err = restore(checkpoint, !budgeted)
+	}
+	if err != nil {
+		return nil, err
+	}
+	in := a.Instance()
+	var gotBudget float64
+	var gotEngine, wantEngine string
+	if b, ok := a.(*budget.Auction); ok {
+		gotBudget, gotEngine = b.Budget(), b.Engine().Name()
+	}
+	if eng != nil {
+		wantEngine = eng.Name()
+	}
+	for _, f := range []CheckpointMismatchError{
+		{"Slots", in.Slots, c.Slots},
+		{"Value", in.Value, c.Value},
+		{"AllocateAtLoss", in.AllocateAtLoss, c.AllocateAtLoss},
+		{"Budget", gotBudget, c.Budget},
+		{"BudgetEngine", gotEngine, wantEngine},
+	} {
+		if f.Checkpoint != f.Config {
+			return nil, &f
+		}
+	}
+	return a, nil
+}
+
+// restore restores a checkpoint as a budgeted or an online auction.
+func restore(checkpoint []byte, budgeted bool) (a core.Auction, err error) {
+	if budgeted {
+		a, err = budget.Restore(checkpoint)
+	} else {
+		a, err = core.RestoreOnlineAuction(checkpoint)
+	}
+	return a, err
+}
+
+// CheckpointMismatchError rejects resuming a checkpoint under a Config
+// it contradicts: the checkpoint fixes the round's Slots, Value,
+// AllocateAtLoss, Budget (0 for an unbudgeted round) and BudgetEngine,
+// and a different Config value would make the resumed server announce
+// or enforce a round other than the one it runs.
+type CheckpointMismatchError struct {
+	Field      string // the Config field
+	Checkpoint any    // the checkpoint's value
+	Config     any    // the Config's value
+}
+
+func (e *CheckpointMismatchError) Error() string {
+	return fmt.Sprintf("checkpoint has %s %v, Config has %v", e.Field, e.Checkpoint, e.Config)
 }
 
 // Checkpoint serializes the auction state for Resume. Call between
