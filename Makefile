@@ -6,7 +6,7 @@ BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: all check vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance budget-bench loadtest-smoke loadtest bench bench-merge staticcheck profile obs-demo clean
+.PHONY: all check vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench bench-merge staticcheck profile obs-demo clean
 
 all: check
 
@@ -20,7 +20,7 @@ all: check
 # so a shutdown race cannot hide behind a lucky single run.
 # perfbench-check vets and tests the benchmark module, which the root
 # build skips.
-check: vet build test agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance
+check: vet build test agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout
 
 vet:
 	$(GO) vet ./...
@@ -178,6 +178,28 @@ conformance:
 	grep -q -- '--- PASS: TestRestoreRejectsMalformed' /tmp/dynacrowd-conformance.out
 	grep -q -- '--- PASS: TestRestoreAsOtherKind' /tmp/dynacrowd-conformance.out
 	grep -q -- '--- PASS: TestGoldenCheckpoints' /tmp/dynacrowd-conformance.out
+
+# fanout proves the slot-frame rule tests ran, ten times each under the
+# race detector: a phone admitted this round hears slot frames while its
+# session is live, so a tick sends nothing to phones that hung up, a
+# resume re-attaches, a superseded session's teardown keeps the resumed
+# phone, and a round change leaves no stale session index. The tick
+# tests pin that a tick allocates and sends the same after 10,000 phones
+# detached, and at 1,000 and 10,000 listening phones; the steady-state
+# test pins an allocation-free broadcast. The PASS greps fail the target
+# if a test was filtered out or skipped, and the FAIL grep if any of the
+# ten repetitions failed.
+fanout:
+	$(GO) test -race -count=10 -run '^(TestHungUpPhoneGetsNoSlotFrames|TestResumedPhoneGetsSlotFramesAgain|TestSupersededSessionKeepsResumedPhone|TestNextRoundClearsSessionIndex|TestTickFlatAfterDetach|TestTickAllocationFlatInPopulation|TestSteadyStateFanoutAllocFree)$$' -v ./internal/platform/ \
+		| tee /tmp/dynacrowd-fanout.out
+	grep -q -- '--- PASS: TestHungUpPhoneGetsNoSlotFrames' /tmp/dynacrowd-fanout.out
+	grep -q -- '--- PASS: TestResumedPhoneGetsSlotFramesAgain' /tmp/dynacrowd-fanout.out
+	grep -q -- '--- PASS: TestSupersededSessionKeepsResumedPhone' /tmp/dynacrowd-fanout.out
+	grep -q -- '--- PASS: TestNextRoundClearsSessionIndex' /tmp/dynacrowd-fanout.out
+	grep -q -- '--- PASS: TestTickFlatAfterDetach' /tmp/dynacrowd-fanout.out
+	grep -q -- '--- PASS: TestTickAllocationFlatInPopulation' /tmp/dynacrowd-fanout.out
+	grep -q -- '--- PASS: TestSteadyStateFanoutAllocFree' /tmp/dynacrowd-fanout.out
+	! grep -qE -- '--- FAIL|^FAIL' /tmp/dynacrowd-fanout.out
 
 # staticcheck runs honnef.co/go/tools if it is installed; the tier-1
 # gate stays dependency-free, so a missing binary is a skip, not a

@@ -16,6 +16,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -141,10 +142,17 @@ type Server struct {
 	// set (only core.OnlineAuction tracks completions); nil otherwise.
 	lifecycle *core.OnlineAuction
 	round     int                       // current round, 1-based
-	phones    map[core.PhoneID]*session // admitted bidders (current round)
+	phones    map[core.PhoneID]*session // admitted bidders with a live session (current round)
 	sessions  map[*session]struct{}     // every live connection
 	pending   []pendingBid              // bids awaiting the next tick
 	closed    bool
+
+	// fanout holds the same (phone, session) pairs as phones, densely, so
+	// a slot broadcast costs one step per attached phone however many
+	// have come and gone this round (a map never shrinks, so ranging over
+	// phones would not). Each session records where its entries sit
+	// (session.phones), and removal swaps the last entry in.
+	fanout []fanoutEntry
 
 	// outstanding tracks each unresolved assignment's completion
 	// deadline (empty unless Config.CompletionDeadline is set). drain
@@ -163,6 +171,13 @@ type Server struct {
 	coreMetrics *core.Metrics    // shared across rounds; nil when Config.Obs is nil
 
 	wg sync.WaitGroup
+}
+
+// fanoutEntry is one entry of Server.fanout: a phone admitted this round
+// and the live session it is attached to.
+type fanoutEntry struct {
+	phone core.PhoneID
+	sess  *session
 }
 
 type pendingBid struct {
@@ -430,39 +445,98 @@ func (s *Server) acceptLoop() {
 			return // listener closed
 		}
 		sess := newSession(s, conn)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		if !s.attach(sess) {
 			conn.Close()
 			continue
 		}
-		s.sessions[sess] = struct{}{}
-		s.counters.connections.Add(1)
-		s.counters.live.Add(1)
-		s.mu.Unlock()
 		s.wg.Add(2)
 		go s.serve(sess)
 		go sess.writeLoop()
 	}
 }
 
+// attach registers a new live session, unless the server is closed.
+func (s *Server) attach(sess *session) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.sessions[sess] = struct{}{}
+	s.counters.connections.Add(1)
+	s.counters.live.Add(1)
+	return true
+}
+
+// detach unregisters a torn-down session and stops every send to its
+// phones. A phone that a resume has moved to another session is no
+// longer among them: handleResume moves its entry.
+func (s *Server) detach(sess *session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.sessions, sess)
+	for len(sess.phones) > 0 {
+		s.detachPhone(sess, len(sess.phones)-1)
+	}
+	s.counters.live.Add(-1)
+	if sess.binary.Load() {
+		s.counters.binarySessions.Add(-1)
+	}
+}
+
+// attachPhone attaches phone id to the live session sess: direct sends
+// find it in phones, slot broadcasts in fanout. The phone must not be
+// attached to another session. Caller holds s.mu.
+func (s *Server) attachPhone(id core.PhoneID, sess *session) {
+	s.phones[id] = sess
+	sess.phones = append(sess.phones, len(s.fanout))
+	s.fanout = append(s.fanout, fanoutEntry{phone: id, sess: sess})
+}
+
+// detachPhone detaches the phone whose entry sess.phones[k] locates,
+// swapping the last fanout entry into its place. A session rarely holds
+// more than one phone, so finding an entry's record is a short scan.
+// Caller holds s.mu.
+func (s *Server) detachPhone(sess *session, k int) {
+	at, last := sess.phones[k], len(s.fanout)-1
+	id := s.fanout[at].phone
+	if at != last {
+		moved := s.fanout[last]
+		s.fanout[at] = moved
+		moved.sess.phones[slices.Index(moved.sess.phones, last)] = at
+	}
+	s.fanout[last] = fanoutEntry{} // drop the session reference
+	s.fanout = s.fanout[:last]
+	n := len(sess.phones) - 1
+	sess.phones[k] = sess.phones[n]
+	sess.phones = sess.phones[:n]
+	delete(s.phones, id)
+}
+
+// readerPool and writerPool recycle each connection's protocol buffers
+// once the connection is torn down.
+var (
+	readerPool = sync.Pool{New: func() any { return protocol.NewReader(nil) }}
+	writerPool = sync.Pool{New: func() any { return protocol.NewWriter(nil) }}
+)
+
 // serve handles one agent connection until EOF or protocol error.
 func (s *Server) serve(sess *session) {
 	defer s.wg.Done()
 	defer func() {
-		// Graceful: let the writer flush any farewell (e.g. the error
-		// reply) before the connection is severed.
+		// Detach first, so nothing is sent to the session once its writer
+		// starts to wind down. Graceful: let the writer flush any farewell
+		// (e.g. the error reply) before the connection is severed.
+		s.detach(sess)
 		close(sess.readDone)
 		sess.shutdown()
-		s.mu.Lock()
-		delete(s.sessions, sess)
-		s.mu.Unlock()
-		s.counters.live.Add(-1)
-		if sess.binary.Load() {
-			s.counters.binarySessions.Add(-1)
-		}
 	}()
-	r := protocol.NewReader(sess.conn)
+	r := readerPool.Get().(*protocol.Reader)
+	r.Reset(sess.conn)
+	defer func() {
+		r.Reset(nil) // a pooled Reader must not pin the connection
+		readerPool.Put(r)
+	}()
 	var m protocol.Message // reused across receives: steady-state reads allocate nothing
 	for {
 		err := r.ReceiveInto(&m)
@@ -610,10 +684,14 @@ func (s *Server) handleResume(m *protocol.Message, sess *session) {
 		})
 		return
 	}
-	if old := s.phones[id]; old != nil && old != sess {
-		old.abort() // superseded by the reconnected phone
+	if old := s.phones[id]; old != sess {
+		if old != nil {
+			k := slices.IndexFunc(old.phones, func(at int) bool { return s.fanout[at].phone == id })
+			s.detachPhone(old, k)
+			old.abort() // superseded by the reconnected phone
+		}
+		s.attachPhone(id, sess)
 	}
-	s.phones[id] = sess
 	sess.bid = true
 	s.counters.resumes.Add(1)
 	s.cfg.Logger.Info("phone resumed",
@@ -755,11 +833,15 @@ func (s *Server) Tick(numTasks int) (*core.SlotResult, error) {
 	// instance, so a tick's cost does not grow with the population.
 	for k, id := range res.Joined {
 		bid, _ := s.auction.Bid(id)
-		s.phones[id] = admitted[k].sess
 		s.cfg.Logger.Info("phone admitted",
 			"phone", int(id), "name", admitted[k].name, "slot", int(res.Slot),
 			"departure", int(bid.Departure), "cost", bid.Cost)
-		admitted[k].sess.send(&protocol.Message{
+		sess := admitted[k].sess
+		if _, live := s.sessions[sess]; !live {
+			continue // hung up before its bid was admitted
+		}
+		s.attachPhone(id, sess)
+		sess.send(&protocol.Message{
 			Type:      protocol.TypeWelcome,
 			Phone:     id,
 			Slot:      res.Slot,
@@ -767,18 +849,18 @@ func (s *Server) Tick(numTasks int) (*core.SlotResult, error) {
 			Round:     s.round,
 		})
 	}
-	if len(s.phones) > 0 {
+	if len(s.fanout) > 0 {
 		// Batched fan-out: the slot notice is encoded once per wire format
 		// and the encoded frame is shared by every session (see frame.go) —
-		// the per-tick cost is two encodes plus one channel send per phone,
-		// regardless of population.
+		// the per-tick cost is two encodes plus one channel send per phone
+		// with a live session, however many have come and gone.
 		var fanStart time.Time
 		if s.metrics != nil {
 			fanStart = time.Now()
 		}
 		if f := s.newBroadcast(&protocol.Message{Type: protocol.TypeSlot, Slot: res.Slot}); f != nil {
-			for _, sess := range s.phones {
-				sess.sendFrame(f, protocol.TypeSlot)
+			for _, e := range s.fanout {
+				e.sess.sendFrame(f, protocol.TypeSlot)
 			}
 			f.release()
 		}
@@ -1107,8 +1189,11 @@ func (s *Server) beginNextRound() error {
 	s.metrics.resetRound()
 	s.tracer.Emit(obs.Event{Type: obs.EventRoundOpen, Round: s.round, Phone: -1, Task: -1})
 	s.phones = make(map[core.PhoneID]*session)
+	clear(s.fanout) // drop the session references
+	s.fanout = s.fanout[:0]
 	for sess := range s.sessions {
 		sess.bid = false // guarded by s.mu, like every sess.bid access
+		sess.phones = sess.phones[:0]
 	}
 	s.cfg.Logger.Info("round opened", "round", s.round, "of", s.cfg.rounds())
 	announce := &protocol.Message{Type: protocol.TypeRound, Round: s.round}

@@ -41,6 +41,10 @@ type session struct {
 	binary       atomic.Bool // negotiated the compact binary framing
 
 	bid bool // guarded by Server.mu: a bid was accepted on this connection
+	// phones holds the positions in Server.fanout of the entries for
+	// the phones attached to this session this round. Guarded by
+	// Server.mu; emptied when the session detaches or a round opens.
+	phones []int
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
@@ -160,7 +164,12 @@ func (sess *session) writeLoop() {
 			}
 		}
 	}()
-	w := protocol.NewWriter(sess.conn)
+	w := writerPool.Get().(*protocol.Writer)
+	w.Reset(sess.conn)
+	defer func() {
+		w.Reset(nil) // a pooled Writer must not pin the connection
+		writerPool.Put(w)
+	}()
 	timeout := sess.srv.cfg.writeTimeout()
 	c := &sess.srv.counters
 	fail := func() bool {

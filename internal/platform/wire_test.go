@@ -99,6 +99,12 @@ func newRawWireAgent(t testing.TB, ln *chaos.MemListener, wire string) *rawWireA
 	if err != nil {
 		t.Fatal(err)
 	}
+	return handshakeRaw(t, conn, wire)
+}
+
+// handshakeRaw says hello over conn, asking for the given wire format.
+func handshakeRaw(t testing.TB, conn net.Conn, wire string) *rawWireAgent {
+	t.Helper()
 	a := &rawWireAgent{conn: conn, r: protocol.NewReader(conn), w: protocol.NewWriter(conn)}
 	if err := a.w.Send(&protocol.Message{Type: protocol.TypeHello, Wire: wire}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -318,4 +319,61 @@ func BenchmarkWireBid(b *testing.B) {
 	b.Run("binary/send", func(b *testing.B) { benchmarkSend(b, FormatBinary, m) })
 	b.Run("json/recv", func(b *testing.B) { benchmarkReceive(b, FormatJSON, m) })
 	b.Run("binary/recv", func(b *testing.B) { benchmarkReceive(b, FormatBinary, m) })
+}
+
+// TestReaderReset: Reset discards whatever the Reader buffered from its
+// previous stream and returns to JSON framing, so a pooled Reader that
+// last read binary frames decodes a new connection's JSON hello.
+func TestReaderReset(t *testing.T) {
+	var old bytes.Buffer
+	for _, m := range []*Message{{Type: TypeSlot, Slot: 1}, {Type: TypeSlot, Slot: 2}} {
+		b, err := AppendFrame(nil, m, FormatBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.Write(b)
+	}
+	r := NewReader(&old)
+	r.SetFormat(FormatBinary)
+	if m, err := r.Receive(); err != nil || m.Slot != 1 {
+		t.Fatalf("first binary frame: %+v, %v", m, err)
+	}
+	if old.Len() != 0 {
+		t.Fatal("the second frame must sit in the Reader's buffer for this test")
+	}
+
+	r.Reset(strings.NewReader(`{"type":"hello"}` + "\n"))
+	if r.Format() != FormatJSON {
+		t.Fatalf("format after Reset = %v, want JSON", r.Format())
+	}
+	if m, err := r.Receive(); err != nil || m.Type != TypeHello {
+		t.Fatalf("hello on the new stream: %+v, %v", m, err)
+	}
+	if m, err := r.Receive(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the new stream's hello: %+v, %v; want EOF (the old frame discarded)", m, err)
+	}
+}
+
+// TestWriterReset: Reset drops bytes staged for the previous stream and
+// returns to JSON framing.
+func TestWriterReset(t *testing.T) {
+	var old, fresh bytes.Buffer
+	w := NewWriter(&old)
+	w.SetFormat(FormatBinary)
+	if err := w.Queue(&Message{Type: TypeSlot, Slot: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w.Reset(&fresh)
+	if w.Format() != FormatJSON {
+		t.Fatalf("format after Reset = %v, want JSON", w.Format())
+	}
+	if err := w.Send(&Message{Type: TypeState, Slot: 1, Slots: 5, Value: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if old.Len() != 0 {
+		t.Fatalf("unflushed bytes reached the old stream: %q", old.Bytes())
+	}
+	if got, want := fresh.String(), `{"type":"state","slot":1,"slots":5,"value":10}`+"\n"; got != want {
+		t.Fatalf("new stream = %q, want %q", got, want)
+	}
 }

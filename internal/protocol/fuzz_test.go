@@ -58,6 +58,10 @@ func FuzzReceive(f *testing.F) {
 //  3. Delivery is segmentation-independent: the same byte stream
 //     chunked into arbitrary Read-sized fragments by a chaos conn
 //     yields the same accepted prefix of messages.
+//
+// Every input is read by one Reader, Reset between inputs the way a
+// pooled Reader moves between connections, so whatever the previous
+// input left buffered must not leak into the next.
 func FuzzBinaryFrame(f *testing.F) {
 	frame := func(m *Message) []byte {
 		b, err := AppendFrame(nil, m, FormatBinary)
@@ -80,8 +84,13 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 0, 21, 1, 0, 0, 0, 0, 0, 0, 0}, uint8(2))  // retired code
 	f.Add([]byte(`{"type":"slot","slot":1}`+"\n"), uint8(3))         // JSON fed to binary reader
 
+	pooled := NewReader(nil)
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
-		r := NewReader(bytes.NewReader(data))
+		r := pooled
+		r.Reset(bytes.NewReader(data))
+		if r.Format() != FormatJSON {
+			t.Fatalf("Reset left format %v, want JSON", r.Format())
+		}
 		r.SetFormat(FormatBinary)
 		var accepted []Message
 		for len(accepted) < 64 {

@@ -261,6 +261,15 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriter(w)}
 }
 
+// Reset drops any unflushed bytes and makes w write to dst in JSON
+// framing, keeping its buffers, so one Writer can serve connection
+// after connection. Reset(nil) lets a pooled Writer release its last
+// connection.
+func (w *Writer) Reset(dst io.Writer) {
+	w.bw.Reset(dst)
+	w.format = FormatJSON
+}
+
 // SetFormat switches the framing of subsequent Send calls. The caller
 // owns the negotiation ordering (see the package comment).
 func (w *Writer) SetFormat(f Format) { w.format = f }
@@ -336,6 +345,15 @@ type Reader struct {
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 4096)}
+}
+
+// Reset discards any bytes buffered from the previous stream and makes r
+// read from src in JSON framing, keeping its buffers, so one Reader can
+// serve connection after connection. Reset(nil) lets a pooled Reader
+// release its last connection.
+func (r *Reader) Reset(src io.Reader) {
+	r.br.Reset(src)
+	r.format = FormatJSON
 }
 
 // SetFormat switches the framing of subsequent Receive calls. Buffered
