@@ -1,12 +1,12 @@
 GO ?= go
 
-# bench knobs: BENCHTIME=2s for stable numbers, BENCH_SECTION=baseline
+# bench knobs: BENCHTIME=2s for longer samples, BENCH_SECTION=baseline
 # to record a pre-change reference into the trajectory file.
 BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: all check vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench bench-merge staticcheck profile obs-demo clean
+.PHONY: all check vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench staticcheck profile obs-demo clean
 
 all: check
 
@@ -43,6 +43,20 @@ perfbench-check:
 
 race:
 	$(GO) test -race ./...
+
+# gate runs the tests named in $(2), and only those, in package $(1)
+# with the extra go test flags $(3), verbosely. It fails unless every
+# named test printed its own top-level PASS line (so a -run filter, a
+# skip or a renamed test cannot silently drop one) and no FAIL line
+# appeared (with -count=N, one PASS line alone cannot show all N runs
+# passed).
+empty :=
+space := $(empty) $(empty)
+define gate
+	$(GO) test $(3) -run '^($(subst $(space),|,$(strip $(2))))$$' -v $(1) | tee /tmp/dynacrowd-$@.out
+	for t in $(2); do grep -q -- "--- PASS: $$t (" /tmp/dynacrowd-$@.out || { echo "$@: $$t did not pass"; exit 1; }; done
+	! grep -qE -- '--- FAIL|^FAIL' /tmp/dynacrowd-$@.out
+endef
 
 # race-hot focuses the race detector on the packages that share scratch
 # buffers across goroutines: the pooled mechanism scratch, the platform
@@ -83,12 +97,9 @@ fuzz-smoke:
 # wire-diff proves the binary framing is transport dressing only: the
 # same scripted multi-round auction (completions, defaults, clawbacks)
 # replayed over all-JSON, all-binary, and mixed swarms must produce a
-# bit-identical outcome. The grep fails the target if the differential
-# was filtered out or skipped.
+# bit-identical outcome.
 wire-diff:
-	$(GO) test -count=1 -run TestWireDifferentialSwarm -v ./internal/platform/ \
-		| tee /tmp/dynacrowd-wire-diff.out
-	grep -q -- '--- PASS: TestWireDifferentialSwarm' /tmp/dynacrowd-wire-diff.out
+	$(call gate,./internal/platform/,TestWireDifferentialSwarm,-count=1)
 
 # budget-audit is the truthfulness gate for the budgeted mechanism
 # family: the Fig-5-style counterexample (naive budget truncation is
@@ -99,20 +110,10 @@ wire-diff:
 # instance. Last, the pricing differential: resumed counterfactual
 # probes against fresh replays from slot 1 (identical answers,
 # bit-identical payments), and every payment against a bisected
-# critical value. The grep guards fail the target if any battery is
-# filtered out or skipped.
+# critical value.
 budget-audit:
-	$(GO) test -count=1 -run 'TestNaiveTruncatedNotTruthful|TestBudgetEnginesPassCounterexample' -v ./internal/budget/ \
-		| tee /tmp/dynacrowd-budget-counterexample.out
-	grep -q -- '--- PASS: TestNaiveTruncatedNotTruthful' /tmp/dynacrowd-budget-counterexample.out
-	grep -q -- '--- PASS: TestBudgetEnginesPassCounterexample' /tmp/dynacrowd-budget-counterexample.out
-	$(GO) test -count=1 -run TestBudgetAuditCampaign -v ./internal/budget/ \
-		| tee /tmp/dynacrowd-budget-audit.out
-	grep -q -- '--- PASS: TestBudgetAuditCampaign' /tmp/dynacrowd-budget-audit.out
-	$(GO) test -count=1 -run 'TestResumedProbesMatchReplay|TestPaymentIsBisectedCriticalValue' -v ./internal/budget/ \
-		| tee /tmp/dynacrowd-budget-pricing.out
-	grep -q -- '--- PASS: TestResumedProbesMatchReplay' /tmp/dynacrowd-budget-pricing.out
-	grep -q -- '--- PASS: TestPaymentIsBisectedCriticalValue' /tmp/dynacrowd-budget-pricing.out
+	$(call gate,./internal/budget/,TestNaiveTruncatedNotTruthful TestBudgetEnginesPassCounterexample \
+		TestBudgetAuditCampaign TestResumedProbesMatchReplay TestPaymentIsBisectedCriticalValue,-count=1)
 
 # budget-bench records the budgeted engines' per-round throughput
 # against the unbudgeted baseline (counterfactual critical-value
@@ -143,41 +144,26 @@ loadtest:
 	$(GO) run ./cmd/crowdsim -load -load-agents 100000 -load-ticks 50 \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section load-100k
 
-# diff-sweep proves the oracle-differential batteries actually ran: the
-# greps fail the target unless each battery's PASS line is in the
-# verbose output, so a -run filter, a skip, or a renamed test cannot
-# silently drop the equivalence evidence from the gate. The offline
-# sweep pins the interval engine to Hungarian+VCG, and the literal-VCG
+# diff-sweep proves the oracle-differential batteries actually ran, so
+# the equivalence evidence cannot silently drop out of the gate. The
+# offline sweep pins the interval engine to Hungarian+VCG, and the literal-VCG
 # check pins its payments to ω*(B) + b_i − ω*(B₋ᵢ) re-solved from
 # scratch for every winner; the cascade
 # batteries pin the online critical-value payments to the literal
 # Algorithm 2 re-run (short and dense within-slot chains) and to the
 # literal within-slot walk after defaults and snapshot restores.
 diff-sweep:
-	$(GO) test -count=1 -run 'TestOfflineDifferentialSweep|TestOfflineLiteralVCG' -v ./internal/core/ \
-		| tee /tmp/dynacrowd-diff-sweep.out
-	grep -q -- '--- PASS: TestOfflineDifferentialSweep' /tmp/dynacrowd-diff-sweep.out
-	grep -q -- '--- PASS: TestOfflineLiteralVCG' /tmp/dynacrowd-diff-sweep.out
-	$(GO) test -count=1 -run 'TestCascadeMatchesOracleSweep|TestCascadeMatchesOracleDenseSlots|TestCascadeMatchesLiteralWalkWithDefaults' -v ./internal/core/ \
-		| tee /tmp/dynacrowd-cascade-sweep.out
-	grep -q -- '--- PASS: TestCascadeMatchesOracleSweep' /tmp/dynacrowd-cascade-sweep.out
-	grep -q -- '--- PASS: TestCascadeMatchesOracleDenseSlots' /tmp/dynacrowd-cascade-sweep.out
-	grep -q -- '--- PASS: TestCascadeMatchesLiteralWalkWithDefaults' /tmp/dynacrowd-cascade-sweep.out
+	$(call gate,./internal/core/,TestOfflineDifferentialSweep TestOfflineLiteralVCG \
+		TestCascadeMatchesOracleSweep TestCascadeMatchesOracleDenseSlots TestCascadeMatchesLiteralWalkWithDefaults,-count=1)
 
 # conformance proves the core.Auction conformance suite and the golden
 # checkpoint test ran: every auction kind (online, online with its
 # completion lifecycle, budgeted under each engine) steps, checkpoints
 # at every slot boundary, rejects each malformed checkpoint, and
 # restores the version-1 checkpoints under testdata/ byte-identically.
-# The greps fail the target if a test was filtered out or skipped.
 conformance:
-	$(GO) test -count=1 -run 'TestBidAndInstance|TestCheckpointEverySlot|TestRestoreRejectsMalformed|TestRestoreAsOtherKind|TestGoldenCheckpoints' -v ./internal/core/auctiontest/ \
-		| tee /tmp/dynacrowd-conformance.out
-	grep -q -- '--- PASS: TestBidAndInstance' /tmp/dynacrowd-conformance.out
-	grep -q -- '--- PASS: TestCheckpointEverySlot' /tmp/dynacrowd-conformance.out
-	grep -q -- '--- PASS: TestRestoreRejectsMalformed' /tmp/dynacrowd-conformance.out
-	grep -q -- '--- PASS: TestRestoreAsOtherKind' /tmp/dynacrowd-conformance.out
-	grep -q -- '--- PASS: TestGoldenCheckpoints' /tmp/dynacrowd-conformance.out
+	$(call gate,./internal/core/auctiontest/,TestBidAndInstance TestCheckpointEverySlot \
+		TestRestoreRejectsMalformed TestRestoreAsOtherKind TestGoldenCheckpoints,-count=1)
 
 # fanout proves the slot-frame rule tests ran, ten times each under the
 # race detector: a phone admitted this round hears slot frames while its
@@ -186,20 +172,11 @@ conformance:
 # phone, and a round change leaves no stale session index. The tick
 # tests pin that a tick allocates and sends the same after 10,000 phones
 # detached, and at 1,000 and 10,000 listening phones; the steady-state
-# test pins an allocation-free broadcast. The PASS greps fail the target
-# if a test was filtered out or skipped, and the FAIL grep if any of the
-# ten repetitions failed.
+# test pins an allocation-free broadcast.
 fanout:
-	$(GO) test -race -count=10 -run '^(TestHungUpPhoneGetsNoSlotFrames|TestResumedPhoneGetsSlotFramesAgain|TestSupersededSessionKeepsResumedPhone|TestNextRoundClearsSessionIndex|TestTickFlatAfterDetach|TestTickAllocationFlatInPopulation|TestSteadyStateFanoutAllocFree)$$' -v ./internal/platform/ \
-		| tee /tmp/dynacrowd-fanout.out
-	grep -q -- '--- PASS: TestHungUpPhoneGetsNoSlotFrames' /tmp/dynacrowd-fanout.out
-	grep -q -- '--- PASS: TestResumedPhoneGetsSlotFramesAgain' /tmp/dynacrowd-fanout.out
-	grep -q -- '--- PASS: TestSupersededSessionKeepsResumedPhone' /tmp/dynacrowd-fanout.out
-	grep -q -- '--- PASS: TestNextRoundClearsSessionIndex' /tmp/dynacrowd-fanout.out
-	grep -q -- '--- PASS: TestTickFlatAfterDetach' /tmp/dynacrowd-fanout.out
-	grep -q -- '--- PASS: TestTickAllocationFlatInPopulation' /tmp/dynacrowd-fanout.out
-	grep -q -- '--- PASS: TestSteadyStateFanoutAllocFree' /tmp/dynacrowd-fanout.out
-	! grep -qE -- '--- FAIL|^FAIL' /tmp/dynacrowd-fanout.out
+	$(call gate,./internal/platform/,TestHungUpPhoneGetsNoSlotFrames TestResumedPhoneGetsSlotFramesAgain \
+		TestSupersededSessionKeepsResumedPhone TestNextRoundClearsSessionIndex TestTickFlatAfterDetach \
+		TestTickAllocationFlatInPopulation TestSteadyStateFanoutAllocFree,-race -count=10)
 
 # staticcheck runs honnef.co/go/tools if it is installed; the tier-1
 # gate stays dependency-free, so a missing binary is a skip, not a
@@ -211,18 +188,14 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# bench runs every benchmark and records the results (ns/op plus the
-# figure benchmarks' welfare/sigma metrics) as a section of the JSON
-# trajectory file, printing speedups against the stored baseline.
+# bench runs every benchmark five times and records the per-metric
+# medians (ns/op plus the figure benchmarks' welfare/sigma metrics) as a
+# section of the JSON trajectory file, printing speedups against the
+# stored baseline.
 bench:
-	$(GO) test -bench=. -benchtime=$(BENCHTIME) -run='^$$' ./... \
+	$(GO) test -bench=. -benchtime=$(BENCHTIME) -count 5 -run='^$$' ./... \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section $(BENCH_SECTION)
-
-# bench-merge combines every per-PR trajectory file into one report so
-# the full performance history is diffable in a single place.
-bench-merge:
-	$(GO) run ./cmd/benchjson -merge $$(ls BENCH_PR*.json | paste -sd, -) -out BENCH_ALL.json
 
 # obs-demo runs a short live platform round with observability on and
 # scrapes its Prometheus endpoint, demonstrating the introspection

@@ -125,14 +125,15 @@ func BenchmarkOnlineMechanism(b *testing.B) {
 	}
 }
 
-// BenchmarkPaymentEngines ablates the critical-value payment engines on
-// the same instance: the incremental cascade (default) and the literal
-// per-winner Algorithm 2 oracle. Both return bit-identical payments (see
-// TestCascadeMatchesOracleSweep), so the spread here is pure engine cost.
+// BenchmarkPaymentEngines ablates the critical-value payments on the
+// same instance: the incremental cascade of OnlineMechanism and the
+// literal per-winner Algorithm 2 re-run of OnlineOracle. Both return
+// bit-identical payments (see TestCascadeMatchesOracleSweep), so the
+// spread here is pure pricing cost.
 func BenchmarkPaymentEngines(b *testing.B) {
 	for _, m := range []core.Slot{50, 100} {
 		in := generated(b, m)
-		for _, mech := range sim.EngineMechs() {
+		for _, mech := range []core.Mechanism{&core.OnlineMechanism{}, core.OnlineOracle{}} {
 			b.Run(fmt.Sprintf("%s/slots=%d", mech.Name(), m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := mech.Run(in); err != nil {
@@ -144,8 +145,8 @@ func BenchmarkPaymentEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkOfflineMechanism measures the full offline run under the
-// default interval engine (augmenting-path matching + deletion-exchange
+// BenchmarkOfflineMechanism measures the full offline run by the
+// interval engine (augmenting-path matching + deletion-exchange
 // VCG payments; see docs/THEORY.md §6).
 func BenchmarkOfflineMechanism(b *testing.B) {
 	for _, m := range []core.Slot{25, 50, 100} {
@@ -161,21 +162,24 @@ func BenchmarkOfflineMechanism(b *testing.B) {
 	}
 }
 
-// BenchmarkOfflineEngines ablates the offline solver engines on the same
-// instances: the interval fast path against the dense Hungarian oracle.
-// Both return the same welfare and (modulo ties) the same payments —
-// see TestOfflineDifferentialSweep — so the spread here is pure engine
-// cost.
+// BenchmarkOfflineEngines ablates the offline solves on the same
+// instances: OfflineMechanism's interval fast path against the dense
+// Hungarian solve of OfflineOracle. Both return the same welfare and
+// (modulo ties) the same payments — see TestOfflineDifferentialSweep —
+// so the spread here is pure solver cost.
 func BenchmarkOfflineEngines(b *testing.B) {
 	for _, m := range []core.Slot{25, 50, 100} {
 		in := generated(b, m)
-		for _, eng := range []core.OfflineEngine{
-			core.IntervalOffline, core.HungarianOffline,
+		for _, eng := range []struct {
+			name string
+			mech core.Mechanism
+		}{
+			{"interval", &core.OfflineMechanism{}},
+			{"hungarian", core.OfflineOracle{}},
 		} {
-			b.Run(fmt.Sprintf("%s/slots=%d", eng.Name(), m), func(b *testing.B) {
-				mech := &core.OfflineMechanism{Engine: eng}
+			b.Run(fmt.Sprintf("%s/slots=%d", eng.name, m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := mech.Run(in); err != nil {
+					if _, err := eng.mech.Run(in); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -12,15 +12,6 @@
 // with `go test -count N` is recorded as the per-metric median of its N
 // result lines, with N under "samples"; the section records the run's
 // GOMAXPROCS.
-//
-// With -merge, benchjson instead combines several trajectory files into
-// one (no benchmark output is read):
-//
-//	benchjson -merge BENCH_PR3.json,BENCH_PR5.json -out BENCH_ALL.json
-//
-// Sections keep their names; when two files both define a section, the
-// later file's copy is renamed "<section>@<file-stem>" so nothing is
-// silently dropped.
 package main
 
 import (
@@ -30,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"regexp"
 	"runtime"
 	"sort"
@@ -158,44 +148,6 @@ func merge(existing []byte, name string, sec *section) ([]byte, error) {
 	return json.MarshalIndent(traj, "", "  ")
 }
 
-// mergeFiles unions the sections of several trajectory files, in order.
-// A section name already taken by an earlier file is disambiguated to
-// "<name>@<file-stem>" rather than overwritten, so merged reports keep
-// every recorded run.
-func mergeFiles(paths []string) (*trajectory, error) {
-	out := &trajectory{Sections: map[string]*section{}}
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("benchjson: %w", err)
-		}
-		var traj trajectory
-		if err := json.Unmarshal(data, &traj); err != nil {
-			return nil, fmt.Errorf("benchjson: %s: %w", path, err)
-		}
-		names := make([]string, 0, len(traj.Sections))
-		for name := range traj.Sections {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		stem := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		for _, name := range names {
-			key := name
-			if _, taken := out.Sections[key]; taken {
-				key = name + "@" + stem
-			}
-			if _, taken := out.Sections[key]; taken {
-				return nil, fmt.Errorf("benchjson: section %q defined twice in %s", name, path)
-			}
-			out.Sections[key] = traj.Sections[name]
-		}
-	}
-	if len(out.Sections) == 0 {
-		return nil, fmt.Errorf("benchjson: no sections in %s", strings.Join(paths, ", "))
-	}
-	return out, nil
-}
-
 // speedup prints the ns/op ratio baseline/current for benchmarks present
 // in both sections, so the trajectory doubles as a quick regression
 // report.
@@ -226,28 +178,8 @@ func run(args []string, stdin io.Reader, stderr io.Writer) error {
 	name := fs.String("section", "current", "section name to (re)record")
 	in := fs.String("in", "", "read benchmark output from this file instead of stdin")
 	compare := fs.String("compare", "baseline", "print ns/op speedups against this section, if present")
-	mergeList := fs.String("merge", "", "comma-separated trajectory files to combine into -out (reads no benchmark output)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *mergeList != "" {
-		traj, err := mergeFiles(strings.Split(*mergeList, ","))
-		if err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(traj, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			return fmt.Errorf("benchjson: %w", err)
-		}
-		fmt.Fprintf(stderr, "benchjson: merged %d sections into %s\n", len(traj.Sections), *out)
-		if *compare != "" {
-			speedup(stderr, *traj, *compare, *name)
-		}
-		return nil
 	}
 
 	src := stdin

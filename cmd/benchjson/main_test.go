@@ -124,64 +124,6 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMergeFilesCombinesTrajectories(t *testing.T) {
-	dir := t.TempDir()
-	a := filepath.Join(dir, "BENCH_PR3.json")
-	b := filepath.Join(dir, "BENCH_PR5.json")
-	writeJSON := func(path, body string) {
-		t.Helper()
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeJSON(a, `{"sections":{
-		"baseline":{"go":"go1.24","recorded":"a","benchmarks":{"b":{"ns/op":100}}},
-		"current":{"go":"go1.24","recorded":"a","benchmarks":{"b":{"ns/op":50}}}}}`)
-	writeJSON(b, `{"sections":{
-		"current":{"go":"go1.24","recorded":"b","benchmarks":{"b":{"ns/op":25}}},
-		"load":{"go":"go1.24","recorded":"b","benchmarks":{"s":{"ns/op":10}}}}}`)
-
-	out := filepath.Join(dir, "BENCH_ALL.json")
-	err := run([]string{"-merge", a + "," + b, "-out", out}, strings.NewReader(""), discard{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traj trajectory
-	if err := json.Unmarshal(data, &traj); err != nil {
-		t.Fatal(err)
-	}
-	// All four recorded runs survive: the second file's colliding
-	// "current" is renamed after its file stem instead of clobbering.
-	for _, name := range []string{"baseline", "current", "current@BENCH_PR5", "load"} {
-		if traj.Sections[name] == nil {
-			t.Fatalf("merged file missing section %q: %s", name, data)
-		}
-	}
-	if traj.Sections["current"].Benchmarks["b"]["ns/op"] != 50 {
-		t.Error("first file's current section was overwritten")
-	}
-	if traj.Sections["current@BENCH_PR5"].Benchmarks["b"]["ns/op"] != 25 {
-		t.Error("second file's current section lost")
-	}
-}
-
-func TestMergeFilesErrors(t *testing.T) {
-	if _, err := mergeFiles([]string{filepath.Join(t.TempDir(), "absent.json")}); err == nil {
-		t.Fatal("want error for missing input file")
-	}
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"sections":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mergeFiles([]string{empty}); err == nil {
-		t.Fatal("want error when no sections found")
-	}
-}
-
 func TestRunRejectsEmptyInput(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "bench.json")
 	err := run([]string{"-out", out}, strings.NewReader("no benchmarks here\n"), discard{})

@@ -74,18 +74,18 @@ func literalCascadePayment(in *Instance, run *greedyRun, i PhoneID) float64 {
 }
 
 // matchesLiteralWalk prices every current winner of oa with the cascade
-// engine and requires the literal walk's float bit for bit. It returns
+// and requires the literal walk's float bit for bit. It returns
 // the number of winners priced.
 func matchesLiteralWalk(t *testing.T, oa *OnlineAuction, tag string) int {
 	t.Helper()
-	q := oa.pricer()
+	in := oa.instance()
 	priced := 0
 	for i, task := range oa.run.phoneTask {
 		if task == NoTask {
 			continue
 		}
-		want := literalCascadePayment(q.in, q.run, PhoneID(i))
-		if got := (cascadeEngine{}).price(q, PhoneID(i)); math.Float64bits(got) != math.Float64bits(want) {
+		want := literalCascadePayment(in, &oa.run, PhoneID(i))
+		if got := oa.price(in, PhoneID(i)); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: phone %d memoized cascade %v, literal walk %v", tag, i, got, want)
 		}
 		priced++
@@ -194,9 +194,9 @@ func TestCascadeMatchesLiteralWalkWithDefaults(t *testing.T) {
 				res := stepOne(t, oa, byArrival[s], perSlot[s-1])
 				// Departure notices were priced by the memo mid-Step;
 				// the state is unchanged since, so the walk must agree.
-				q := oa.pricer()
+				in := oa.instance()
 				for _, n := range res.Payments {
-					if want := literalCascadePayment(q.in, q.run, n.Phone); math.Float64bits(n.Amount) != math.Float64bits(want) {
+					if want := literalCascadePayment(in, &oa.run, n.Phone); math.Float64bits(n.Amount) != math.Float64bits(want) {
 						t.Fatalf("%s: phone %d notice %v, literal walk %v", tag, n.Phone, n.Amount, want)
 					}
 				}
@@ -257,12 +257,16 @@ func BenchmarkCascadeDenseSlot(b *testing.B) {
 					winners++
 				}
 			}
-			q := paymentQuery{in: in, run: &run}
 			pay := make([]float64, len(in.Bids))
+			var fixes []slotFix
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				run.markStale()
-				CascadePayments.priceAll(&q, pay)
+				for i, task := range run.phoneTask {
+					if task != NoTask {
+						pay[i], fixes = cascadePayment(in, &run, PhoneID(i), fixes)
+					}
+				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*winners), "ns/winner")
 		})

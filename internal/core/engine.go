@@ -5,38 +5,6 @@ import (
 	"sync"
 )
 
-// PaymentEngine computes the online mechanism's critical-value payments
-// (Algorithm 2) for the winners of a baseline greedy run. All engines
-// produce bit-identical payments; they differ only in cost:
-//
-//   - CascadePayments derives every payment from the baseline run plus
-//     per-task runner-up state in O(window + cascade slots) per winner —
-//     no greedy re-runs. A cascade segment within one slot is an O(1)
-//     jump after one O(tasks in slot) relink per slot. This is the
-//     default.
-//   - OraclePayments is the literal Algorithm 2: one full greedy re-run
-//     per winner. It is kept as the reference oracle the differential
-//     and fuzz tests check the cascade engine against.
-//
-// Engines are stateless and safe for concurrent use; the per-call
-// scratch lives in the paymentQuery each caller owns, and the cascade's
-// within-slot memo in the greedyRun it prices.
-type PaymentEngine interface {
-	// Name returns a short identifier ("cascade", "oracle").
-	Name() string
-	// price returns winner i's critical payment.
-	price(q *paymentQuery, i PhoneID) float64
-	// priceAll fills pay[i] for every winner of the baseline run.
-	priceAll(q *paymentQuery, pay []float64)
-}
-
-// The package-level engine instances. CascadePayments is the default
-// used by OnlineMechanism and OnlineAuction when none is selected.
-var (
-	CascadePayments PaymentEngine = cascadeEngine{}
-	OraclePayments  PaymentEngine = oracleEngine{}
-)
-
 // resize returns s with length n and every element zeroed, reusing the
 // backing array when capacity allows.
 func resize[T any](s []T, n int) []T {
@@ -52,7 +20,7 @@ func resize[T any](s []T, n int) []T {
 }
 
 // greedyRun is the outcome of one baseline greedy pass (Algorithm 1)
-// plus the side state the cascade engine prices from: each task's
+// plus the side state cascadePayment prices from: each task's
 // runner-up at assignment time and per-slot winner-cost and unserved
 // tables. Slot-indexed slices are 1-based with index 0 unused.
 type greedyRun struct {
@@ -360,75 +328,15 @@ func oracleCritical(in *Instance, idx *arrivalsIndex, i PhoneID, won Slot, sc *o
 	return pay
 }
 
-// paymentQuery carries what the engines price from — the instance, the
-// baseline run, and reusable scratch. Not safe for concurrent use; each
-// concurrent caller owns its own query.
-type paymentQuery struct {
-	in  *Instance
-	run *greedyRun
-	idx *arrivalsIndex // nil until an oracle engine needs one
-	m   *Metrics       // nil disables engine instrumentation
-
-	idxBuf arrivalsIndex
-	fixes  []slotFix
-	osc    oracleScratch
-}
-
-// index returns the arrivals index, building it on first use (the
-// streaming auction prices cascades without ever needing one).
-func (q *paymentQuery) index() *arrivalsIndex {
-	if q.idx == nil {
-		q.idxBuf.build(q.in)
-		q.idx = &q.idxBuf
-	}
-	return q.idx
-}
-
-type cascadeEngine struct{}
-
-func (cascadeEngine) Name() string { return "cascade" }
-
-func (cascadeEngine) price(q *paymentQuery, i PhoneID) float64 {
-	q.m.noteCascade()
-	var pay float64
-	pay, q.fixes = cascadePayment(q.in, q.run, i, q.fixes)
-	return pay
-}
-
-func (e cascadeEngine) priceAll(q *paymentQuery, pay []float64) {
-	for i, task := range q.run.phoneTask {
-		if task != NoTask {
-			pay[i] = e.price(q, PhoneID(i))
-		}
-	}
-}
-
-type oracleEngine struct{}
-
-func (oracleEngine) Name() string { return "oracle" }
-
-func (oracleEngine) price(q *paymentQuery, i PhoneID) float64 {
-	q.m.noteOracle()
-	return oracleCritical(q.in, q.index(), i, q.run.wonAt[i], &q.osc)
-}
-
-func (e oracleEngine) priceAll(q *paymentQuery, pay []float64) {
-	for i, task := range q.run.phoneTask {
-		if task != NoTask {
-			pay[i] = e.price(q, PhoneID(i))
-		}
-	}
-}
-
 // mechScratch is the pooled per-run working set of OnlineMechanism: the
 // arrivals index, greedy pool, cascade side state, and payment scratch.
 // Pooling makes repeated and concurrent Run calls (sim fans replications
 // out over a worker pool) allocation-free on the hot path after warm-up.
 type mechScratch struct {
-	idx  arrivalsIndex
-	heap []PhoneID
-	run  greedyRun
-	q    paymentQuery
+	idx   arrivalsIndex
+	heap  []PhoneID
+	run   greedyRun
+	fixes []slotFix
 }
 
 var mechPool = sync.Pool{New: func() any {

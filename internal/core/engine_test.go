@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,14 +10,11 @@ import (
 	"dynacrowd/internal/workload"
 )
 
-// engines returns the mechanism under every payment engine. The first
-// entry is the incremental cascade default; the second replays
-// Algorithm 2.
-func engines() []*core.OnlineMechanism {
-	return []*core.OnlineMechanism{
-		{},
-		{Payments: core.OraclePayments},
-	}
+// engines returns the online mechanism and its reference. The first
+// entry prices by the incremental cascade; the second replays
+// Algorithm 2 per winner.
+func engines() []core.Mechanism {
+	return []core.Mechanism{&core.OnlineMechanism{}, core.OnlineOracle{}}
 }
 
 // TestCascadeMatchesOracleSweep is the differential acceptance gate: on
@@ -130,24 +128,62 @@ func TestAtLossReserveUndercutsMax(t *testing.T) {
 	}
 }
 
-// TestEngineNames pins the mechanism naming scheme ablation tables key on.
+// TestEngineNames pins the mechanism names ablation tables key on.
 func TestEngineNames(t *testing.T) {
-	want := map[string]string{
-		"":        "online-greedy",
-		"cascade": "online-greedy+cascade",
-		"oracle":  "online-greedy+oracle",
-	}
-	for _, mech := range []*core.OnlineMechanism{
-		{},
-		{Payments: core.CascadePayments},
-		{Payments: core.OraclePayments},
+	for _, tc := range []struct {
+		mech core.Mechanism
+		want string
+	}{
+		{&core.OnlineMechanism{}, "online-greedy"},
+		{core.OnlineOracle{}, "online-greedy+oracle"},
 	} {
-		key := ""
-		if mech.Payments != nil {
-			key = mech.Payments.Name()
+		if got := tc.mech.Name(); got != tc.want {
+			t.Errorf("Name() = %q, want %q", got, tc.want)
 		}
-		if got := mech.Name(); got != want[key] {
-			t.Errorf("Name() = %q, want %q", got, want[key])
+	}
+}
+
+// TestOraclesRejectInvalid: the reference mechanisms reject an invalid
+// instance with Validate's error, as the production mechanisms do, so a
+// differential never compares an oracle's outcome on input the
+// mechanism under test refused.
+func TestOraclesRejectInvalid(t *testing.T) {
+	valid := func() *core.Instance {
+		return &core.Instance{
+			Slots: 3, Value: 30,
+			Bids:  []core.Bid{{Phone: 0, Arrival: 1, Departure: 2, Cost: 10}},
+			Tasks: []core.Task{{ID: 0, Arrival: 1}},
+		}
+	}
+	cases := map[string]func(in *core.Instance){
+		"no slots":         func(in *core.Instance) { in.Slots = 0 },
+		"negative value":   func(in *core.Instance) { in.Value = -1 },
+		"phone id":         func(in *core.Instance) { in.Bids[0].Phone = 4 },
+		"window":           func(in *core.Instance) { in.Bids[0].Departure = 9 },
+		"task arrival":     func(in *core.Instance) { in.Tasks[0].Arrival = 4 },
+		"task order":       func(in *core.Instance) { in.Tasks = []core.Task{{ID: 0, Arrival: 2}, {ID: 1, Arrival: 1}} },
+		"task id sequence": func(in *core.Instance) { in.Tasks[0].ID = 1 },
+	}
+	mechs := []core.Mechanism{
+		&core.OnlineMechanism{}, core.OnlineOracle{},
+		&core.OfflineMechanism{}, core.OfflineOracle{},
+	}
+	for name, corrupt := range cases {
+		in := valid()
+		corrupt(in)
+		want := in.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepted the instance", name)
+		}
+		for _, mech := range mechs {
+			out, err := mech.Run(in)
+			if err == nil || out != nil {
+				t.Errorf("%s: %s returned (%v, %v), want Validate's error", name, mech.Name(), out, err)
+				continue
+			}
+			if got := errors.Unwrap(err); got == nil || got.Error() != want.Error() {
+				t.Errorf("%s: %s: error %q does not wrap Validate's %q", name, mech.Name(), err, want)
+			}
 		}
 	}
 }
@@ -244,7 +280,7 @@ func TestStreamEnginesAgree(t *testing.T) {
 			t.Fatalf("generate: %v", err)
 		}
 		cascade, _ := streamRound(t, in)
-		oracle, err := (&core.OnlineMechanism{Payments: core.OraclePayments}).Run(in)
+		oracle, err := core.OnlineOracle{}.Run(in)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
@@ -295,7 +331,7 @@ func TestCascadeMatchesOracleDenseSlots(t *testing.T) {
 						t.Fatalf("seed %d: slot %d has %d tasks, want a dense slot (>= 100)", seed, s+1, n)
 					}
 				}
-				ref, err := (&core.OnlineMechanism{Payments: core.OraclePayments}).Run(in)
+				ref, err := core.OnlineOracle{}.Run(in)
 				if err != nil {
 					t.Fatalf("oracle seed %d: %v", seed, err)
 				}

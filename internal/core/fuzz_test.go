@@ -65,8 +65,8 @@ func FuzzMechanismInvariants(f *testing.F) {
 }
 
 // FuzzCriticalPayments differentially tests the incremental cascade
-// payment engine against the literal Algorithm 2 per-winner re-run on fuzz-seeded instances, demanding
-// bit-identical payments — the engines take maxima over the same stored
+// payments against the literal Algorithm 2 per-winner re-run on fuzz-seeded instances, demanding
+// bit-identical payments — both take maxima over the same stored
 // floats, so exact equality is the specification, not a tolerance.
 func FuzzCriticalPayments(f *testing.F) {
 	f.Add(int64(1))
@@ -78,11 +78,11 @@ func FuzzCriticalPayments(f *testing.F) {
 		in := randomInstance(rng, 14, 14, 8, 50)
 		in.AllocateAtLoss = seed%2 == 0
 
-		ref, err := (&OnlineMechanism{Payments: OraclePayments}).Run(in)
+		ref, err := OnlineOracle{}.Run(in)
 		if err != nil {
 			t.Fatalf("oracle: %v", err)
 		}
-		out, err := (&OnlineMechanism{Payments: CascadePayments}).Run(in)
+		out, err := (&OnlineMechanism{}).Run(in)
 		if err != nil {
 			t.Fatalf("cascade: %v", err)
 		}

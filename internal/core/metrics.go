@@ -17,12 +17,11 @@ type Metrics struct {
 	// Step's allocation phase, or a batch run's full baseline pass.
 	SlotAllocSeconds *obs.Histogram
 	// PaymentSeconds times one critical-value pricing batch: a Step's
-	// departing-winner payments, or a batch run's priceAll.
+	// departing-winner payments, or a batch run's pricing of every
+	// winner.
 	PaymentSeconds *obs.Histogram
-	// CascadeCalls / OracleCalls count per-winner payment computations
-	// by engine.
+	// CascadeCalls counts per-winner cascade payment computations.
 	CascadeCalls *obs.Counter
-	OracleCalls  *obs.Counter
 }
 
 // NewMetrics registers the core auction instruments in reg and returns
@@ -38,14 +37,11 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Latency of one greedy allocation unit: a streaming slot's allocation phase or a batch baseline pass.",
 			obs.LatencyBuckets),
 		PaymentSeconds: reg.Histogram("dynacrowd_core_payment_seconds",
-			"Latency of one critical-value pricing batch (departing winners of a slot, or a full round's priceAll).",
+			"Latency of one critical-value pricing batch (departing winners of a slot, or every winner of a batch run).",
 			obs.LatencyBuckets),
 		CascadeCalls: reg.Counter("dynacrowd_core_engine_invocations_total",
 			"Per-winner critical-value payment computations by engine.",
 			"engine", "cascade"),
-		OracleCalls: reg.Counter("dynacrowd_core_engine_invocations_total",
-			"Per-winner critical-value payment computations by engine.",
-			"engine", "oracle"),
 	}
 	reg.CounterFunc("dynacrowd_core_scratch_pool_gets_total",
 		"Pooled mechanism scratch checkouts (OnlineMechanism.Run invocations).",
@@ -56,17 +52,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-// noteCascade/noteOracle are the nil-safe engine-counter
-// hooks the payment engines call per priced winner.
+// noteCascade is the nil-safe counter hook called per priced winner.
 func (m *Metrics) noteCascade() {
 	if m != nil {
 		m.CascadeCalls.Inc()
-	}
-}
-
-func (m *Metrics) noteOracle() {
-	if m != nil {
-		m.OracleCalls.Inc()
 	}
 }
 
@@ -80,13 +69,12 @@ var (
 	scratchPoolMisses atomic.Uint64
 )
 
-// defaultMetrics instruments OnlineMechanism values that have no
-// explicit Metrics field set — the process-wide hook commands use when
-// mechanisms are constructed deep inside sweeps.
+// defaultMetrics instruments OnlineMechanism.Run — the process-wide
+// hook commands use when mechanisms are constructed deep inside sweeps.
 var defaultMetrics atomic.Pointer[Metrics]
 
-// SetDefaultMetrics installs the process-wide default instrument bundle
-// used by OnlineMechanism.Run when the mechanism's Metrics field is
-// nil. Pass nil to disable. Typically called once at startup (it is
-// safe, but pointless, to call concurrently with running mechanisms).
+// SetDefaultMetrics installs the process-wide instrument bundle
+// OnlineMechanism.Run reports into. Pass nil to disable. Typically
+// called once at startup (it is safe, but pointless, to call
+// concurrently with running mechanisms).
 func SetDefaultMetrics(m *Metrics) { defaultMetrics.Store(m) }

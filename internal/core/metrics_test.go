@@ -11,6 +11,8 @@ import (
 func TestRunInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
+	SetDefaultMetrics(m)
+	defer SetDefaultMetrics(nil)
 	in := &Instance{
 		Slots: 3, Value: 10,
 		Bids: []Bid{
@@ -20,8 +22,7 @@ func TestRunInstrumentation(t *testing.T) {
 		},
 		Tasks: []Task{{ID: 0, Arrival: 1}, {ID: 1, Arrival: 2}},
 	}
-	mech := &OnlineMechanism{Metrics: m}
-	out, err := mech.Run(in)
+	out, err := (&OnlineMechanism{}).Run(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +36,6 @@ func TestRunInstrumentation(t *testing.T) {
 	if m.SlotAllocSeconds.Count() != 1 || m.PaymentSeconds.Count() != 1 {
 		t.Fatalf("latency observations alloc=%d payment=%d, want 1 each",
 			m.SlotAllocSeconds.Count(), m.PaymentSeconds.Count())
-	}
-	// The oracle engine books under its own label.
-	oracle := &OnlineMechanism{Payments: OraclePayments, Metrics: m}
-	if _, err := oracle.Run(in); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.OracleCalls.Value(); got != uint64(winners) {
-		t.Fatalf("oracle invocations = %d, want %d", got, winners)
 	}
 }
 
@@ -95,8 +88,8 @@ func TestStreamingInstrumentationAndDepartures(t *testing.T) {
 	}
 }
 
-// TestDefaultMetricsFallback: SetDefaultMetrics instruments mechanisms
-// with no explicit Metrics field.
+// TestDefaultMetricsFallback: SetDefaultMetrics instruments every
+// OnlineMechanism value, however it was constructed.
 func TestDefaultMetricsFallback(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)

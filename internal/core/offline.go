@@ -18,57 +18,86 @@ import (
 // dimensions (Theorem 1), individually rational (Theorem 2), and
 // welfare-optimal.
 //
-// The algorithm is selected by Engine. The default IntervalOffline
-// engine solves the matching by weight-ordered augmenting paths over
-// the instance's interval structure and derives every payment from one
-// substitute-weight sweep — near-linear, against the Hungarian oracle's
-// cubic solve (see OfflineEngine and docs/THEORY.md §6).
-type OfflineMechanism struct {
-	// Engine selects the solve/payment backend; nil means the fast
-	// IntervalOffline engine. HungarianOffline is the literal
-	// Hungarian+VCG oracle kept for differential testing.
-	Engine OfflineEngine
-}
+// The matching is solved by weight-ordered augmenting paths over the
+// instance's interval structure, and every payment follows from one
+// substitute-weight sweep — near-linear, against the cubic solve of
+// OfflineOracle, the literal Hungarian+VCG reference it is checked
+// against (docs/THEORY.md §6).
+type OfflineMechanism struct{}
 
 // Name implements Mechanism.
-func (of *OfflineMechanism) Name() string { return "offline-vcg" }
+func (*OfflineMechanism) Name() string { return "offline-vcg" }
 
-func (of *OfflineMechanism) engine() OfflineEngine {
-	if of.Engine != nil {
-		return of.Engine
-	}
-	return IntervalOffline
-}
-
-// weightFunc builds the bipartite edge-weight function for an instance:
-// tasks on the left, phones on the right, weight ν − b when the phone is
-// active in the task's slot (Section IV-B). Non-edges and unprofitable
-// edges are ≤ 0 and thus never matched.
-func weightFunc(in *Instance) matching.WeightFunc {
-	return func(task, phone int) float64 {
-		b := in.Bids[phone]
-		if !b.Covers(in.Tasks[task].Arrival) {
-			return 0
-		}
-		return in.Value - b.Cost
-	}
-}
-
-// Run implements Mechanism. It validates the instance and delegates to
-// the selected engine for the optimal allocation and VCG payments.
-func (of *OfflineMechanism) Run(in *Instance) (*Outcome, error) {
+// Run implements Mechanism: the welfare-optimal allocation and the VCG
+// payments of a valid instance. The interval solve collapses the
+// tasks×phones matching into the interval-capacity problem
+// matching.SolveInterval solves (phones are items with window
+// [arrival, departure] and weight ν − b; slot capacities are the
+// per-slot task counts), and each winner's payment is
+//
+//	p_i = ω*(B) + b_i − ω*(B₋ᵢ) = ν − w(best substitute)   (ν if none).
+func (*OfflineMechanism) Run(in *Instance) (*Outcome, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("offline mechanism: %w", err)
 	}
-	return of.engine().run(in)
+	asg := solveOffline(in)
+
+	// Tasks are arrival-sorted (Validate), so slot t's tasks occupy the
+	// contiguous index range [start[t], start[t+1]); hand them out to
+	// that slot's winners in phone-id order.
+	m := int(in.Slots)
+	start := make([]int, m+2)
+	for _, tk := range in.Tasks {
+		start[int(tk.Arrival)+1]++
+	}
+	for t := 1; t <= m+1; t++ {
+		start[t] += start[t-1]
+	}
+	alloc := NewAllocation(in.NumTasks(), in.NumPhones())
+	cursor := start
+	for i, t := range asg.SlotOf {
+		if t == matching.Unmatched {
+			continue
+		}
+		task := cursor[t]
+		cursor[t]++
+		alloc.Assign(TaskID(task), PhoneID(i), Slot(t))
+	}
+
+	out := &Outcome{
+		Allocation: alloc,
+		Payments:   make([]float64, in.NumPhones()),
+		Welfare:    asg.Weight,
+	}
+	sub := asg.SubstituteWeights()
+	for i, t := range asg.SlotOf {
+		if t != matching.Unmatched {
+			out.Payments[i] = in.Value - sub[i]
+		}
+	}
+	return out, nil
+}
+
+// solveOffline solves a validated instance's interval-capacity problem.
+func solveOffline(in *Instance) *matching.IntervalAssignment {
+	m := int(in.Slots)
+	capacity := make([]int, m+1)
+	for _, tk := range in.Tasks {
+		capacity[tk.Arrival]++
+	}
+	items := make([]matching.IntervalItem, len(in.Bids))
+	for i, b := range in.Bids {
+		items[i] = matching.IntervalItem{Lo: int(b.Arrival), Hi: int(b.Departure), Weight: in.Value - b.Cost}
+	}
+	return matching.SolveInterval(m, capacity, items)
 }
 
 // Welfare computes only the optimal social welfare of the instance,
 // skipping payment computation. It is the ω*(·) oracle used by tests and
 // by the online mechanism's competitive-ratio evaluation.
-func (of *OfflineMechanism) Welfare(in *Instance) (float64, error) {
+func (*OfflineMechanism) Welfare(in *Instance) (float64, error) {
 	if err := in.Validate(); err != nil {
 		return 0, fmt.Errorf("offline welfare: %w", err)
 	}
-	return of.engine().welfare(in), nil
+	return solveOffline(in).Weight, nil
 }

@@ -167,8 +167,8 @@ func assertOfflineAgreement(t *testing.T, tag string, in *Instance, nameA, nameB
 // without updating the Makefile gate.
 func TestOfflineDifferentialSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
-	fast := &OfflineMechanism{} // interval engine, the default
-	oracle := &OfflineMechanism{Engine: HungarianOffline}
+	fast := &OfflineMechanism{}
+	oracle := OfflineOracle{}
 
 	for trial := 0; trial < 240; trial++ {
 		in := randomOfflineInstance(rng, trial)
@@ -176,7 +176,7 @@ func TestOfflineDifferentialSweep(t *testing.T) {
 		fastOut := mustRun(t, fast, in)
 		oracleOut := mustRun(t, oracle, in)
 		assertOfflineAgreement(t, tag, in, "interval", "hungarian", fastOut, oracleOut)
-		// Welfare() must agree with Run() for the default engine.
+		// Welfare() must agree with Run().
 		w, err := fast.Welfare(in)
 		if err != nil {
 			t.Fatalf("%s: welfare: %v", tag, err)
@@ -210,7 +210,7 @@ func FuzzOfflineVCG(f *testing.F) {
 		f.Add(seed, uint8(seed))
 	}
 	fast := &OfflineMechanism{}
-	oracle := &OfflineMechanism{Engine: HungarianOffline}
+	oracle := OfflineOracle{}
 	f.Fuzz(func(t *testing.T, seed int64, variant uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomOfflineInstance(rng, int(variant))

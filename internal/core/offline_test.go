@@ -210,8 +210,8 @@ func TestOfflineLiteralVCG(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	fast := &OfflineMechanism{}
 	// WithoutPhone keeps the original phone IDs, which Validate rejects,
-	// so the reduced optimum is solved by the engine directly.
-	welfare := HungarianOffline.welfare
+	// so the reduced optimum is solved without validation.
+	welfare := hungarianWelfare
 	winners := 0
 	for trial := 0; trial < 160; trial++ {
 		in := randomOfflineInstance(rng, trial)

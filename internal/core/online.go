@@ -19,11 +19,11 @@ import (
 // individually rational (Theorem 5); the allocation is 1/2-competitive
 // against the offline optimum (Theorem 6).
 //
-// Payments are computed by a PaymentEngine. The default incremental
-// cascade engine prices all winners from the single baseline run
-// (docs/THEORY.md §5); the literal per-winner re-run of Algorithm 2 is
-// available as OraclePayments, the reference the differential tests
-// check the cascade against. Both return bit-identical payments.
+// Payments come from the incremental cascade, which prices every winner
+// from the single baseline run (docs/THEORY.md §5). OnlineOracle is the
+// literal per-winner re-run of Algorithm 2, the reference the
+// differential tests check the cascade against; both return
+// bit-identical payments.
 //
 // Reserve price: when Instance.AllocateAtLoss is false (the default),
 // bids with cost ≥ ν never win, and a winner whose removal would leave a
@@ -31,46 +31,25 @@ import (
 // reserve). When AllocateAtLoss is true the paper's unbounded-scarcity
 // case is capped at max(ν, b_i); the paper implicitly assumes phones are
 // abundant, so this cap is a documented boundary-condition choice.
-type OnlineMechanism struct {
-	// Payments selects the critical-value payment engine. Nil uses the
-	// incremental CascadePayments engine.
-	Payments PaymentEngine
-	// Metrics instruments Run (latency histograms, engine counters).
-	// Nil falls back to the process default installed with
-	// SetDefaultMetrics; if that is nil too, instrumentation is off and
-	// the hot path stays allocation-free.
-	Metrics *Metrics
-}
+//
+// Run reports into the process default Metrics installed with
+// SetDefaultMetrics; while that is nil, instrumentation is off and the
+// hot path stays allocation-free.
+type OnlineMechanism struct{}
 
-// Name implements Mechanism. Explicitly configured engines are suffixed
-// ("online-greedy+oracle") so ablation tables stay distinguishable.
-func (on *OnlineMechanism) Name() string {
-	if on.Payments != nil {
-		return "online-greedy+" + on.Payments.Name()
-	}
-	return "online-greedy"
-}
-
-func (on *OnlineMechanism) engine() PaymentEngine {
-	if on.Payments != nil {
-		return on.Payments
-	}
-	return CascadePayments
-}
+// Name implements Mechanism.
+func (*OnlineMechanism) Name() string { return "online-greedy" }
 
 // Run implements Mechanism by driving the greedy allocator across the
-// whole round and then pricing every winner with the payment engine.
+// whole round and then pricing every winner with the cascade.
 // The hot path reuses pooled scratch (arrivals index, allocation pool,
 // cascade state), so steady-state runs allocate only the returned
 // Outcome. Safe for concurrent use.
-func (on *OnlineMechanism) Run(in *Instance) (*Outcome, error) {
+func (*OnlineMechanism) Run(in *Instance) (*Outcome, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("online mechanism: %w", err)
 	}
-	met := on.Metrics
-	if met == nil {
-		met = defaultMetrics.Load()
-	}
+	met := defaultMetrics.Load()
 	var start time.Time
 	if met != nil {
 		start = time.Now()
@@ -101,15 +80,56 @@ func (on *OnlineMechanism) Run(in *Instance) (*Outcome, error) {
 		Payments:   make([]float64, in.NumPhones()),
 		Welfare:    alloc.Welfare(in),
 	}
-	sc.q.in, sc.q.run, sc.q.idx, sc.q.m = in, run, &sc.idx, met
-	on.engine().priceAll(&sc.q, out.Payments)
+	for i, task := range run.phoneTask {
+		if task != NoTask {
+			met.noteCascade()
+			out.Payments[i], sc.fixes = cascadePayment(in, run, PhoneID(i), sc.fixes)
+		}
+	}
 	if met != nil {
 		met.PaymentSeconds.Observe(time.Since(start).Seconds())
 	}
 
-	// Unhook the escaping outcome and instance before pooling the scratch.
-	sc.q.in, sc.q.run, sc.q.idx, sc.q.m = nil, nil, nil, nil
+	// Unhook the escaping outcome before pooling the scratch.
 	run.byTask, run.phoneTask, run.wonAt = nil, nil, nil
+	return out, nil
+}
+
+// OnlineOracle is the online mechanism with the literal Algorithm 2
+// payment: the same greedy allocation as OnlineMechanism, with each
+// winner priced by a full greedy re-run without its bid. It costs one
+// re-run per winner and allocates fresh scratch on every Run, and it is
+// kept only as the reference the cascade is checked against: its
+// payments are bit-identical to OnlineMechanism's. Safe for concurrent
+// use.
+type OnlineOracle struct{}
+
+// Name implements Mechanism.
+func (OnlineOracle) Name() string { return "online-greedy+oracle" }
+
+// Run implements Mechanism.
+func (OnlineOracle) Run(in *Instance) (*Outcome, error) {
+	if err := in.Validate(); err != nil {
+		return nil, fmt.Errorf("online oracle: %w", err)
+	}
+	var idx arrivalsIndex
+	idx.build(in)
+	alloc := NewAllocation(in.NumTasks(), in.NumPhones())
+	run := greedyRun{byTask: alloc.ByTask, phoneTask: alloc.ByPhone, wonAt: alloc.WonAt, runnerUp: make([]PhoneID, in.NumTasks())}
+	run.resetSlots(in.Slots)
+	runBaseline(in, &idx, &run, nil)
+
+	out := &Outcome{
+		Allocation: alloc,
+		Payments:   make([]float64, in.NumPhones()),
+		Welfare:    alloc.Welfare(in),
+	}
+	var sc oracleScratch
+	for i, task := range run.phoneTask {
+		if task != NoTask {
+			out.Payments[i] = oracleCritical(in, &idx, PhoneID(i), run.wonAt[i], &sc)
+		}
+	}
 	return out, nil
 }
 

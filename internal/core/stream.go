@@ -65,8 +65,8 @@ type OnlineAuction struct {
 	run  greedyRun   // winners plus retained cascade pricing state
 	comp completions // assignment lifecycle (off by default)
 
-	inst Instance     // reusable pricing view over bids/tasks
-	q    paymentQuery // reusable pricing scratch
+	inst  Instance  // reusable view over bids/tasks, refreshed by instance()
+	fixes []slotFix // reusable cascade scratch
 }
 
 // NewOnlineAuction creates a round of m slots with per-task value ν.
@@ -126,9 +126,9 @@ func (oa *OnlineAuction) Default(p PhoneID) (*DefaultResult, error) {
 	if !oa.comp.enabled {
 		return nil, ErrNotTracking
 	}
-	q := oa.pricer()
-	return defaultWinner(q.in, &oa.run, &oa.comp, p, oa.now, func(r PhoneID) float64 {
-		return cascadeEngine{}.price(q, r)
+	in := oa.instance()
+	return defaultWinner(in, &oa.run, &oa.comp, p, oa.now, func(r PhoneID) float64 {
+		return oa.price(in, r)
 	})
 }
 
@@ -219,7 +219,7 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 	// retained incremental state. The cascade only looks at slots ≤ t,
 	// and every bid or task that will arrive later is invisible to those
 	// slots, so paying now equals paying at end of round.
-	q := oa.pricer()
+	in := oa.instance()
 	for i := range oa.bids {
 		if oa.bids[i].Departure != t {
 			continue
@@ -230,7 +230,7 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		if oa.run.wonAt[i] == 0 || !oa.comp.payable(PhoneID(i)) {
 			continue
 		}
-		amount := cascadeEngine{}.price(q, PhoneID(i))
+		amount := oa.price(in, PhoneID(i))
 		oa.comp.markPaid(PhoneID(i), amount, t)
 		res.Payments = append(res.Payments, PaymentNotice{Phone: PhoneID(i), Amount: amount})
 	}
@@ -267,8 +267,10 @@ func (oa *OnlineAuction) peekUsable(t Slot) PhoneID {
 	}
 }
 
-// pricer refreshes the reusable payment query over the current state.
-func (oa *OnlineAuction) pricer() *paymentQuery {
+// instance refreshes the auction's reusable Instance view over the bids
+// and tasks seen so far and returns it. The view shares their backing
+// arrays and is valid until the next Step.
+func (oa *OnlineAuction) instance() *Instance {
 	oa.inst = Instance{
 		Slots:          oa.slots,
 		Value:          oa.value,
@@ -276,19 +278,16 @@ func (oa *OnlineAuction) pricer() *paymentQuery {
 		Tasks:          oa.tasks,
 		AllocateAtLoss: oa.allocateAtLoss,
 	}
-	oa.q.in, oa.q.run, oa.q.idx, oa.q.m = &oa.inst, &oa.run, nil, oa.metrics
-	return &oa.q
+	return &oa.inst
 }
 
-// instance materializes the bids and tasks seen so far as an Instance.
-func (oa *OnlineAuction) instance() *Instance {
-	return &Instance{
-		Slots:          oa.slots,
-		Value:          oa.value,
-		Bids:           oa.bids,
-		Tasks:          oa.tasks,
-		AllocateAtLoss: oa.allocateAtLoss,
-	}
+// price returns winner i's critical payment by the cascade over in, the
+// view instance() returned since the last Step.
+func (oa *OnlineAuction) price(in *Instance, i PhoneID) float64 {
+	oa.metrics.noteCascade()
+	var pay float64
+	pay, oa.fixes = cascadePayment(in, &oa.run, i, oa.fixes)
+	return pay
 }
 
 // Outcome assembles the full round outcome. It is valid once Done()
@@ -307,7 +306,6 @@ func (oa *OnlineAuction) Outcome() *Outcome {
 		Payments:   make([]float64, len(oa.bids)),
 		Welfare:    alloc.Welfare(in),
 	}
-	q := oa.pricer()
 	for i, task := range oa.run.phoneTask {
 		if task == NoTask {
 			continue
@@ -319,7 +317,7 @@ func (oa *OnlineAuction) Outcome() *Outcome {
 			out.Payments[i] = amount
 			continue
 		}
-		out.Payments[i] = cascadeEngine{}.price(q, PhoneID(i))
+		out.Payments[i] = oa.price(in, PhoneID(i))
 	}
 	return out
 }

@@ -112,10 +112,14 @@ func (tr *Tracer) Emit(ev Event) {
 	if tr == nil {
 		return
 	}
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
+	// Copy into a fresh Event rather than take &ev: that would move ev
+	// to the heap on entry, before the nil check, so a nil tracer would
+	// allocate on every event.
+	e := new(Event)
+	*e = ev
+	if e.Time.IsZero() {
+		e.Time = time.Now()
 	}
-	e := &ev
 	seq := tr.head.Add(1) - 1
 	if seq >= uint64(len(tr.cells)) {
 		tr.ringDropped.Add(1)

@@ -36,6 +36,17 @@ func TestTracerRingOverflow(t *testing.T) {
 	}
 }
 
+// TestNilTracerEmitAllocFree pins the disabled path: the platform and
+// the budget engine emit on every bid and stage with a nil tracer, so
+// Emit on nil must not allocate.
+func TestNilTracerEmitAllocFree(t *testing.T) {
+	var tr *Tracer
+	ev := Event{Type: EventPayment, Round: 2, Slot: 7, Phone: 3, Amount: 12.5, Detail: "cap"}
+	if n := testing.AllocsPerRun(100, func() { tr.Emit(ev) }); n != 0 {
+		t.Fatalf("nil tracer Emit allocates %v times per event, want 0", n)
+	}
+}
+
 func TestTracerStampsTime(t *testing.T) {
 	tr := NewTracer(16)
 	before := time.Now()

@@ -79,7 +79,7 @@ type Config struct {
 	CompletionDeadline core.Slot
 	// OfflineBenchmark, when set, solves the offline VCG optimum ω* over
 	// each completed round's full bid history with the near-linear
-	// interval engine (core.IntervalOffline). The optimum is logged
+	// interval solve of core.OfflineMechanism. The optimum is logged
 	// alongside the online welfare — the paper's competitive-ratio
 	// check, live — and accumulated in Stats.OfflineOptimum /
 	// Stats.OfflineRounds. False (the default) disables the solve

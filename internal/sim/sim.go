@@ -142,17 +142,6 @@ func Compare(scn workload.Scenario, seeds []uint64, mechs []core.Mechanism, work
 	return reps, nil
 }
 
-// EngineMechs returns the online mechanism under each payment engine —
-// incremental cascade (the default) and the per-winner Algorithm 2
-// oracle — for differential comparisons and engine benchmarks. Both
-// produce identical outcomes.
-func EngineMechs() []core.Mechanism {
-	return []core.Mechanism{
-		&core.OnlineMechanism{},
-		&core.OnlineMechanism{Payments: core.OraclePayments},
-	}
-}
-
 // Seeds returns n deterministic seeds derived from base, suitable for
 // Compare. Distinct bases give disjoint-looking seed sets.
 func Seeds(base uint64, n int) []uint64 {

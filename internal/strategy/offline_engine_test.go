@@ -7,17 +7,17 @@ import (
 	"dynacrowd/internal/workload"
 )
 
-// TestOfflineEnginesTruthfulUnderAudit runs the offline mechanism under
-// the fast interval engine — not just the Hungarian oracle — through
-// the exhaustive misreport sweep (cost scaling, arrival delay,
+// TestOfflineEnginesTruthfulUnderAudit runs the offline mechanism —
+// the interval solve that ships, not just the Hungarian oracle —
+// through the exhaustive misreport sweep (cost scaling, arrival delay,
 // departure advance over the full factor grid) on the paper's Fig. 4
-// instance. Truthfulness and individual rationality must hold for the
-// engine that actually ships as the default.
+// instance. Truthfulness and individual rationality must hold for
+// both.
 func TestOfflineEnginesTruthfulUnderAudit(t *testing.T) {
 	in := paperInstance()
 	for _, mech := range []core.Mechanism{
-		&core.OfflineMechanism{}, // interval engine, the default
-		&core.OfflineMechanism{Engine: core.HungarianOffline},
+		&core.OfflineMechanism{},
+		core.OfflineOracle{},
 	} {
 		results, err := Audit(mech, in, AuditOptions{})
 		if err != nil {
