@@ -4,9 +4,9 @@ GO ?= go
 # to record a pre-change reference into the trajectory file.
 BENCHTIME ?= 1x
 BENCH_SECTION ?= current
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH.json
 
-.PHONY: all check vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench staticcheck profile obs-demo clean
+.PHONY: all check fmt vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench staticcheck profile obs-demo clean
 
 all: check
 
@@ -19,8 +19,13 @@ all: check
 # agent-repeat reruns the CLI agent's end-of-service tests many times,
 # so a shutdown race cannot hide behind a lucky single run.
 # perfbench-check vets and tests the benchmark module, which the root
-# build skips.
-check: vet build test agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout
+# build skips. fmt fails if any Go file, perfbench/ included, is not
+# gofmt-clean.
+check: fmt vet build test agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout
+
+fmt:
+	@out=$$(gofmt -l .) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need gofmt -w:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

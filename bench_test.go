@@ -33,7 +33,6 @@ import (
 	"dynacrowd/internal/core"
 	"dynacrowd/internal/experiments"
 	"dynacrowd/internal/market"
-	"dynacrowd/internal/multitask"
 	"dynacrowd/internal/sim"
 	"dynacrowd/internal/typed"
 	"dynacrowd/internal/workload"
@@ -381,32 +380,6 @@ func BenchmarkTypedMechanisms(b *testing.B) {
 	})
 }
 
-// BenchmarkMultitaskOffline measures the capacity extension's flow-based
-// VCG auction (internal/multitask).
-func BenchmarkMultitaskOffline(b *testing.B) {
-	rng := workload.NewRNG(37)
-	in := &multitask.Instance{Slots: 30, Value: 30}
-	for i := 0; i < 80; i++ {
-		a := core.Slot(1 + rng.Intn(30))
-		d := a + core.Slot(rng.Intn(int(30-a)+1))
-		in.Bids = append(in.Bids, multitask.Bid{
-			Phone: core.PhoneID(i), Arrival: a, Departure: d,
-			Cost: rng.Uniform(1, 25), Capacity: 1 + rng.Intn(3),
-		})
-	}
-	for t := core.Slot(1); t <= 30; t++ {
-		for k := rng.Poisson(2); k > 0; k-- {
-			in.Tasks = append(in.Tasks, core.Task{ID: core.TaskID(len(in.Tasks)), Arrival: t})
-		}
-	}
-	mech := &multitask.OfflineMechanism{}
-	for i := 0; i < b.N; i++ {
-		if _, err := mech.Run(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMarketRounds measures the multi-round market driver.
 func BenchmarkMarketRounds(b *testing.B) {
 	scn := workload.DefaultScenario()
@@ -426,7 +399,7 @@ func BenchmarkMarketRounds(b *testing.B) {
 // one sub-benchmark per workload-zoo scenario, emitting the
 // welfare-per-unit-committed series as custom metrics
 // (wpb_<engine>_f<fraction>, wpb_unbudgeted). Recorded into
-// BENCH_PR10.json by `make budget-bench`.
+// BENCH.json by `make budget-bench`.
 func BenchmarkBudgetSweep(b *testing.B) {
 	base := workload.DefaultScenario()
 	for _, src := range experiments.BudgetSources(base) {

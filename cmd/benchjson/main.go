@@ -2,7 +2,7 @@
 // section of a JSON trajectory file, so performance baselines survive
 // across changes and regressions are diffable:
 //
-//	go test -bench=. -benchtime=1x -run='^$' . | benchjson -out BENCH_PR3.json -section current
+//	go test -bench=. -benchtime=1x -run='^$' . | benchjson -out BENCH.json -section current
 //
 // The file accumulates sections (e.g. "baseline" recorded before an
 // optimization, "current" after); re-recording a section replaces it and
@@ -174,7 +174,7 @@ func speedup(w io.Writer, traj trajectory, from, to string) {
 func run(args []string, stdin io.Reader, stderr io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	out := fs.String("out", "BENCH_PR3.json", "trajectory file to create or update")
+	out := fs.String("out", "BENCH.json", "trajectory file to create or update")
 	name := fs.String("section", "current", "section name to (re)record")
 	in := fs.String("in", "", "read benchmark output from this file instead of stdin")
 	compare := fs.String("compare", "baseline", "print ns/op speedups against this section, if present")

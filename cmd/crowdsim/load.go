@@ -12,7 +12,7 @@
 // Results print as `go test -bench`-shaped lines so they pipe straight
 // into cmd/benchjson:
 //
-//	crowdsim -load -load-agents 100000 | benchjson -out BENCH_PR8.json -section load
+//	crowdsim -load -load-agents 100000 | benchjson -out BENCH.json -section load
 package main
 
 import (
@@ -39,8 +39,8 @@ import (
 type loadOptions struct {
 	agents    int
 	ticks     int
-	tasks     int    // tasks announced per measured tick (0 = pure fan-out)
-	queue     int    // per-session outbound queue depth
+	tasks     int     // tasks announced per measured tick (0 = pure fan-out)
+	queue     int     // per-session outbound queue depth
 	wire      string  // "json", "binary", or "both"
 	transport string  // "mem" or "tcp"
 	minMsgs   float64 // fail the run below this msgs/s (0 disables); smoke floor

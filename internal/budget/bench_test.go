@@ -15,7 +15,7 @@ import (
 // The budgeted engines pay exact counterfactual critical values —
 // each settled winner re-runs the observed round O(log n) times — so
 // the interesting number is how far that pricing sits from the
-// baseline at realistic round sizes. Recorded into BENCH_PR10.json by
+// baseline at realistic round sizes. Recorded into BENCH.json by
 // `make budget-bench`.
 func BenchmarkBudgetedSlot(b *testing.B) {
 	scn := workload.DefaultScenario()

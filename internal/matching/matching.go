@@ -9,9 +9,7 @@
 // Hungarian algorithm (Kuhn 1955; the O(n³) variant of Edmonds–Karp
 // 1972 / Tomizawa 1971 cited by the paper), kept as the differential
 // oracle the interval solver is pinned against. BruteForceMaxWeight is
-// an exhaustive test oracle for small instances. Network is a general
-// min-cost-flow network for allocation problems beyond plain bipartite
-// matching (the multi-task extension).
+// an exhaustive test oracle for small instances.
 //
 // All matching solvers share a convention: only strictly
 // positive-weight edges are ever matched. Leaving a vertex unmatched is

@@ -134,36 +134,79 @@ func TestSolversAgreeRandom(t *testing.T) {
 	}
 }
 
-// flowMatching solves the max-weight matching as min-cost flow on a
-// Network (source → left → right → sink, unit capacities, cost −w on
-// the positive edges), an implementation independent of the Hungarian
-// solver, and reads the matching back from the edge flows.
+// flowMatching solves the max-weight matching as a unit-capacity
+// min-cost flow (source → left → right → sink, cost −w on the positive
+// edges), an implementation independent of the Hungarian solver. It
+// pushes one unit along the cheapest residual path, found with SPFA,
+// while that path has negative cost, and reads the matching back from
+// the saturated left→right arcs.
 func flowMatching(numLeft, numRight int, w WeightFunc) (Result, float64) {
-	net := NewNetwork(2 + numLeft + numRight)
-	src, snk := 0, 1+numLeft+numRight
-	type edge struct {
-		id   EdgeID
-		l, r int
+	type arc struct {
+		to, cap int
+		cost    float64
 	}
+	n := 2 + numLeft + numRight
+	src, snk := 0, n-1
+	adj := make([][]int, n) // node -> arc ids; arc i^1 is arc i's residual twin
+	var arcs []arc
+	addArc := func(from, to int, cost float64) int {
+		adj[from] = append(adj[from], len(arcs))
+		arcs = append(arcs, arc{to, 1, cost})
+		adj[to] = append(adj[to], len(arcs))
+		arcs = append(arcs, arc{from, 0, -cost})
+		return len(arcs) - 2
+	}
+	type edge struct{ id, l, r int }
 	var edges []edge
 	for l := 0; l < numLeft; l++ {
-		net.AddEdge(src, 1+l, 1, 0)
+		addArc(src, 1+l, 0)
 		for r := 0; r < numRight; r++ {
 			if wt := w(l, r); wt > 0 {
-				edges = append(edges, edge{net.AddEdge(1+l, 1+numLeft+r, 1, -wt), l, r})
+				edges = append(edges, edge{addArc(1+l, 1+numLeft+r, -wt), l, r})
 			}
 		}
 	}
 	for r := 0; r < numRight; r++ {
-		net.AddEdge(1+numLeft+r, snk, 1, 0)
+		addArc(1+numLeft+r, snk, 0)
 	}
-	_, profit := net.MaxProfit(src, snk)
+	var profit float64
+	for {
+		dist := make([]float64, n)
+		prev := make([]int, n)
+		inq := make([]bool, n)
+		for i := range dist {
+			dist[i] = math.Inf(1)
+		}
+		dist[src] = 0
+		for queue := []int{src}; len(queue) > 0; {
+			u := queue[0]
+			queue, inq[u] = queue[1:], false
+			for _, id := range adj[u] {
+				a := arcs[id]
+				if nd := dist[u] + a.cost; a.cap > 0 && nd < dist[a.to]-1e-12 {
+					dist[a.to], prev[a.to] = nd, id
+					if !inq[a.to] {
+						inq[a.to] = true
+						queue = append(queue, a.to)
+					}
+				}
+			}
+		}
+		if dist[snk] >= 0 { // +Inf when no path is left
+			break
+		}
+		for v := snk; v != src; v = arcs[prev[v]^1].to {
+			arcs[prev[v]].cap--
+			arcs[prev[v]^1].cap++
+		}
+		profit -= dist[snk]
+	}
 	res := Result{MatchLeft: make([]int, numLeft)}
 	for l := range res.MatchLeft {
 		res.MatchLeft[l] = Unmatched
 	}
 	for _, e := range edges {
-		if net.Flow(e.id) == 1 {
+		if arcs[e.id].cap == 0 {
 			res.MatchLeft[e.l] = e.r
 			res.Weight += w(e.l, e.r)
 		}
@@ -172,8 +215,7 @@ func flowMatching(numLeft, numRight int, w WeightFunc) (Result, float64) {
 }
 
 // TestSolversAgreeLarger cross-checks the Hungarian solver against a
-// min-cost-flow matching built on Network, at sizes beyond brute
-// force's reach.
+// min-cost-flow matching, at sizes beyond brute force's reach.
 func TestSolversAgreeLarger(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -187,10 +229,10 @@ func TestSolversAgreeLarger(t *testing.T) {
 		}
 		flow, profit := flowMatching(l, r, w)
 		if !almostEqual(h.Weight, profit) {
-			t.Fatalf("trial %d (%dx%d): hungarian %g != network profit %g", trial, l, r, h.Weight, profit)
+			t.Fatalf("trial %d (%dx%d): hungarian %g != flow profit %g", trial, l, r, h.Weight, profit)
 		}
 		if !flow.Verify(l, r, w) || !almostEqual(flow.Weight, profit) {
-			t.Fatalf("trial %d: network flow is not a matching of weight %g: %+v", trial, profit, flow)
+			t.Fatalf("trial %d: flow is not a matching of weight %g: %+v", trial, profit, flow)
 		}
 	}
 }
