@@ -10,8 +10,9 @@
 // kept — ns/op, B/op, allocs/op, and custom metrics like the figure
 // benchmarks' welfare_online / sigma_online series. A benchmark repeated
 // with `go test -count N` is recorded as the per-metric median of its N
-// result lines, with N under "samples"; the section records the run's
-// GOMAXPROCS.
+// result lines, with N under "samples" and each metric's extremes under
+// "<unit>_min" and "<unit>_max", so a section shows its spread as well as
+// its centre; the section records the run's GOMAXPROCS.
 package main
 
 import (
@@ -115,7 +116,8 @@ func parse(r io.Reader) (map[string]metrics, int, error) {
 
 // median folds repeated samples of one benchmark into the per-metric
 // median (the mean of the middle two for an even count), recording the
-// sample count under "samples".
+// sample count under "samples" and each metric's smallest and largest
+// sample under "<unit>_min" and "<unit>_max".
 func median(samples []metrics) metrics {
 	vals := make(map[string][]float64)
 	for _, m := range samples {
@@ -128,6 +130,7 @@ func median(samples []metrics) metrics {
 		sort.Float64s(vs)
 		n := len(vs)
 		out[unit] = (vs[(n-1)/2] + vs[n/2]) / 2
+		out[unit+"_min"], out[unit+"_max"] = vs[0], vs[n-1]
 	}
 	return out
 }

@@ -48,7 +48,7 @@ func TestParse(t *testing.T) {
 	}
 
 	// go test -count 3: every line is a sample; each metric records its
-	// median, not the last line.
+	// median, not the last line, and the extremes beside it.
 	got, procs, err = parse(strings.NewReader(`pkg: dynacrowd
 BenchmarkStreamingSlot-2   	   100	     900 ns/op	  50.00 slots/op	  512 B/op
 BenchmarkStreamingSlot-2   	   300	     500 ns/op	  50.00 slots/op	  256 B/op
@@ -57,7 +57,13 @@ BenchmarkStreamingSlot-2   	   200	     700 ns/op	  50.00 slots/op	  768 B/op
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := metrics{"iterations": 200, "ns/op": 700, "slots/op": 50, "B/op": 512, "samples": 3}
+	want := metrics{
+		"iterations": 200, "iterations_min": 100, "iterations_max": 300,
+		"ns/op": 700, "ns/op_min": 500, "ns/op_max": 900,
+		"slots/op": 50, "slots/op_min": 50, "slots/op_max": 50,
+		"B/op": 512, "B/op_min": 256, "B/op_max": 768,
+		"samples": 3,
+	}
 	if m := got["dynacrowd/BenchmarkStreamingSlot"]; len(m) != len(want) {
 		t.Fatalf("repeated lines: got %v, want %v", m, want)
 	} else {

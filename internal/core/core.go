@@ -131,6 +131,13 @@ func (in *Instance) Validate() error {
 	if in.Slots < 1 {
 		return fmt.Errorf("instance: round length %d < 1", in.Slots)
 	}
+	// The allocation pool stores slots and phone IDs as int32.
+	if in.Slots > math.MaxInt32 {
+		return fmt.Errorf("instance: round length %d exceeds %d", in.Slots, math.MaxInt32)
+	}
+	if len(in.Bids) > math.MaxInt32 {
+		return fmt.Errorf("instance: %d bids exceed %d", len(in.Bids), math.MaxInt32)
+	}
 	if in.Value < 0 || math.IsNaN(in.Value) || math.IsInf(in.Value, 0) {
 		return fmt.Errorf("instance: task value %g is not a non-negative finite number", in.Value)
 	}

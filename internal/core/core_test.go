@@ -87,6 +87,14 @@ func TestInstanceValidate(t *testing.T) {
 			t.Fatal("want error")
 		}
 	})
+	t.Run("round length beyond int32", func(t *testing.T) {
+		m := Slot(math.MaxInt32)
+		m++ // at run time: on a 32-bit int it wraps, and is rejected as < 1
+		in := &Instance{Slots: m, Value: 1}
+		if in.Validate() == nil {
+			t.Fatal("want error")
+		}
+	})
 	t.Run("misnumbered bid", func(t *testing.T) {
 		in := paperInstance()
 		in.Bids[3].Phone = 9

@@ -165,12 +165,12 @@ func (ix *arrivalsIndex) at(t Slot) []PhoneID {
 // winners plus the cascade side state. heapBuf is reused storage for
 // the allocation pool; the (possibly grown) storage is returned so the
 // caller can keep it.
-func runBaseline(in *Instance, idx *arrivalsIndex, run *greedyRun, heapBuf []PhoneID) []PhoneID {
-	h := costHeap{bids: in.Bids, items: heapBuf[:0]}
+func runBaseline(in *Instance, idx *arrivalsIndex, run *greedyRun, heapBuf []heapEntry) []heapEntry {
+	h := costHeap{items: heapBuf[:0]}
 	ti := 0
 	for t := Slot(1); t <= in.Slots; t++ {
 		for _, p := range idx.at(t) {
-			h.push(p)
+			h.push(&in.Bids[p])
 		}
 		for ; ti < len(in.Tasks) && in.Tasks[ti].Arrival == t; ti++ {
 			winner := h.popEligible(t)
@@ -281,7 +281,7 @@ func cascadePayment(in *Instance, run *greedyRun, i PhoneID, fixes []slotFix) (f
 
 // oracleScratch holds the reusable buffers of one Algorithm 2 re-run.
 type oracleScratch struct {
-	heap     []PhoneID
+	heap     []heapEntry
 	unserved []int32
 	maxCost  []float64
 }
@@ -294,14 +294,14 @@ func oracleCritical(in *Instance, idx *arrivalsIndex, i PhoneID, won Slot, sc *o
 	d := in.Bids[i].Departure
 	sc.unserved = resize(sc.unserved, int(d)+1)
 	sc.maxCost = resize(sc.maxCost, int(d)+1)
-	h := costHeap{bids: in.Bids, items: sc.heap[:0]}
+	h := costHeap{items: sc.heap[:0]}
 	ti := 0
 	for t := Slot(1); t <= d; t++ {
 		for _, p := range idx.at(t) {
 			if p == i {
 				continue
 			}
-			h.push(p)
+			h.push(&in.Bids[p])
 		}
 		for ; ti < len(in.Tasks) && in.Tasks[ti].Arrival == t; ti++ {
 			w := h.popEligible(t)
@@ -334,7 +334,7 @@ func oracleCritical(in *Instance, idx *arrivalsIndex, i PhoneID, won Slot, sc *o
 // out over a worker pool) allocation-free on the hot path after warm-up.
 type mechScratch struct {
 	idx   arrivalsIndex
-	heap  []PhoneID
+	heap  []heapEntry
 	run   greedyRun
 	fixes []slotFix
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -96,7 +97,10 @@ func FuzzCriticalPayments(f *testing.F) {
 }
 
 // FuzzStreamEquivalence replays fuzz-seeded instances through the
-// streaming driver and checks it matches the batch mechanism.
+// streaming driver and checks it matches the batch mechanism. Every
+// slot's departure and payment notices must equal a literal scan over
+// the bids: each phone whose reported departure is the slot, in ID
+// order, and each such winner paid its batch payment bit for bit.
 func FuzzStreamEquivalence(f *testing.F) {
 	f.Add(int64(3))
 	f.Add(int64(99))
@@ -111,6 +115,7 @@ func FuzzStreamEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		oa.TrackDepartures(true)
 		perSlot := in.TasksPerSlot()
 		bi := 0
 		for s := Slot(1); s <= in.Slots; s++ {
@@ -118,8 +123,26 @@ func FuzzStreamEquivalence(f *testing.F) {
 			for ; bi < len(in.Bids) && in.Bids[bi].Arrival == s; bi++ {
 				arriving = append(arriving, StreamBid{Departure: in.Bids[bi].Departure, Cost: in.Bids[bi].Cost})
 			}
-			if _, err := oa.Step(arriving, perSlot[s-1]); err != nil {
+			res, err := oa.Step(arriving, perSlot[s-1])
+			if err != nil {
 				t.Fatal(err)
+			}
+			var departed []PhoneID
+			var paid []PaymentNotice
+			for i, b := range in.Bids {
+				if b.Departure != s {
+					continue
+				}
+				departed = append(departed, PhoneID(i))
+				if batch.Allocation.ByPhone[i] != NoTask {
+					paid = append(paid, PaymentNotice{Phone: PhoneID(i), Amount: batch.Payments[i]})
+				}
+			}
+			if !slices.Equal(res.Departed, departed) {
+				t.Fatalf("slot %d: departed %v, want %v", s, res.Departed, departed)
+			}
+			if !slices.Equal(res.Payments, paid) {
+				t.Fatalf("slot %d: payments %v, want %v", s, res.Payments, paid)
 			}
 		}
 		stream := oa.Outcome()

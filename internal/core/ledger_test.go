@@ -102,11 +102,9 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 					t.Fatal(err)
 				}
 				if l.AllocateAtLoss() || sb.Cost < l.Value() {
-					h.bids = l.inst.Bids // refresh the view after growth
-					h.push(id)
+					h.push(&l.inst.Bids[id])
 				}
 			}
-			h.bids = l.inst.Bids
 			for k := 0; k < perSlot[s-1]; k++ {
 				id := l.AddTask(s)
 				if winner := h.popEligible(s); winner != NoPhone {

@@ -133,57 +133,87 @@ func (OnlineOracle) Run(in *Instance) (*Outcome, error) {
 	return out, nil
 }
 
-// costHeap is a binary min-heap of phone IDs ordered by (claimed cost,
-// phone ID). The deterministic ID tiebreak keeps runs reproducible.
+// heapEntry is one pooled phone. It copies the bid's claimed cost and
+// departure, so ordering and the departed check read only the entry.
+type heapEntry struct {
+	cost float64
+	dep  int32
+	id   int32
+}
+
+// less orders entries by (claimed cost, phone ID). The deterministic ID
+// tiebreak makes this a strict total order, which keeps runs
+// reproducible and the pop sequence independent of the heap's shape.
+func (e heapEntry) less(f heapEntry) bool {
+	if e.cost != f.cost {
+		return e.cost < f.cost
+	}
+	return e.id < f.id
+}
+
+// costHeap is a 4-ary min-heap of pooled phones ordered by heapEntry.less.
+// Node i's children are 4i+1..4i+4: with 16-byte entries the four
+// siblings span 64 bytes, one cache line's worth, and the tree is half
+// as deep as a binary heap's.
 type costHeap struct {
-	bids  []Bid
-	items []PhoneID
+	items []heapEntry
+	// base is the length compact left behind; it filters again once
+	// the heap has doubled past it.
+	base int
 }
 
 func (h *costHeap) len() int { return len(h.items) }
 
-func (h *costHeap) less(a, b PhoneID) bool {
-	if h.bids[a].Cost != h.bids[b].Cost {
-		return h.bids[a].Cost < h.bids[b].Cost
-	}
-	return a < b
-}
-
-func (h *costHeap) push(p PhoneID) {
-	h.items = append(h.items, p)
+// push adds bid b's phone to the pool.
+func (h *costHeap) push(b *Bid) {
+	e := heapEntry{cost: b.Cost, dep: int32(b.Departure), id: int32(b.Phone)}
+	h.items = append(h.items, e)
 	i := len(h.items) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
+		parent := (i - 1) / 4
+		if !e.less(h.items[parent]) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		h.items[i] = h.items[parent]
 		i = parent
 	}
+	h.items[i] = e
+}
+
+// down sifts e into the hole at node i: smaller children move up until
+// e fits.
+func (h *costHeap) down(i int, e heapEntry) {
+	items := h.items
+	n := len(items)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		small := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if items[c].less(items[small]) {
+				small = c
+			}
+		}
+		if !items[small].less(e) {
+			break
+		}
+		items[i] = items[small]
+		i = small
+	}
+	items[i] = e
 }
 
 func (h *costHeap) pop() PhoneID {
 	top := h.items[0]
 	last := len(h.items) - 1
-	h.items[0] = h.items[last]
+	e := h.items[last]
 	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.items) && h.less(h.items[l], h.items[small]) {
-			small = l
-		}
-		if r < len(h.items) && h.less(h.items[r], h.items[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
-		i = small
+	if last > 0 {
+		h.down(0, e)
 	}
-	return top
+	return PhoneID(top.id)
 }
 
 // popEligible pops the cheapest phone still active in slot t,
@@ -191,8 +221,8 @@ func (h *costHeap) pop() PhoneID {
 // departed phone can never become eligible again).
 func (h *costHeap) popEligible(t Slot) PhoneID {
 	for h.len() > 0 {
-		p := h.pop()
-		if h.bids[p].Departure >= t {
+		dep := Slot(h.items[0].dep)
+		if p := h.pop(); dep >= t {
 			return p
 		}
 	}
@@ -203,10 +233,38 @@ func (h *costHeap) popEligible(t Slot) PhoneID {
 // discarding departed entries but leaving the survivor in place.
 func (h *costHeap) peekEligible(t Slot) PhoneID {
 	for h.len() > 0 {
-		if p := h.items[0]; h.bids[p].Departure >= t {
-			return p
+		if e := h.items[0]; Slot(e.dep) >= t {
+			return PhoneID(e.id)
 		}
 		h.pop()
 	}
 	return NoPhone
+}
+
+// compact is the departed-entry discard of popEligible done in bulk, at
+// the end of slot t: once the heap has doubled since the last compaction
+// (and holds at least 64 entries), it drops every entry departed by t
+// and re-heapifies bottom-up in O(n). A compaction of n entries follows
+// at least n/2 pushes, so its cost is amortized O(1) per push, and
+// between compactions the heap holds under twice what the last one kept
+// (or under 64). Dropped entries could never be popped as eligible
+// again, and the order is a strict total order, so every later pop is
+// unchanged.
+func (h *costHeap) compact(t Slot) {
+	if n := len(h.items); n < 64 || n < 2*h.base {
+		return
+	}
+	kept := h.items[:0]
+	for _, e := range h.items {
+		if Slot(e.dep) > t {
+			kept = append(kept, e)
+		}
+	}
+	h.items, h.base = kept, len(kept)
+	if len(kept) < 2 {
+		return // (0-2)/4 truncates to 0: the loop below needs a parent
+	}
+	for i := (len(kept) - 2) / 4; i >= 0; i-- {
+		h.down(i, kept[i])
+	}
 }

@@ -298,3 +298,117 @@ func TestOnlineCostTruthfulness(t *testing.T) {
 		}
 	}
 }
+
+// TestCostHeapPopOrder drives the allocation pool the way a round does —
+// pushes, then pops and peeks at a non-decreasing slot, then a
+// compaction at the end of each slot — and checks every answer against
+// a brute-force minimum over the live entries. Costs come from a small
+// set, so most comparisons fall through to the ID tiebreak.
+func TestCostHeapPopOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	type entry struct {
+		id   PhoneID
+		dep  Slot
+		cost float64
+	}
+	// want is the cheapest entry still active in slot s, by (cost, ID).
+	want := func(live map[PhoneID]entry, s Slot) PhoneID {
+		best := NoPhone
+		for id, e := range live {
+			if e.dep < s {
+				continue
+			}
+			if best == NoPhone || e.cost < live[best].cost || (e.cost == live[best].cost && id < best) {
+				best = id
+			}
+		}
+		return best
+	}
+	checkShape := func(h *costHeap) {
+		t.Helper()
+		for i := 1; i < len(h.items); i++ {
+			if h.items[i].less(h.items[(i-1)/4]) {
+				t.Fatalf("heap order broken at %d: %+v above %+v", i, h.items[(i-1)/4], h.items[i])
+			}
+		}
+	}
+
+	for trial := 0; trial < 30; trial++ {
+		var h costHeap
+		base := 0 // entries the last filtering compaction left
+		live := map[PhoneID]entry{}
+		ids := rng.Perm(4000)
+		const m = 40
+		for s := Slot(1); s <= m; s++ {
+			for k := rng.Intn(100); k > 0 && len(ids) > 0; k-- {
+				e := entry{id: PhoneID(ids[0]), dep: s + Slot(rng.Intn(4)), cost: float64(rng.Intn(5))}
+				ids = ids[1:]
+				h.push(&Bid{Phone: e.id, Arrival: s, Departure: e.dep, Cost: e.cost})
+				live[e.id] = e
+			}
+			for k := rng.Intn(30); k > 0; k-- {
+				w := want(live, s)
+				if rng.Intn(3) == 0 {
+					if got := h.peekEligible(s); got != w {
+						t.Fatalf("trial %d slot %d: peekEligible = %d, want %d", trial, s, got, w)
+					}
+					continue
+				}
+				if got := h.popEligible(s); got != w {
+					t.Fatalf("trial %d slot %d: popEligible = %d, want %d", trial, s, got, w)
+				}
+				delete(live, w)
+			}
+			// compact filters once the heap holds at least 64 entries and
+			// twice what the last filtering left; then it drops exactly
+			// the entries departed by s.
+			before, departed := h.len(), 0
+			for _, e := range h.items {
+				if Slot(e.dep) <= s {
+					departed++
+				}
+			}
+			h.compact(s)
+			wantLen := before
+			if before >= 64 && before >= 2*base {
+				wantLen = before - departed
+				base = wantLen
+			}
+			if h.len() != wantLen {
+				t.Fatalf("trial %d slot %d: compaction left %d of %d entries, want %d", trial, s, h.len(), before, wantLen)
+			}
+			checkShape(&h)
+			for _, e := range h.items {
+				if _, ok := live[PhoneID(e.id)]; !ok {
+					t.Fatalf("trial %d slot %d: heap holds popped phone %d", trial, s, e.id)
+				}
+			}
+		}
+	}
+
+	// A compaction that leaves nothing, then one that leaves one entry:
+	// the bottom-up heapify must cope with both, and the pool must keep
+	// working afterwards.
+	var h costHeap
+	for i := 0; i < 64; i++ {
+		h.push(&Bid{Phone: PhoneID(i), Arrival: 1, Departure: 1, Cost: 1})
+	}
+	h.compact(1)
+	if h.len() != 0 {
+		t.Fatalf("compaction kept %d departed entries", h.len())
+	}
+	for i := 64; i < 192; i++ {
+		h.push(&Bid{Phone: PhoneID(i), Arrival: 2, Departure: 2, Cost: float64(200 - i)})
+	}
+	h.push(&Bid{Phone: 500, Arrival: 2, Departure: 3, Cost: 9})
+	h.compact(2)
+	if h.len() != 1 {
+		t.Fatalf("compaction kept %d entries, want 1", h.len())
+	}
+	if got := h.popEligible(3); got != 500 {
+		t.Fatalf("popEligible after compaction = %d, want 500", got)
+	}
+	if got := h.popEligible(3); got != NoPhone {
+		t.Fatalf("popEligible on an empty pool = %d, want NoPhone", got)
+	}
+}

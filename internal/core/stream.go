@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -43,12 +44,14 @@ type SlotResult struct {
 // departure slot. A completed OnlineAuction yields the same allocation
 // and payments as OnlineMechanism.Run on the equivalent batch instance.
 //
-// The auction retains the incremental pricing state of the greedy run
-// (per-task runner-ups, per-slot winner-cost tables), so a departure is
-// priced by a cascade walk over that state instead of re-simulating the
-// round from a snapshot — the platform's per-slot hot path stays
-// O(window + cascade slots) per departing winner, plus one
-// O(tasks in slot) relink of each slot's within-slot chain memo.
+// One Step costs amortized O((a + r) log p) for the slot's a arrivals
+// and r tasks over a pool of p active phones, plus O(1) per departing
+// phone, which it finds through a per-slot departure list rather than a
+// scan of the round's bids. A departing winner is priced by a cascade
+// walk over the retained pricing state of the greedy run (per-task
+// runner-ups, per-slot winner-cost tables): O(window + cascade slots),
+// plus one O(tasks in slot) relink of each slot's within-slot chain
+// memo. None of it grows with how far into the round the slot is.
 type OnlineAuction struct {
 	slots          Slot
 	value          float64
@@ -60,6 +63,11 @@ type OnlineAuction struct {
 
 	metrics         *Metrics // nil disables instrumentation
 	trackDepartures bool
+
+	// Departure lists: slot t's departing phones, in ascending ID order,
+	// run from depHead[t] along depNext to depTail[t]; -1 ends a list.
+	depHead, depTail []int32 // slot -> first and last phone departing then
+	depNext          []int32 // phone -> next phone with its departure slot
 
 	heap costHeap
 	run  greedyRun   // winners plus retained cascade pricing state
@@ -74,11 +82,19 @@ func NewOnlineAuction(m Slot, value float64, allocateAtLoss bool) (*OnlineAuctio
 	if m < 1 {
 		return nil, fmt.Errorf("online auction: round length %d < 1", m)
 	}
+	if m > math.MaxInt32 {
+		return nil, fmt.Errorf("online auction: round length %d exceeds %d", m, math.MaxInt32)
+	}
 	if value < 0 {
 		return nil, fmt.Errorf("online auction: negative task value %g", value)
 	}
 	oa := &OnlineAuction{slots: m, value: value, allocateAtLoss: allocateAtLoss}
 	oa.run.resetSlots(m)
+	oa.depHead = make([]int32, m+1)
+	oa.depTail = make([]int32, m+1)
+	for t := range oa.depHead {
+		oa.depHead[t], oa.depTail[t] = -1, -1
+	}
 	return oa, nil
 }
 
@@ -158,6 +174,9 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 	if numTasks < 0 {
 		return nil, fmt.Errorf("online auction: negative task count %d", numTasks)
 	}
+	if n := len(oa.bids) + len(arriving); n > math.MaxInt32 {
+		return nil, fmt.Errorf("online auction: %d phones exceed %d", n, math.MaxInt32)
+	}
 	t := oa.now + 1
 	for k, sb := range arriving {
 		probe := Bid{Phone: PhoneID(len(oa.bids) + k), Arrival: t, Departure: sb.Departure, Cost: sb.Cost}
@@ -166,7 +185,7 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		}
 	}
 	oa.now = t
-	res := &SlotResult{Slot: t}
+	res := &SlotResult{Slot: t, Joined: make([]PhoneID, 0, len(arriving))}
 	var start time.Time
 	if oa.metrics != nil {
 		start = time.Now()
@@ -179,15 +198,21 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		oa.run.wonAt = append(oa.run.wonAt, 0)
 		oa.run.phoneTask = append(oa.run.phoneTask, NoTask)
 		res.Joined = append(res.Joined, id)
+		// Appending at the tail keeps each departure list in ID order.
+		oa.depNext = append(oa.depNext, -1)
+		if tail := oa.depTail[sb.Departure]; tail < 0 {
+			oa.depHead[sb.Departure] = int32(id)
+		} else {
+			oa.depNext[tail] = int32(id)
+		}
+		oa.depTail[sb.Departure] = int32(id)
 		// Reserve price: bids that can never yield positive welfare are
 		// recorded (they may still depart, and auditors may inspect them)
 		// but never enter the allocation pool.
 		if oa.allocateAtLoss || sb.Cost < oa.value {
-			oa.heap.bids = oa.bids
-			oa.heap.push(id)
+			oa.heap.push(&bid)
 		}
 	}
-	oa.heap.bids = oa.bids
 	oa.comp.grow(len(oa.bids))
 
 	for k := 0; k < numTasks; k++ {
@@ -220,23 +245,22 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 	// and every bid or task that will arrive later is invisible to those
 	// slots, so paying now equals paying at end of round.
 	in := oa.instance()
-	for i := range oa.bids {
-		if oa.bids[i].Departure != t {
-			continue
-		}
+	for next := oa.depHead[t]; next >= 0; next = oa.depNext[next] {
+		i := PhoneID(next)
 		if oa.trackDepartures {
-			res.Departed = append(res.Departed, PhoneID(i))
+			res.Departed = append(res.Departed, i)
 		}
-		if oa.run.wonAt[i] == 0 || !oa.comp.payable(PhoneID(i)) {
+		if oa.run.wonAt[i] == 0 || !oa.comp.payable(i) {
 			continue
 		}
-		amount := oa.price(in, PhoneID(i))
-		oa.comp.markPaid(PhoneID(i), amount, t)
-		res.Payments = append(res.Payments, PaymentNotice{Phone: PhoneID(i), Amount: amount})
+		amount := oa.price(in, i)
+		oa.comp.markPaid(i, amount, t)
+		res.Payments = append(res.Payments, PaymentNotice{Phone: i, Amount: amount})
 	}
 	if oa.metrics != nil {
 		oa.metrics.PaymentSeconds.Observe(time.Since(start).Seconds())
 	}
+	oa.heap.compact(t)
 	return res, nil
 }
 

@@ -46,6 +46,12 @@ func TestNewOnlineAuctionValidation(t *testing.T) {
 	if _, err := NewOnlineAuction(5, -1, false); err == nil {
 		t.Fatal("want error for negative value")
 	}
+	// The departure lists and the pool store slots as int32.
+	m := Slot(math.MaxInt32)
+	m++
+	if _, err := NewOnlineAuction(m, 10, false); err == nil {
+		t.Fatal("want error for a round longer than math.MaxInt32 slots")
+	}
 }
 
 func TestOnlineAuctionStepErrors(t *testing.T) {
