@@ -90,14 +90,18 @@ soak:
 # (malformed input must error, never panic or hang), and FuzzRestore
 # feeds arbitrary bytes, seeded with the golden checkpoints, to both
 # auctions' restore (it must error or round-trip, never panic).
+# -fuzzminimizetime 100x bounds how long each new-coverage input is
+# minimized: the default allows 60 s per input, so a 10 s smoke run could
+# spend its whole budget minimizing (FuzzRestore then ran 9 executions)
+# instead of fuzzing.
 fuzz-smoke:
-	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzOfflineVCG -fuzztime 10s ./internal/core/
-	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCriticalPayments -fuzztime 10s ./internal/core/
-	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCompletionOrder -fuzztime 10s ./internal/core/
-	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzIntervalSolver -fuzztime 5s ./internal/matching/
-	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBinaryFrame -fuzztime 10s ./internal/protocol/
-	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBudgetSnapshot -fuzztime 10s ./internal/budget/
-	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzRestore -fuzztime 10s ./internal/core/auctiontest/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzOfflineVCG -fuzzminimizetime 100x -fuzztime 10s ./internal/core/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCriticalPayments -fuzzminimizetime 100x -fuzztime 10s ./internal/core/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCompletionOrder -fuzzminimizetime 100x -fuzztime 10s ./internal/core/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzIntervalSolver -fuzzminimizetime 100x -fuzztime 5s ./internal/matching/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBinaryFrame -fuzzminimizetime 100x -fuzztime 10s ./internal/protocol/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBudgetSnapshot -fuzzminimizetime 100x -fuzztime 10s ./internal/budget/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzRestore -fuzzminimizetime 100x -fuzztime 10s ./internal/core/auctiontest/
 
 # wire-diff proves the binary framing is transport dressing only: the
 # same scripted multi-round auction (completions, defaults, clawbacks)

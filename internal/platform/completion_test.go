@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynacrowd/internal/core"
+	"dynacrowd/internal/obs"
 	"dynacrowd/internal/protocol"
 )
 
@@ -244,6 +245,49 @@ func TestResumeAfterCompleteReplaysPayment(t *testing.T) {
 	pay := readMsg(t, conn, r)
 	if pay.Type != protocol.TypePayment || pay.Amount != 10 || pay.Slot != 2 {
 		t.Fatalf("resume payment replay = %+v, want the executed 10 at slot 2", pay)
+	}
+}
+
+// TestMidRoundResumePricesNothing: in a completion-tracked round the
+// lifecycle, not the outcome, says what a resumed phone is owed, so a
+// resume before the round ends prices no winner: the cascade counter
+// stands still across it, with an undeparted winner to price.
+func TestMidRoundResumePricesNothing(t *testing.T) {
+	o, err := obs.New(obs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Slots: 4, Value: 10, CompletionDeadline: 3, Obs: o})
+	a := dialAgent(t, s.Addr())
+	if err := a.SubmitBid("away", 4, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Tick(1); err != nil { // slot 1: wins, departs at slot 4
+		t.Fatal(err)
+	}
+	waitEvent(t, a, EventAssign)
+	cascade := func() float64 {
+		t.Helper()
+		var b strings.Builder
+		if err := o.Registry.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, b.String(), `dynacrowd_core_engine_invocations_total{engine="cascade"}`)
+	}
+	before := cascade()
+
+	conn, r, w := rawConn(t, s.Addr())
+	if err := w.Send(&protocol.Message{Type: protocol.TypeResume, Phone: 0, Round: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if m := readMsg(t, conn, r); m.Type != protocol.TypeWelcome {
+		t.Fatalf("resume welcome = %+v", m)
+	}
+	if m := readMsg(t, conn, r); m.Type != protocol.TypeAssign || m.Task != 0 {
+		t.Fatalf("resume assign replay = %+v", m)
+	}
+	if after := cascade(); after != before {
+		t.Fatalf("a mid-round resume priced %g winners", after-before)
 	}
 }
 

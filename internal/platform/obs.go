@@ -15,7 +15,6 @@ type platformMetrics struct {
 	fanoutSeconds *obs.Histogram  // latency of one batched slot fan-out
 	roundWelfare  *obs.FloatGauge // welfare accumulated in the current round
 	roundPaid     *obs.FloatGauge // payments issued in the current round
-	queueDepth    func() float64  // retained for tests; registered as a GaugeFunc
 }
 
 // newPlatformMetrics registers the platform metric catalog (see
@@ -78,17 +77,16 @@ func newPlatformMetrics(reg *obs.Registry, s *Server) *platformMetrics {
 		"Cumulative social welfare Σ(ν − b) over assignments, across rounds (matches Outcome.Welfare per completed round).",
 		c.totalWelfare.Value)
 
-	queueDepth := func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		depth := 0
-		for sess := range s.sessions {
-			depth += len(sess.out)
-		}
-		return float64(depth)
-	}
 	reg.GaugeFunc("dynacrowd_platform_session_queue_depth",
-		"Outbound messages sitting in session queues right now.", queueDepth)
+		"Outbound messages sitting in session queues right now.", func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			depth := 0
+			for sess := range s.sessions {
+				depth += len(sess.out)
+			}
+			return float64(depth)
+		})
 
 	return &platformMetrics{
 		tickSeconds: reg.Histogram("dynacrowd_platform_tick_seconds",
@@ -101,21 +99,30 @@ func newPlatformMetrics(reg *obs.Registry, s *Server) *platformMetrics {
 			"Social welfare accumulated in the current round."),
 		roundPaid: reg.FloatGauge("dynacrowd_platform_round_paid",
 			"Payments issued in the current round."),
-		queueDepth: queueDepth,
 	}
 }
 
-// observeTick records one tick's latency.
-func (pm *platformMetrics) observeTick(d time.Duration) {
+// start returns the time a timed stage starts at; with observability
+// off it is the zero time, and the clock is not read.
+func (pm *platformMetrics) start() time.Time {
+	if pm == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeTick records the latency of one tick that started at start.
+func (pm *platformMetrics) observeTick(start time.Time) {
 	if pm != nil {
-		pm.tickSeconds.Observe(d.Seconds())
+		pm.tickSeconds.Observe(time.Since(start).Seconds())
 	}
 }
 
-// observeFanout records one batched slot broadcast's latency.
-func (pm *platformMetrics) observeFanout(d time.Duration) {
+// observeFanout records the latency of one batched slot broadcast that
+// started at start.
+func (pm *platformMetrics) observeFanout(start time.Time) {
 	if pm != nil {
-		pm.fanoutSeconds.Observe(d.Seconds())
+		pm.fanoutSeconds.Observe(time.Since(start).Seconds())
 	}
 }
 

@@ -1,7 +1,12 @@
 package platform
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -19,7 +24,8 @@ import (
 // every agent on the binary framing, and a mixed swarm. The framing is
 // transport dressing and nothing else, so the auction outcome and every
 // wire-independent operational tally must be bit-identical across the
-// three runs.
+// three runs. The all-JSON run must also match the golden transcript
+// (see wireTranscriptGolden) message for message.
 func TestWireDifferentialSwarm(t *testing.T) {
 	const agents = 10
 	// Seeded script, shared verbatim by all three runs. Agent 0 is
@@ -61,11 +67,12 @@ func TestWireDifferentialSwarm(t *testing.T) {
 	type result struct {
 		outcome *core.Outcome
 		stats   Stats
+		heard   [][]protocol.Message
 	}
 	results := make(map[string]result)
 	for name, wireByAgent := range runs {
-		outcome, stats := runWireDifferentialScript(t, wireByAgent, costs, durations, schedule)
-		results[name] = result{outcome, stats}
+		outcome, stats, heard := runWireDifferentialScript(t, wireByAgent, costs, durations, schedule)
+		results[name] = result{outcome, stats, heard}
 		t.Logf("%s: welfare %.2f paid %.2f defaults %d reallocated %d clawbacks %d (%.2f)",
 			name, stats.TotalWelfare, stats.TotalPaid, stats.WinnersDefaulted,
 			stats.TasksReallocated, stats.ClawbacksIssued, stats.ClawbackTotal)
@@ -79,6 +86,12 @@ func TestWireDifferentialSwarm(t *testing.T) {
 	if ref.stats.RoundsCompleted != 2 {
 		t.Fatalf("script completed %d rounds, want 2", ref.stats.RoundsCompleted)
 	}
+
+	checkWireTranscript(t, wireTranscript{
+		Agents:  ref.heard,
+		Stats:   wireIndependentStats(ref.stats),
+		Outcome: ref.outcome,
+	})
 
 	for name, got := range results {
 		if !reflect.DeepEqual(got.outcome, ref.outcome) {
@@ -109,6 +122,90 @@ func wireIndependentStats(s Stats) [13]float64 {
 	}
 }
 
+// wireTranscriptGolden is what the all-JSON run of
+// TestWireDifferentialSwarm must reproduce exactly: every message each
+// agent heard after its state reply, in order and with every field, the
+// wire-independent Stats and the final Outcome. It was recorded from the
+// server as it stood before Tick was split into stages, so any change
+// to what a phone is told, in what order, or to the money tallies shows
+// up here. After an intended behaviour change, re-record it by writing
+// encodeWireTranscript's output over the file.
+var wireTranscriptGolden = filepath.Join("testdata", "wire-transcript.json")
+
+// wireTranscript is the golden's content.
+type wireTranscript struct {
+	Agents  [][]protocol.Message `json:"agents"`
+	Stats   [13]float64          `json:"stats"` // wireIndependentStats
+	Outcome *core.Outcome        `json:"outcome"`
+}
+
+// encodeWireTranscript renders tr as JSON with one message per line, so
+// a mismatch can be reported by line.
+func encodeWireTranscript(tr wireTranscript) ([]byte, error) {
+	var b bytes.Buffer
+	b.WriteString("{\"agents\": [\n")
+	for i, msgs := range tr.Agents {
+		b.WriteString(" [\n")
+		for k := range msgs {
+			line, err := json.Marshal(&msgs[k])
+			if err != nil {
+				return nil, err
+			}
+			b.WriteString("  ")
+			b.Write(line)
+			if k < len(msgs)-1 {
+				b.WriteByte(',')
+			}
+			b.WriteByte('\n')
+		}
+		b.WriteString(" ]")
+		if i < len(tr.Agents)-1 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('\n')
+	}
+	stats, err := json.Marshal(tr.Stats)
+	if err != nil {
+		return nil, err
+	}
+	outcome, err := json.Marshal(tr.Outcome)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(&b, "],\n\"stats\": %s,\n\"outcome\": %s\n}\n", stats, outcome)
+	return b.Bytes(), nil
+}
+
+// checkWireTranscript fails t unless got encodes byte for byte to the
+// golden transcript, naming the first line that differs.
+func checkWireTranscript(t *testing.T, got wireTranscript) {
+	t.Helper()
+	want, err := os.ReadFile(wireTranscriptGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have, err := encodeWireTranscript(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(have, want) {
+		return
+	}
+	wl, hl := bytes.Split(want, []byte("\n")), bytes.Split(have, []byte("\n"))
+	for i := 0; i < len(wl) || i < len(hl); i++ {
+		var w, h []byte
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(hl) {
+			h = hl[i]
+		}
+		if !bytes.Equal(w, h) {
+			t.Fatalf("%s line %d differs:\n want %s\n got  %s", wireTranscriptGolden, i+1, w, h)
+		}
+	}
+}
+
 // diffAgent is a scripted wire client that records everything the
 // platform tells it, so the test can react (complete assignments) and
 // synchronize (await acks) deterministically.
@@ -120,7 +217,8 @@ type diffAgent struct {
 	phone     core.PhoneID
 	round     int
 	acks      int
-	asserts   []string // protocol errors observed (must stay empty)
+	heard     []protocol.Message // every message received, in order
+	asserts   []string           // protocol errors observed (must stay empty)
 	assigns   []diffAssign
 	completed map[diffAssign]bool
 }
@@ -137,6 +235,7 @@ func (a *diffAgent) readLoop(r *protocol.Reader) {
 			return
 		}
 		a.mu.Lock()
+		a.heard = append(a.heard, m)
 		switch m.Type {
 		case protocol.TypeWelcome:
 			a.phone, a.round = m.Phone, m.Round
@@ -153,8 +252,9 @@ func (a *diffAgent) readLoop(r *protocol.Reader) {
 
 // runWireDifferentialScript plays the fixed two-round script against a
 // fresh server with the given per-agent wire formats and returns the
-// final outcome and stats.
-func runWireDifferentialScript(t *testing.T, wireByAgent []string, costs []float64, durations []core.Slot, schedule []int) (*core.Outcome, Stats) {
+// final outcome and stats, and every message each agent heard after its
+// state reply.
+func runWireDifferentialScript(t *testing.T, wireByAgent []string, costs []float64, durations []core.Slot, schedule []int) (*core.Outcome, Stats, [][]protocol.Message) {
 	t.Helper()
 	ln := chaos.NewMemListener(len(wireByAgent))
 	srv, err := Serve(ln, Config{
@@ -251,16 +351,32 @@ func runWireDifferentialScript(t *testing.T, wireByAgent []string, costs []float
 		}
 	}
 
+	// The round may have closed on a completion report, after the last
+	// waitDrained: barrier until the swarm has read every message the
+	// server wrote (the state replies were read by the handshake).
+	waitDrained(t, srv, 10*time.Second)
+	waitFor("message delivery", func() bool {
+		st := srv.Stats()
+		total := int64(len(swarm))
+		for _, a := range swarm {
+			a.mu.Lock()
+			total += int64(len(a.heard))
+			a.mu.Unlock()
+		}
+		return total >= st.MessagesSentJSON+st.MessagesSentBinary
+	})
 	outcome, stats := srv.Outcome(), srv.Stats()
+	heard := make([][]protocol.Message, len(swarm))
 	for i, a := range swarm {
 		a.mu.Lock()
 		errs := a.asserts
+		heard[i] = a.heard
 		a.mu.Unlock()
 		if len(errs) > 0 {
 			t.Fatalf("agent %d saw protocol errors: %v", i, errs)
 		}
 	}
-	return outcome, stats
+	return outcome, stats, heard
 }
 
 func (a *diffAgent) ackCount() int {
