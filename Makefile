@@ -168,10 +168,11 @@ diff-sweep:
 # conformance proves the core.Auction conformance suite and the golden
 # checkpoint test ran: every auction kind (online, online with its
 # completion lifecycle, budgeted under each engine) steps, checkpoints
-# at every slot boundary, rejects each malformed checkpoint, and
-# restores the version-1 checkpoints under testdata/ byte-identically.
+# at every slot boundary, reports each phone's standing from its
+# settlement record, rejects each malformed checkpoint, and restores
+# the version-1 checkpoints under testdata/ byte-identically.
 conformance:
-	$(call gate,./internal/core/auctiontest/,TestBidAndInstance TestCheckpointEverySlot \
+	$(call gate,./internal/core/auctiontest/,TestBidAndInstance TestCheckpointEverySlot TestStanding \
 		TestRestoreRejectsMalformed TestRestoreAsOtherKind TestGoldenCheckpoints,-count=1)
 
 # fanout proves the slot-frame rule tests ran, ten times each under the

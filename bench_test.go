@@ -247,6 +247,43 @@ func BenchmarkStreamingSlot(b *testing.B) {
 	b.ReportMetric(float64(in.Slots), "slots/op")
 }
 
+// BenchmarkStreamingRound steps one round at the engine-heavy scale
+// through OnlineAuction.Step and Outcome: the heavy-traffic scenario at
+// 2000 phones and 200 tasks per slot, about 10^5 bids over 50 slots.
+// BenchmarkStreamingSlot's ~300-bid round stays small enough that
+// append doubles its slices anyway; this one shows what growing the
+// round's storage costs, in B/op as well as ns/op.
+func BenchmarkStreamingRound(b *testing.B) {
+	scn := workload.HeavyTrafficScenario()
+	scn.PhoneRate, scn.TaskRate = 2000, 200
+	in, err := scn.Generate(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	perSlot := in.TasksPerSlot()
+	byArrival := make([][]core.StreamBid, in.Slots+1)
+	for _, bid := range in.Bids {
+		byArrival[bid.Arrival] = append(byArrival[bid.Arrival], core.StreamBid{
+			Departure: bid.Departure, Cost: bid.Cost,
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oa, err := core.NewOnlineAuction(in.Slots, in.Value, in.AllocateAtLoss)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for t := core.Slot(1); t <= in.Slots; t++ {
+			if _, err := oa.Step(byArrival[t], perSlot[t-1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		oa.Outcome()
+	}
+	b.ReportMetric(float64(len(in.Bids)), "bids/op")
+}
+
 // BenchmarkWorkloadGeneration isolates the generator.
 func BenchmarkWorkloadGeneration(b *testing.B) {
 	scn := workload.DefaultScenario()

@@ -634,6 +634,24 @@ func (a *Auction) Outcome() *core.Outcome {
 	return out
 }
 
+// Standing implements core.Auction from the settlement record. A
+// departed winner is settled at its departure; after a restore, whose
+// replay settles nothing, a departed winner's amount is derived here,
+// which prices that one winner only.
+func (a *Auction) Standing(p core.PhoneID) (task core.TaskID, won core.Slot, paid float64, settled bool) {
+	if p < 0 || int(p) >= a.ledger.NumPhones() || a.ledger.WonAt(p) == 0 {
+		return core.NoTask, 0, 0, false
+	}
+	task, won = a.ledger.Task(p), a.ledger.WonAt(p)
+	switch {
+	case a.settled[p]:
+		return task, won, a.critVal[p], true
+	case a.ledger.Bid(p).Departure <= a.now:
+		return task, won, a.criticalValue(p), true
+	}
+	return task, won, 0, false
+}
+
 // Bid returns admitted phone p's bid; ok is false for any other ID.
 func (a *Auction) Bid(p core.PhoneID) (core.Bid, bool) {
 	if p < 0 || int(p) >= a.ledger.NumPhones() {

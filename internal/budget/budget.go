@@ -36,15 +36,16 @@
 //     Σ caps ≤ C_K = B holds unconditionally.
 //
 // budget.Auction implements core.Auction, the stepping seam (Step, Now,
-// Done, Outcome, Bid, Instance, Snapshot), over a core.Ledger, so the
-// platform and the sim/audit harnesses run unchanged. Its Snapshot
-// writes the shared core.Checkpoint plus a budget section, and Restore
-// rebuilds the stage state through the shared Step replay;
-// budget.Mechanism adapts it to core.Mechanism for batch instances. Its
-// setters (SetMetrics, TrackDepartures, SetInstruments, SetTracer) are
-// on the concrete type, and it has no completion lifecycle: that exists
-// only on core.OnlineAuction. docs/BUDGET.md is the usage page and
-// docs/THEORY.md §7 the argument sketch.
+// Done, Outcome, Bid, Standing, Instance, Snapshot), over a
+// core.Ledger, so the platform and the sim/audit harnesses run
+// unchanged. Its Snapshot writes the shared core.Checkpoint plus a
+// budget section, and Restore rebuilds the stage state through the
+// shared Step replay; budget.Mechanism adapts it to core.Mechanism for
+// batch instances. Its setters (SetMetrics, TrackDepartures,
+// SetInstruments, SetTracer) are on the concrete type, and it has no
+// completion lifecycle: that exists only on core.OnlineAuction.
+// docs/BUDGET.md is the usage page and docs/THEORY.md §7 the argument
+// sketch.
 package budget
 
 import (

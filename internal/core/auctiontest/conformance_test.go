@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -229,6 +230,71 @@ func TestCheckpointEverySlot(t *testing.T) {
 				}
 				if got := r.Outcome(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("cut %d: finished Outcome differs:\n got %+v\nwant %+v", c, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestStanding: at every slot boundary, Standing reports each phone's
+// task and winning slot as Outcome does, and a payment as settled
+// exactly when the winner has departed, with the amount Outcome pays.
+// A restored auction reports the same standings as the live one, and
+// IDs outside the round hold nothing.
+func TestStanding(t *testing.T) {
+	in := round(t)
+	type standing struct {
+		task    core.TaskID
+		won     core.Slot
+		paid    float64
+		settled bool
+	}
+	of := func(a core.Auction, id core.PhoneID) standing {
+		var s standing
+		s.task, s.won, s.paid, s.settled = a.Standing(id)
+		return s
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			a, err := k.fresh(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := core.Slot(1); c <= in.Slots; c++ {
+				k.play(t, a, in, c)
+				r, err := k.restore(snapshot(t, a))
+				if err != nil {
+					t.Fatalf("slot %d: restore: %v", c, err)
+				}
+				n := core.PhoneID(len(a.Instance().Bids))
+				restored := make([]standing, n)
+				for id := range restored {
+					restored[id] = of(r, core.PhoneID(id))
+				}
+				out := a.Outcome()
+				for id := core.PhoneID(0); id < n; id++ {
+					got := of(a, id)
+					if restored[id] != got {
+						t.Fatalf("slot %d: phone %d restored standing %+v, live %+v", c, id, restored[id], got)
+					}
+					if got.task != out.Allocation.ByPhone[id] || got.won != out.Allocation.WonAt[id] {
+						t.Fatalf("slot %d: phone %d standing %+v, outcome task %d at %d", c, id, got, out.Allocation.ByPhone[id], out.Allocation.WonAt[id])
+					}
+					if got.task == core.NoTask {
+						continue
+					}
+					b, _ := a.Bid(id)
+					if got.settled != (b.Departure <= c) {
+						t.Fatalf("slot %d: winner %d departing at %d has settled %v", c, id, b.Departure, got.settled)
+					}
+					if got.settled && math.Float64bits(got.paid) != math.Float64bits(out.Payments[id]) {
+						t.Fatalf("slot %d: winner %d settled at %v, outcome pays %v", c, id, got.paid, out.Payments[id])
+					}
+				}
+				for _, id := range []core.PhoneID{n, -1} {
+					if s := of(a, id); s != (standing{task: core.NoTask}) {
+						t.Fatalf("slot %d: phone %d outside the round stands %+v", c, id, s)
+					}
 				}
 			}
 		})

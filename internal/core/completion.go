@@ -118,27 +118,27 @@ type DefaultResult struct {
 	Payments []PaymentNotice
 }
 
-// completions is OnlineAuction's lifecycle tracker. All slices are
-// indexed by PhoneID and grown lazily; when disabled every method is a
-// cheap no-op so the tracking-off hot path stays allocation-free.
+// completions is OnlineAuction's record of issued payments and its
+// lifecycle tracker. All slices are indexed by PhoneID. The payment
+// record (paid, paidAt) is kept whether or not tracking is on: Outcome
+// and Standing read it instead of re-pricing a departed winner. The
+// lifecycle state (status, log, counts) is kept only while tracking is
+// on; when it is off those methods are cheap no-ops.
 type completions struct {
 	enabled bool
 	status  []CompletionStatus
-	paid    []float64
-	paidAt  []Slot
+	paid    []float64 // phone -> amount issued (clawed back if defaulted)
+	paidAt  []Slot    // phone -> clock the payment was issued at (0: none)
 	log     []CompletionEvent
 	counts  CompletionCounts
 }
 
 // grow extends the per-phone arrays to cover n phones.
 func (c *completions) grow(n int) {
-	if !c.enabled || len(c.status) >= n {
-		return
-	}
-	for len(c.status) < n {
-		c.status = append(c.status, StatusNone)
-		c.paid = append(c.paid, 0)
-		c.paidAt = append(c.paidAt, 0)
+	c.paid = extend(c.paid, n)
+	c.paidAt = extend(c.paidAt, n)
+	if c.enabled {
+		c.status = extend(c.status, n)
 	}
 }
 
@@ -167,15 +167,13 @@ func (c *completions) payable(p PhoneID) bool {
 // actually executed (later defaults in overlapping slots may shift the
 // recomputed cascade value, but an executed payment does not move).
 func (c *completions) markPaid(p PhoneID, amount float64, now Slot) {
-	if c.enabled {
-		c.paid[p] = amount
-		c.paidAt[p] = now
-	}
+	c.paid[p] = amount
+	c.paidAt[p] = now
 }
 
 // settled returns the issued payment for p, if one was executed.
 func (c *completions) settled(p PhoneID) (float64, bool) {
-	if !c.enabled || c.paidAt[p] == 0 {
+	if c.paidAt[p] == 0 {
 		return 0, false
 	}
 	return c.paid[p], true

@@ -19,6 +19,28 @@ func resize[T any](s []T, n int) []T {
 	return s
 }
 
+// grown returns s with room for n more elements. When it has none, the
+// new backing array holds max(2·cap(s), len(s)+n) elements: append grows
+// a large slice by about 1.25× at a time, which would copy a growing
+// round's state several times over.
+func grown[T any](s []T, n int) []T {
+	need := len(s) + n
+	if need <= cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), need))
+	copy(t, s)
+	return t
+}
+
+// extend returns s lengthened to n (≥ len(s)) with the new elements
+// zeroed, growing it as grown does.
+func extend[T any](s []T, n int) []T {
+	s = grown(s, n-len(s))
+	clear(s[len(s):n])
+	return s[:n]
+}
+
 // greedyRun is the outcome of one baseline greedy pass (Algorithm 1)
 // plus the side state cascadePayment prices from: each task's
 // runner-up at assignment time and per-slot winner-cost and unserved

@@ -20,6 +20,10 @@ type Auction interface {
 	Outcome() *Outcome
 	// Bid returns admitted phone p's bid; ok is false for any other ID.
 	Bid(p PhoneID) (b Bid, ok bool)
+	// Standing returns phone p's task and winning slot (NoTask and 0 if
+	// it holds none) and, once its payment has been issued, the amount
+	// with settled true. It prices at most p itself, never the round.
+	Standing(p PhoneID) (task TaskID, won Slot, paid float64, settled bool)
 	// Instance returns a copy of the accumulated bids and tasks.
 	Instance() *Instance
 	// Snapshot serializes the auction state for checkpoint/restore.
@@ -74,6 +78,9 @@ func (l *Ledger) Bid(i PhoneID) Bid { return l.inst.Bids[i] }
 
 // WonAt returns the slot phone i won in (0 if it has not won).
 func (l *Ledger) WonAt(i PhoneID) Slot { return l.wonAt[i] }
+
+// Task returns phone i's won task (NoTask if it lost).
+func (l *Ledger) Task(i PhoneID) TaskID { return l.phoneTask[i] }
 
 // Checkpoint records the ledger's round state at clock now for an
 // auction's Snapshot. It aliases the ledger's storage: encode it before

@@ -146,6 +146,48 @@ func TestOnlineCompetitiveRatio(t *testing.T) {
 	}
 }
 
+// TestOnlineCompetitiveRatioTight (Theorem 6 from below): no ratio
+// above ½ can be claimed. Phone A costs c over [1,2], phone B costs
+// c+ε over [1,1], and one task arrives in each slot. Greedy gives slot 1
+// to the cheaper A, B leaves, and slot 2 goes unserved; the optimum
+// serves slot 1 with B and slot 2 with A. The ratio (ν−c)/(2ν−2c−ε)
+// tends to ½ as ε → 0.
+func TestOnlineCompetitiveRatioTight(t *testing.T) {
+	const nu, c = 10.0, 2.0
+	on := &OnlineMechanism{}
+	of := &OfflineMechanism{}
+	prev := 1.0
+	for _, eps := range []float64{1, 0.1, 1e-3, 1e-6} {
+		in := &Instance{
+			Slots: 2, Value: nu,
+			Bids: []Bid{
+				{Phone: 0, Arrival: 1, Departure: 2, Cost: c},
+				{Phone: 1, Arrival: 1, Departure: 1, Cost: c + eps},
+			},
+			Tasks: []Task{{ID: 0, Arrival: 1}, {ID: 1, Arrival: 2}},
+		}
+		online := mustRun(t, on, in).Welfare
+		optimal, err := of.Welfare(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(online-(nu-c)) > 1e-9 || math.Abs(optimal-(2*nu-2*c-eps)) > 1e-9 {
+			t.Fatalf("ε=%g: online %g, optimum %g; want %g and %g", eps, online, optimal, nu-c, 2*nu-2*c-eps)
+		}
+		ratio := online / optimal
+		if want := (nu - c) / (2*nu - 2*c - eps); math.Abs(ratio-want) > 1e-12 {
+			t.Fatalf("ε=%g: ratio %g, want %g", eps, ratio, want)
+		}
+		if ratio < 0.5 || ratio >= prev {
+			t.Fatalf("ε=%g: ratio %g is not in [½, %g)", eps, ratio, prev)
+		}
+		prev = ratio
+	}
+	if prev-0.5 > 1e-7 {
+		t.Fatalf("ratio %g at the smallest ε does not approach ½", prev)
+	}
+}
+
 // TestOnlineGreedyPicksCheapest: within one slot the cheapest active
 // phones win.
 func TestOnlineGreedyPicksCheapest(t *testing.T) {

@@ -52,6 +52,12 @@ type SlotResult struct {
 // runner-ups, per-slot winner-cost tables): O(window + cascade slots),
 // plus one O(tasks in slot) relink of each slot's within-slot chain
 // memo. None of it grows with how far into the round the slot is.
+//
+// The round's per-phone and per-task state grows once per Step, before
+// the slot's appends, and by doubling (see grown), so a round of n bids
+// copies its state O(1) times per element. Each amount Step issues is
+// recorded, and Outcome re-prices only the winners that have not yet
+// departed.
 type OnlineAuction struct {
 	slots          Slot
 	value          float64
@@ -113,9 +119,9 @@ func (oa *OnlineAuction) TrackDepartures(on bool) { oa.trackDepartures = on }
 // when on, every assignment must be resolved via Complete or Default,
 // defaulted winners are paid nothing, and their tasks are re-allocated
 // in place. Enable before the first Step; enabling mid-round adopts
-// current winners as assigned, but winners already paid before enabling
-// carry no recorded payment to claw back. Off by default, at zero cost
-// to the hot path.
+// current winners as assigned, and a winner already paid keeps its
+// recorded payment, which a later default claws back. Off by default,
+// at zero cost to the hot path.
 func (oa *OnlineAuction) TrackCompletions(on bool) {
 	oa.comp.enabled = on
 	if !on {
@@ -185,6 +191,7 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		}
 	}
 	oa.now = t
+	oa.reserve(len(arriving), numTasks)
 	res := &SlotResult{Slot: t, Joined: make([]PhoneID, 0, len(arriving))}
 	var start time.Time
 	if oa.metrics != nil {
@@ -243,7 +250,8 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 	// Finalize payments for winners departing this slot, priced from the
 	// retained incremental state. The cascade only looks at slots ≤ t,
 	// and every bid or task that will arrive later is invisible to those
-	// slots, so paying now equals paying at end of round.
+	// slots, so paying now equals paying at end of round, and the
+	// recorded amount is final.
 	in := oa.instance()
 	for next := oa.depHead[t]; next >= 0; next = oa.depNext[next] {
 		i := PhoneID(next)
@@ -262,6 +270,20 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 	}
 	oa.heap.compact(t)
 	return res, nil
+}
+
+// reserve makes room for a more phones and r more tasks in the round's
+// per-phone and per-task slices, so the slot's appends never reallocate.
+// The slices stay plain and contiguous: instance(), the cascade, Default
+// and checkpoint alias them.
+func (oa *OnlineAuction) reserve(a, r int) {
+	oa.bids = grown(oa.bids, a)
+	oa.run.wonAt = grown(oa.run.wonAt, a)
+	oa.run.phoneTask = grown(oa.run.phoneTask, a)
+	oa.depNext = grown(oa.depNext, a)
+	oa.tasks = grown(oa.tasks, r)
+	oa.run.byTask = grown(oa.run.byTask, r)
+	oa.run.runnerUp = grown(oa.run.runnerUp, r)
 }
 
 // popUsable pops the cheapest phone eligible in slot t that can still
@@ -315,8 +337,10 @@ func (oa *OnlineAuction) price(in *Instance, i PhoneID) float64 {
 }
 
 // Outcome assembles the full round outcome. It is valid once Done()
-// (earlier calls return the partial state: allocations so far, payments
-// recomputed for all current winners).
+// (earlier calls return the partial state: allocations so far, each
+// departed winner's issued payment, and each undeparted winner's
+// critical value under the state so far). Only undeparted winners are
+// priced: an issued amount is copied from the record Step keeps.
 func (oa *OnlineAuction) Outcome() *Outcome {
 	in := oa.instance()
 	alloc := NewAllocation(len(oa.tasks), len(oa.bids))
@@ -336,7 +360,8 @@ func (oa *OnlineAuction) Outcome() *Outcome {
 		}
 		// An executed payment is final: later defaults in overlapping
 		// slots may shift the recomputed cascade value, but the amount
-		// actually issued at departure is what the outcome owes.
+		// actually issued is what the outcome owes. Without defaults
+		// the two are equal, so the copy only saves the cascade walk.
 		if amount, ok := oa.comp.settled(PhoneID(i)); ok {
 			out.Payments[i] = amount
 			continue
@@ -344,6 +369,19 @@ func (oa *OnlineAuction) Outcome() *Outcome {
 		out.Payments[i] = oa.price(in, PhoneID(i))
 	}
 	return out
+}
+
+// Standing returns admitted phone p's task and winning slot (NoTask and
+// 0 if it holds none) and, once a payment has been issued to it, the
+// amount, with settled true. It prices nothing. Under the lifecycle a
+// defaulted phone holds no task but keeps its issued (clawed back)
+// amount; Completion tells the two apart.
+func (oa *OnlineAuction) Standing(p PhoneID) (task TaskID, won Slot, paid float64, settled bool) {
+	if p < 0 || int(p) >= len(oa.bids) {
+		return NoTask, 0, 0, false
+	}
+	paid, settled = oa.comp.settled(p)
+	return oa.run.phoneTask[p], oa.run.wonAt[p], paid, settled
 }
 
 // Bid returns admitted phone p's bid; ok is false for any other ID.

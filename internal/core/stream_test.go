@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"dynacrowd/internal/obs"
 )
 
 // replayStream drives an OnlineAuction through a batch instance,
@@ -162,6 +165,62 @@ func TestStreamPaymentTotalsMatchOutcome(t *testing.T) {
 		}
 		if out := oa.Outcome(); math.Abs(noticed-out.TotalPayment()) > 1e-9 {
 			t.Fatalf("trial %d: notices %g != outcome total %g", trial, noticed, out.TotalPayment())
+		}
+	}
+}
+
+// TestOutcomeSettlesOnce: Step records every amount it issues, so
+// Outcome prices only the winners that have not departed yet. A
+// mid-round Outcome runs one cascade walk per undeparted winner, and
+// Outcome after the last Step runs none; payments stay bit-identical to
+// OnlineMechanism.Run.
+func TestOutcomeSettlesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(409))
+	for trial := 0; trial < 60; trial++ {
+		in := randomInstance(rng, 30, 30, 10, 50)
+		in.AllocateAtLoss = trial%3 == 0
+		want := mustRun(t, &OnlineMechanism{}, in)
+		m := NewMetrics(obs.NewRegistry())
+		oa, err := NewOnlineAuction(in.Slots, in.Value, in.AllocateAtLoss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oa.SetMetrics(m)
+		mid := Slot(1 + rng.Intn(int(in.Slots)))
+		err = StepThrough(oa, in, in.Slots, func(res *SlotResult) error {
+			if res.Slot != mid {
+				return nil
+			}
+			undeparted := 0
+			for i, task := range oa.run.phoneTask {
+				if task != NoTask && oa.bids[i].Departure > mid {
+					undeparted++
+				}
+			}
+			before := m.CascadeCalls.Value()
+			oa.Outcome()
+			if got := m.CascadeCalls.Value() - before; got != uint64(undeparted) {
+				return fmt.Errorf("mid-round Outcome priced %d winners, %d undeparted", got, undeparted)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		before := m.CascadeCalls.Value()
+		got := oa.Outcome()
+		if calls := m.CascadeCalls.Value() - before; calls != 0 {
+			t.Fatalf("trial %d: Outcome after the last Step priced %d winners", trial, calls)
+		}
+		for k := range want.Allocation.ByTask {
+			if got.Allocation.ByTask[k] != want.Allocation.ByTask[k] {
+				t.Fatalf("trial %d: task %d -> %d, batch %d", trial, k, got.Allocation.ByTask[k], want.Allocation.ByTask[k])
+			}
+		}
+		for i := range want.Payments {
+			if math.Float64bits(got.Payments[i]) != math.Float64bits(want.Payments[i]) {
+				t.Fatalf("trial %d: phone %d paid %v, batch %v", trial, i, got.Payments[i], want.Payments[i])
+			}
 		}
 	}
 }

@@ -309,11 +309,9 @@ func (s *Server) handleResume(m *protocol.Message, sess *session) {
 	s.cfg.Logger.Info("phone resumed",
 		"phone", int(id), "remote", sess.conn.RemoteAddr().String(), "slot", int(s.auction.Now()))
 
-	// From here on s.phones[id] is sess, so tell reaches it.
+	// From here on s.phones[id] is sess, so tell reaches it. The replay
+	// reads this phone's own record and prices no other winner.
 	s.tell(id, welcomeNotice(id, bid, s.round))
-	// The outcome prices every unsettled winner, so it is built only
-	// where it is read.
-	var out *core.Outcome
 	if s.lifecycle != nil {
 		// Lifecycle-aware replay: the tracker knows what was actually
 		// executed for this phone, which the allocation alone cannot say
@@ -334,22 +332,16 @@ func (s *Server) handleResume(m *protocol.Message, sess *session) {
 				s.tell(id, paymentNotice(id, st.Paid, st.PaidAt))
 			}
 		}
-	} else {
-		out = s.auction.Outcome()
-		if task := out.Allocation.ByPhone[id]; task != core.NoTask {
-			s.tell(id, assignNotice(id, task, out.Allocation.WonAt[id]))
-			// Payments finalize at the reported departure; an undeparted
-			// winner's critical value may still move, so only a settled
-			// payment is replayed.
-			if bid.Departure <= s.auction.Now() {
-				s.tell(id, paymentNotice(id, out.Payments[id], bid.Departure))
-			}
+	} else if task, won, paid, settled := s.auction.Standing(id); task != core.NoTask {
+		s.tell(id, assignNotice(id, task, won))
+		// Payments finalize at the reported departure; an undeparted
+		// winner's critical value may still move, so only a settled
+		// payment is replayed.
+		if settled {
+			s.tell(id, paymentNotice(id, paid, bid.Departure))
 		}
 	}
 	if s.roundOver() {
-		if out == nil {
-			out = s.auction.Outcome()
-		}
-		s.tell(id, s.endNotice(out))
+		s.tell(id, s.endNotice(s.auction.Outcome()))
 	}
 }

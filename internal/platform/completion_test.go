@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"fmt"
 	"math"
 	"net"
 	"strings"
@@ -248,46 +249,65 @@ func TestResumeAfterCompleteReplaysPayment(t *testing.T) {
 	}
 }
 
-// TestMidRoundResumePricesNothing: in a completion-tracked round the
-// lifecycle, not the outcome, says what a resumed phone is owed, so a
-// resume before the round ends prices no winner: the cascade counter
-// stands still across it, with an undeparted winner to price.
+// TestMidRoundResumePricesNothing: a resume before the round ends
+// replays the phone's own record and prices no winner, with or without
+// the lifecycle. A departed winner's settled payment is replayed and an
+// undeparted winner's is not, while the cascade counter stands still
+// across both resumes, with an undeparted winner there to price.
 func TestMidRoundResumePricesNothing(t *testing.T) {
-	o, err := obs.New(obs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, Config{Slots: 4, Value: 10, CompletionDeadline: 3, Obs: o})
-	a := dialAgent(t, s.Addr())
-	if err := a.SubmitBid("away", 4, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Tick(1); err != nil { // slot 1: wins, departs at slot 4
-		t.Fatal(err)
-	}
-	waitEvent(t, a, EventAssign)
-	cascade := func() float64 {
-		t.Helper()
-		var b strings.Builder
-		if err := o.Registry.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		return metricValue(t, b.String(), `dynacrowd_core_engine_invocations_total{engine="cascade"}`)
-	}
-	before := cascade()
+	for _, deadline := range []core.Slot{3, 0} {
+		t.Run(fmt.Sprintf("deadline=%d", deadline), func(t *testing.T) {
+			o, err := obs.New(obs.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := newTestServer(t, Config{Slots: 4, Value: 10, CompletionDeadline: deadline, Obs: o})
+			leaves, stays := dialAgent(t, s.Addr()), dialAgent(t, s.Addr())
+			if err := leaves.SubmitBid("leaves", 1, 4); err != nil {
+				t.Fatal(err)
+			}
+			if err := stays.SubmitBid("stays", 4, 5); err != nil {
+				t.Fatal(err)
+			}
+			// Slot 1: phone 0 wins task 0 and departs, paid the reserve
+			// (without it task 1 goes unserved); phone 1 wins task 1 and
+			// departs at slot 4.
+			if _, err := s.Tick(2); err != nil {
+				t.Fatal(err)
+			}
+			waitEvent(t, leaves, EventPayment)
+			waitEvent(t, stays, EventAssign)
+			cascade := func() float64 {
+				t.Helper()
+				var b strings.Builder
+				if err := o.Registry.WritePrometheus(&b); err != nil {
+					t.Fatal(err)
+				}
+				return metricValue(t, b.String(), `dynacrowd_core_engine_invocations_total{engine="cascade"}`)
+			}
+			before := cascade()
 
-	conn, r, w := rawConn(t, s.Addr())
-	if err := w.Send(&protocol.Message{Type: protocol.TypeResume, Phone: 0, Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if m := readMsg(t, conn, r); m.Type != protocol.TypeWelcome {
-		t.Fatalf("resume welcome = %+v", m)
-	}
-	if m := readMsg(t, conn, r); m.Type != protocol.TypeAssign || m.Task != 0 {
-		t.Fatalf("resume assign replay = %+v", m)
-	}
-	if after := cascade(); after != before {
-		t.Fatalf("a mid-round resume priced %g winners", after-before)
+			for _, phone := range []core.PhoneID{0, 1} {
+				conn, r, w := rawConn(t, s.Addr())
+				if err := w.Send(&protocol.Message{Type: protocol.TypeResume, Phone: phone, Round: 1}); err != nil {
+					t.Fatal(err)
+				}
+				if m := readMsg(t, conn, r); m.Type != protocol.TypeWelcome {
+					t.Fatalf("phone %d resume welcome = %+v", phone, m)
+				}
+				if m := readMsg(t, conn, r); m.Type != protocol.TypeAssign || m.Task != core.TaskID(phone) || m.Slot != 1 {
+					t.Fatalf("phone %d resume assign replay = %+v", phone, m)
+				}
+				if phone == 0 {
+					if m := readMsg(t, conn, r); m.Type != protocol.TypePayment || m.Amount != 10 || m.Slot != 1 {
+						t.Fatalf("resume payment replay = %+v, want the settled 10 at slot 1", m)
+					}
+				}
+			}
+			if after := cascade(); after != before {
+				t.Fatalf("two mid-round resumes priced %g winners", after-before)
+			}
+		})
 	}
 }
 
