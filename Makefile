@@ -6,7 +6,7 @@ BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH.json
 
-.PHONY: all check fmt vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench staticcheck profile obs-demo clean
+.PHONY: all check fmt vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench loc staticcheck profile obs-demo clean
 
 all: check
 
@@ -167,12 +167,13 @@ diff-sweep:
 
 # conformance proves the core.Auction conformance suite and the golden
 # checkpoint test ran: every auction kind (online, online with its
-# completion lifecycle, budgeted under each engine) steps, checkpoints
+# completion lifecycle, budgeted under each engine) steps, refuses the
+# same malformed slots without changing state, checkpoints
 # at every slot boundary, reports each phone's standing from its
 # settlement record, rejects each malformed checkpoint, and restores
 # the version-1 checkpoints under testdata/ byte-identically.
 conformance:
-	$(call gate,./internal/core/auctiontest/,TestBidAndInstance TestCheckpointEverySlot TestStanding \
+	$(call gate,./internal/core/auctiontest/,TestBidAndInstance TestStepRejects TestCheckpointEverySlot TestStanding \
 		TestRestoreRejectsMalformed TestRestoreAsOtherKind TestGoldenCheckpoints,-count=1)
 
 # fanout proves the slot-frame rule tests ran, ten times each under the
@@ -206,6 +207,13 @@ bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -count 5 -run='^$$' ./... \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section $(BENCH_SECTION)
+
+# loc prints the size of the Go code under version control outside
+# perfbench/ (the benchmark module): non-test lines, then test lines.
+# It counts files git tracks, so stage a new file before counting it.
+loc:
+	@git ls-files '*.go' ':!:perfbench/' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo non-test
+	@git ls-files '*.go' ':!:perfbench/' | grep '_test\.go$$' | xargs cat | wc -l | xargs echo test
 
 # obs-demo runs a short live platform round with observability on and
 # scrapes its Prometheus endpoint, demonstrating the introspection

@@ -12,9 +12,12 @@ import (
 
 // Auction drives the budgeted online mechanism slot by slot. It
 // implements core.Auction, so the platform hosts it interchangeably
-// with core.OnlineAuction; allocation decisions are recorded into a
-// core.Ledger and winners are paid their exact counterfactual critical
-// value (see criticalValue), capped per winner at the stage threshold
+// with core.OnlineAuction, and its round state is a core.Ledger: the
+// clock, bids, tasks, allocation and the cost-ordered pool, admitted
+// and assembled by the same rules as core.OnlineAuction's. On top of it
+// the Auction gates each draw through the stage threshold and the
+// cumulative allowance, and pays each winner its exact counterfactual
+// critical value (see criticalValue), capped at the stage threshold
 // reserved for it. Unlike core.OnlineAuction it has no completion
 // lifecycle (Complete/Default), which is why the platform refuses a
 // budgeted round with a completion deadline.
@@ -27,10 +30,8 @@ type Auction struct {
 	eng    Engine
 	stages int // K
 
-	now   core.Slot
 	stage int // current stage, 0 before the first Step
 
-	pool        poolHeap
 	byDeparture [][]core.PhoneID
 
 	// arrivalStage[i] is the stage phone i's bid arrived in; stageCosts[k]
@@ -47,9 +48,9 @@ type Auction struct {
 	tasksAt []int // per slot: tasks announced (replays re-read them)
 
 	// Counterfactual critical-value cache: critVal[i] is valid while the
-	// clock still reads critNow[i]. settled[i] marks executed payments,
-	// which Outcome treats as final. Replays leave these (and
-	// byDeparture) empty: they never settle.
+	// clock still reads critNow[i], and for good once settled[i] is set:
+	// i has been priced through its departure, so its amount is final.
+	// Replays leave these (and byDeparture) empty: they never settle.
 	critVal []float64
 	critNow []core.Slot
 	settled []bool
@@ -93,7 +94,7 @@ func New(m core.Slot, value float64, allocateAtLoss bool, budget float64, eng En
 		eng = StageSampling{}
 	}
 	stages := NumStages(m)
-	a := &Auction{
+	return &Auction{
 		ledger:      l,
 		budget:      budget,
 		eng:         eng,
@@ -104,9 +105,7 @@ func New(m core.Slot, value float64, allocateAtLoss bool, budget float64, eng En
 		rawThr:      make([]float64, stages+1),
 		tasksAt:     make([]int, m+1),
 		watch:       core.NoPhone,
-	}
-	a.pool.ledger = l
-	return a, nil
+	}, nil
 }
 
 // Budget returns the round budget B.
@@ -151,10 +150,10 @@ func (a *Auction) SetTracer(tr *obs.Tracer) { a.tracer = tr }
 func (a *Auction) TrackDepartures(on bool) { a.trackDepartures = on }
 
 // Now returns the last processed slot (0 before the first Step).
-func (a *Auction) Now() core.Slot { return a.now }
+func (a *Auction) Now() core.Slot { return a.ledger.Now() }
 
 // Done reports whether all slots have been processed.
-func (a *Auction) Done() bool { return a.now >= a.ledger.Slots() }
+func (a *Auction) Done() bool { return a.ledger.Done() }
 
 // openStages advances the stage clock to cover slot t, building each
 // newly opened stage's sample and raw threshold.
@@ -192,7 +191,7 @@ func (a *Auction) openStages(t core.Slot) {
 // samples) and non-increasing in the stage, so a delayed arrival can
 // never buy a higher cap.
 func (a *Auction) effThreshold(i core.PhoneID) float64 {
-	c := a.ledger.Bid(i).Cost
+	c := a.ledger.Bids()[i].Cost
 	arrived := a.arrivalStage[i]
 	eff := math.Inf(1)
 	for j := 1; j <= a.stage; j++ {
@@ -225,20 +224,10 @@ func (a *Auction) exclude(sample []float64, c float64) []float64 {
 // finalized for winners departing this slot at their threshold-capped
 // critical value.
 func (a *Auction) Step(arriving []core.StreamBid, numTasks int) (*core.SlotResult, error) {
-	if a.Done() {
-		return nil, fmt.Errorf("budget auction: round already complete (%d slots)", a.ledger.Slots())
+	t, err := a.ledger.Advance(arriving, numTasks)
+	if err != nil {
+		return nil, fmt.Errorf("budget auction: %w", err)
 	}
-	if numTasks < 0 {
-		return nil, fmt.Errorf("budget auction: negative task count %d", numTasks)
-	}
-	t := a.now + 1
-	for k, sb := range arriving {
-		probe := core.Bid{Phone: core.PhoneID(a.ledger.NumPhones() + k), Arrival: t, Departure: sb.Departure, Cost: sb.Cost}
-		if err := probe.Validate(a.ledger.Slots()); err != nil {
-			return nil, fmt.Errorf("budget auction: %w", err)
-		}
-	}
-	a.now = t
 	a.openStages(t)
 	a.tasksAt[t] = numTasks
 	res := &core.SlotResult{Slot: t}
@@ -247,9 +236,7 @@ func (a *Auction) Step(arriving []core.StreamBid, numTasks int) (*core.SlotResul
 		start = time.Now()
 	}
 
-	if err := a.allocate(arriving, numTasks, res); err != nil {
-		return nil, err
-	}
+	a.allocate(arriving, numTasks, res)
 
 	if a.metrics != nil {
 		a.metrics.SlotAllocSeconds.Observe(time.Since(start).Seconds())
@@ -264,17 +251,15 @@ func (a *Auction) Step(arriving []core.StreamBid, numTasks int) (*core.SlotResul
 	return res, nil
 }
 
-// allocate admits the current slot's arriving bids (into the stage
-// samples and, past the reserve, the pool) and gates numTasks tasks
-// through the stage threshold and the cumulative allowance, recording
-// joins, assignments, and unserved tasks into res.
-func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.SlotResult) error {
-	t := a.now
-	for _, sb := range arriving {
-		id, err := a.ledger.AddBid(t, sb)
-		if err != nil { // unreachable: Step validated, replays re-feed an accepted stream
-			return fmt.Errorf("budget auction: %w", err)
-		}
+// allocate enters the bids the ledger admitted for the open slot,
+// arriving, into the stage samples, and gates numTasks tasks through the
+// stage threshold and the cumulative allowance, recording joins,
+// assignments, and unserved tasks into res.
+func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.SlotResult) {
+	t := a.ledger.Now()
+	first := core.PhoneID(a.ledger.NumPhones() - len(arriving))
+	for k, sb := range arriving {
+		id := first + core.PhoneID(k)
 		res.Joined = append(res.Joined, id)
 		a.arrivalStage = append(a.arrivalStage, a.stage)
 		a.stageCosts[a.stage] = append(a.stageCosts[a.stage], sb.Cost)
@@ -282,24 +267,21 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 		if !a.replay {
 			a.trackPricing(id, sb.Departure)
 		}
-		// Same reserve-price admission as the unbudgeted engines.
-		if a.ledger.AllocateAtLoss() || sb.Cost < a.ledger.Value() {
-			a.pool.push(id)
-		} else if id == a.watch {
-			a.watchLost = true
+		if id == a.watch && !a.ledger.Poolable(sb.Cost) {
+			a.watchLost = true // refused by the reserve price
 		}
 	}
 
 	allowance := allowanceAt(a.budget, a.stage, a.stages)
 	for k := 0; k < numTasks; k++ {
-		id := a.ledger.AddTask(t)
-		winner := a.pool.popEligible(t)
+		id := a.ledger.AddTask()
+		winner := a.ledger.PopUsable()
 		if winner == core.NoPhone {
 			res.Unserved++
 			continue
 		}
 		eff := a.effThreshold(winner)
-		if a.ledger.Bid(winner).Cost > eff {
+		if a.ledger.Bids()[winner].Cost > eff {
 			// Posted-price gate. Effective thresholds never increase, so the
 			// phone can never clear a later gate either: discard it (like the
 			// heap's lazy deletion) and leave the task unserved rather than
@@ -318,7 +300,7 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 			// Allowance gate: the stage's cumulative tranche cannot cover the
 			// cap. Later stages have larger allowances, so the phone returns
 			// to the pool; the task goes unserved.
-			a.pool.push(winner)
+			a.ledger.Repool(winner)
 			res.Unserved++
 			if a.inst != nil {
 				a.inst.AllowanceRejects.Inc()
@@ -334,7 +316,6 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 			a.inst.Remaining.Set(a.Remaining())
 		}
 	}
-	return nil
 }
 
 // trackPricing extends the settlement and payment-cache state to phone
@@ -348,7 +329,7 @@ func (a *Auction) trackPricing(id core.PhoneID, departure core.Slot) {
 
 // settle finalizes payments for winners departing in slot t at their
 // exact counterfactual critical value, capped at the reserved stage
-// threshold.
+// threshold; pricing a winner in its departure slot settles it.
 func (a *Auction) settle(t core.Slot, res *core.SlotResult) {
 	if a.replay {
 		return // restore replays allocation only; payments are deterministic
@@ -360,9 +341,7 @@ func (a *Auction) settle(t core.Slot, res *core.SlotResult) {
 		if a.ledger.WonAt(ph) == 0 {
 			continue
 		}
-		amount := a.criticalValue(ph)
-		a.settled[ph] = true
-		res.Payments = append(res.Payments, core.PaymentNotice{Phone: ph, Amount: amount})
+		res.Payments = append(res.Payments, core.PaymentNotice{Phone: ph, Amount: a.criticalValue(ph)})
 	}
 }
 
@@ -385,21 +364,25 @@ func (a *Auction) settle(t core.Slot, res *core.SlotResult) {
 // the same value whether it is computed at settlement or after a
 // snapshot restore re-derives it at round end (FuzzBudgetSnapshot
 // caught an end-of-round grid refining the bracketing pair around an
-// algebraic threshold boundary and shifting the settled amount).
+// algebraic threshold boundary and shifting the settled amount). So an
+// amount priced through the departure is final: the winner is settled,
+// and never priced again.
 func (a *Auction) criticalValue(i core.PhoneID) float64 {
-	if a.critNow[i] == a.now {
+	now := a.ledger.Now()
+	if a.settled[i] || a.critNow[i] == now {
 		return a.critVal[i]
 	}
 	until := a.pricedThrough(i)
 	amount := a.searchCritical(i, func(b float64) bool { return a.winsWithBid(i, b, until) })
-	a.critVal[i], a.critNow[i] = amount, a.now
+	a.critVal[i], a.critNow[i] = amount, now
+	a.settled[i] = until == a.ledger.Bids()[i].Departure
 	return amount
 }
 
 // pricedThrough returns the last slot of phone i's observation window
 // the auction has seen: its departure, or the clock if earlier.
 func (a *Auction) pricedThrough(i core.PhoneID) core.Slot {
-	return min(a.ledger.Bid(i).Departure, a.now)
+	return min(a.ledger.Bids()[i].Departure, a.ledger.Now())
 }
 
 // searchCritical finds winner i's capped critical value, asking wins
@@ -430,7 +413,7 @@ func (a *Auction) searchCritical(i core.PhoneID, wins func(b float64) bool) floa
 	if wins(cap) {
 		return cap // the boundary is at or above the cap
 	}
-	lo := a.ledger.Bid(i).Cost
+	lo := a.ledger.Bids()[i].Cost
 	grid := a.candidates(i, lo, cap)
 	lose := sort.Search(len(grid), func(k int) bool { return !wins(grid[k]) })
 	if lose > 0 {
@@ -474,8 +457,7 @@ func (a *Auction) searchCritical(i core.PhoneID, wins func(b float64) bool) floa
 func (a *Auction) candidates(i core.PhoneID, lo, hi float64) []float64 {
 	until := a.pricedThrough(i)
 	g := append(a.grid[:0], a.ledger.Value())
-	for j := 0; j < a.ledger.NumPhones(); j++ {
-		b := a.ledger.Bid(core.PhoneID(j))
+	for j, b := range a.ledger.Bids() {
 		if b.Arrival > until {
 			break // IDs are in arrival order
 		}
@@ -526,11 +508,11 @@ func (a *Auction) winsWithBid(i core.PhoneID, b float64, until core.Slot) bool {
 	if a.prefix == nil {
 		a.prefix, a.probe = a.newReplay(), a.newReplay()
 	}
-	arrival := a.ledger.Bid(i).Arrival
-	if a.prefix.now >= arrival {
+	arrival := a.ledger.Bids()[i].Arrival
+	if a.prefix.Now() >= arrival {
 		a.prefix.reset()
 	}
-	for a.prefix.now < arrival-1 {
+	for a.prefix.Now() < arrival-1 {
 		if !a.replaySlot(a.prefix, core.NoPhone, 0) {
 			return false // unreachable: the live round accepted this stream
 		}
@@ -538,7 +520,7 @@ func (a *Auction) winsWithBid(i core.PhoneID, b float64, until core.Slot) bool {
 	cf := a.probe
 	cf.copyFrom(a.prefix)
 	cf.watch, cf.watchLost = i, false
-	for cf.now < until {
+	for cf.Now() < until {
 		if !a.replaySlot(cf, i, b) {
 			return false // unreachable, as above
 		}
@@ -566,30 +548,29 @@ func (a *Auction) newReplay() *Auction {
 // round, with phone i's reported cost replaced by b (i = NoPhone: as
 // observed). It reports false only if the stream is rejected.
 func (a *Auction) replaySlot(cf *Auction, i core.PhoneID, b float64) bool {
-	t := cf.now + 1
+	t := cf.Now() + 1
 	a.arriving = a.arriving[:0]
-	for j := core.PhoneID(cf.ledger.NumPhones()); int(j) < a.ledger.NumPhones(); j++ {
-		bid := a.ledger.Bid(j)
-		if bid.Arrival != t {
-			break
-		}
-		c := bid.Cost
-		if j == i {
+	bids := a.ledger.Bids()
+	for j := cf.ledger.NumPhones(); j < len(bids) && bids[j].Arrival == t; j++ {
+		c := bids[j].Cost
+		if core.PhoneID(j) == i {
 			c = b
 		}
-		a.arriving = append(a.arriving, core.StreamBid{Departure: bid.Departure, Cost: c})
+		a.arriving = append(a.arriving, core.StreamBid{Departure: bids[j].Departure, Cost: c})
 	}
-	cf.now = t
+	if _, err := cf.ledger.Advance(a.arriving, a.tasksAt[t]); err != nil {
+		return false
+	}
 	cf.openStages(t)
 	cf.res = core.SlotResult{Slot: t, Joined: cf.res.Joined[:0], Assignments: cf.res.Assignments[:0]}
-	return cf.allocate(a.arriving, a.tasksAt[t], &cf.res) == nil
+	cf.allocate(a.arriving, a.tasksAt[t], &cf.res)
+	return true
 }
 
 // reset empties replay a back to before slot 1, keeping its storage.
 func (a *Auction) reset() {
 	a.ledger.Reset()
-	a.now, a.stage, a.reserved = 0, 0, 0
-	a.pool.items = a.pool.items[:0]
+	a.stage, a.reserved = 0, 0
 	a.arrivalStage = a.arrivalStage[:0]
 	a.capAt = a.capAt[:0]
 	for k := range a.samples {
@@ -603,8 +584,7 @@ func (a *Auction) reset() {
 // reusing a's storage. Both replay the same round.
 func (a *Auction) copyFrom(src *Auction) {
 	a.ledger.CopyFrom(src.ledger)
-	a.now, a.stage, a.reserved = src.now, src.stage, src.reserved
-	a.pool.items = append(a.pool.items[:0], src.pool.items...)
+	a.stage, a.reserved = src.stage, src.reserved
 	a.arrivalStage = append(a.arrivalStage[:0], src.arrivalStage...)
 	a.capAt = append(a.capAt[:0], src.capAt...)
 	copy(a.rawThr, src.rawThr)
@@ -616,116 +596,36 @@ func (a *Auction) copyFrom(src *Auction) {
 
 // Outcome assembles the round outcome so far: the ledger's allocation
 // with every winner paid its threshold-capped counterfactual critical
-// value. Executed (settled) payments are final; the auction keeps its
-// own record of them. Total payments never exceed the budget.
+// value. Settled payments are final and copied from the record; only
+// undeparted winners are priced. Total payments never exceed the
+// budget.
 func (a *Auction) Outcome() *core.Outcome {
 	out := a.ledger.Outcome()
 	for i := range out.Payments {
-		ph := core.PhoneID(i)
-		if a.ledger.WonAt(ph) == 0 {
-			continue
+		if ph := core.PhoneID(i); a.ledger.WonAt(ph) != 0 {
+			out.Payments[i] = a.criticalValue(ph)
 		}
-		if a.settled[i] {
-			out.Payments[i] = a.critVal[i]
-			continue
-		}
-		out.Payments[i] = a.criticalValue(ph)
 	}
 	return out
 }
 
 // Standing implements core.Auction from the settlement record. A
-// departed winner is settled at its departure; after a restore, whose
-// replay settles nothing, a departed winner's amount is derived here,
-// which prices that one winner only.
+// winner is settled when its departure slot prices it, or, for one
+// that departed before a checkpoint, by Restore.
 func (a *Auction) Standing(p core.PhoneID) (task core.TaskID, won core.Slot, paid float64, settled bool) {
-	if p < 0 || int(p) >= a.ledger.NumPhones() || a.ledger.WonAt(p) == 0 {
+	if _, ok := a.ledger.Bid(p); !ok {
 		return core.NoTask, 0, 0, false
 	}
-	task, won = a.ledger.Task(p), a.ledger.WonAt(p)
-	switch {
-	case a.settled[p]:
-		return task, won, a.critVal[p], true
-	case a.ledger.Bid(p).Departure <= a.now:
-		return task, won, a.criticalValue(p), true
+	if a.settled[p] {
+		paid = a.critVal[p]
 	}
-	return task, won, 0, false
+	return a.ledger.Task(p), a.ledger.WonAt(p), paid, a.settled[p]
 }
 
 // Bid returns admitted phone p's bid; ok is false for any other ID.
-func (a *Auction) Bid(p core.PhoneID) (core.Bid, bool) {
-	if p < 0 || int(p) >= a.ledger.NumPhones() {
-		return core.Bid{}, false
-	}
-	return a.ledger.Bid(p), true
-}
+func (a *Auction) Bid(p core.PhoneID) (core.Bid, bool) { return a.ledger.Bid(p) }
 
 // Instance returns a copy of the bids and tasks accumulated so far.
 func (a *Auction) Instance() *core.Instance { return a.ledger.Instance() }
 
 var _ core.Auction = (*Auction)(nil)
-
-// poolHeap is the active-bid pool: a binary min-heap on (claimed cost,
-// phone ID) with lazy deletion of departed and unassignable entries —
-// the same order and semantics as the sequential engine's heap.
-type poolHeap struct {
-	ledger *core.Ledger
-	items  []core.PhoneID
-}
-
-func (h *poolHeap) less(a, b core.PhoneID) bool {
-	ca, cb := h.ledger.Bid(a).Cost, h.ledger.Bid(b).Cost
-	if ca != cb {
-		return ca < cb
-	}
-	return a < b
-}
-
-func (h *poolHeap) push(p core.PhoneID) {
-	h.items = append(h.items, p)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(h.items[i], h.items[parent]) {
-			break
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
-	}
-}
-
-func (h *poolHeap) pop() core.PhoneID {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.items) && h.less(h.items[l], h.items[small]) {
-			small = l
-		}
-		if r < len(h.items) && h.less(h.items[r], h.items[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
-		i = small
-	}
-	return top
-}
-
-// popEligible pops the cheapest phone active in slot t that can still
-// take a task, permanently discarding departed or assigned entries.
-func (h *poolHeap) popEligible(t core.Slot) core.PhoneID {
-	for len(h.items) > 0 {
-		p := h.pop()
-		if h.ledger.Bid(p).Departure >= t && h.ledger.Assignable(p) {
-			return p
-		}
-	}
-	return core.NoPhone
-}

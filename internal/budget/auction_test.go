@@ -150,6 +150,10 @@ func TestCompletionsUnsupported(t *testing.T) {
 }
 
 func TestStepErrors(t *testing.T) {
+	// The pool stores departures as int32.
+	if _, err := New(math.MaxInt32+1, 30, false, 50, nil); err == nil {
+		t.Error("round longer than MaxInt32 slots accepted")
+	}
 	a, err := New(2, 30, false, 50, nil)
 	if err != nil {
 		t.Fatal(err)

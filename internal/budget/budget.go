@@ -36,9 +36,12 @@
 //     Σ caps ≤ C_K = B holds unconditionally.
 //
 // budget.Auction implements core.Auction, the stepping seam (Step, Now,
-// Done, Outcome, Bid, Standing, Instance, Snapshot), over a
-// core.Ledger, so the platform and the sim/audit harnesses run
-// unchanged. Its Snapshot writes the shared core.Checkpoint plus a
+// Done, Outcome, Bid, Standing, Instance, Snapshot), so the platform and
+// the sim/audit harnesses run unchanged. Its round state is a
+// core.Ledger: the clock, bids, tasks and allocation, admitted by the
+// same check and reserve price as core.OnlineAuction's, and the same
+// cost-ordered pool, which it draws from through the threshold and
+// allowance gates described above. Its Snapshot writes the shared core.Checkpoint plus a
 // budget section, and Restore rebuilds the stage state through the
 // shared Step replay; budget.Mechanism adapts it to core.Mechanism for
 // batch instances. Its setters (SetMetrics, TrackDepartures,

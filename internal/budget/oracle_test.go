@@ -51,7 +51,7 @@ func checkAgainstReplay(t *testing.T, a *Auction, label string) int {
 			}
 			return got
 		}
-		bid := a.ledger.Bid(i).Cost
+		bid := a.ledger.Bids()[i].Cost
 		for _, b := range []float64{0, bid, math.Nextafter(bid, math.Inf(1)), a.ledger.Value()} {
 			compare(b)
 		}

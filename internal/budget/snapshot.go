@@ -26,7 +26,7 @@ func (a *Auction) Snapshot() ([]byte, error) {
 	if f, ok := a.eng.(Frugal); ok {
 		sec.Coverage = f.coverage()
 	}
-	c := a.ledger.Checkpoint(a.now)
+	c := a.ledger.Checkpoint()
 	var err error
 	if c.Budget, err = json.Marshal(sec); err != nil {
 		return nil, fmt.Errorf("budget snapshot: %w", err)
@@ -69,17 +69,23 @@ func Restore(data []byte) (*Auction, error) {
 	if err != nil {
 		return nil, fmt.Errorf("restore budget auction: %w", err)
 	}
-	// Settlement is skipped during the replay (payments are recomputed
-	// by Outcome and Step once live again), so the settlement state is
-	// rebuilt after it.
+	// Settlement is skipped during the replay, so the settlement state is
+	// rebuilt after it. A winner that departed before the checkpoint was
+	// paid at its departure, and that amount is final (see
+	// criticalValue): price it once more here, which settles it as the
+	// live round did.
 	a.replay = true
-	err = c.Replay(a, nil, func() *core.Checkpoint { return a.ledger.Checkpoint(a.now) })
+	err = c.Replay(a, nil, a.ledger.Checkpoint)
 	a.replay = false
 	if err != nil {
 		return nil, fmt.Errorf("restore budget auction: %w", err)
 	}
 	for i, b := range c.Bids {
-		a.trackPricing(core.PhoneID(i), b.Departure)
+		p := core.PhoneID(i)
+		a.trackPricing(p, b.Departure)
+		if b.Departure <= c.Now && a.ledger.WonAt(p) != 0 {
+			a.criticalValue(p)
+		}
 	}
 	return a, nil
 }

@@ -2,6 +2,7 @@ package budget
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"dynacrowd/internal/core"
@@ -83,6 +84,47 @@ func TestSnapshotRoundTrip(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestRestoreSettlesDepartedWinners: Restore settles every winner that
+// departed before the checkpoint at the amount its live twin issued, so
+// the restored Outcome copies those amounts instead of pricing them by
+// replay again whenever the clock moves.
+func TestRestoreSettlesDepartedWinners(t *testing.T) {
+	in, err := workload.DefaultScenario().Generate(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 30
+	for _, eng := range []Engine{StageSampling{}, Frugal{Coverage: 0.75}} {
+		live := driveTo(t, in, 2000, eng, cut)
+		snap, err := live.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Outcome()
+		departed := 0
+		for i, b := range live.ledger.Bids() {
+			p := core.PhoneID(i)
+			if live.ledger.WonAt(p) == 0 || b.Departure > cut {
+				continue
+			}
+			departed++
+			if !live.settled[p] || !r.settled[p] {
+				t.Fatalf("%s: winner %d departed at %d: settled %v live, %v restored", eng.Name(), p, b.Departure, live.settled[p], r.settled[p])
+			}
+			if math.Float64bits(r.critVal[p]) != math.Float64bits(live.critVal[p]) {
+				t.Fatalf("%s: winner %d settled at %v restored, %v live", eng.Name(), p, r.critVal[p], live.critVal[p])
+			}
+		}
+		if departed == 0 {
+			t.Fatalf("%s: no winner departed before slot %d", eng.Name(), cut)
 		}
 	}
 }

@@ -195,6 +195,63 @@ func TestBidAndInstance(t *testing.T) {
 	}
 }
 
+// TestStepRejects: every kind refuses the same malformed slots — a
+// negative task count, an inverted window, a departure past m, one bad
+// bid in a batch of good ones, and any Step once the round is over —
+// and a refused Step changes nothing: Now, Instance and Outcome read as
+// before it, and the round then finishes exactly like one never
+// refused.
+func TestStepRejects(t *testing.T) {
+	in := round(t)
+	good := core.StreamBid{Departure: in.Slots, Cost: 1}
+	rows := []struct {
+		name     string
+		arriving []core.StreamBid
+		tasks    int
+		inverted bool // must match core.ErrWindowInverted
+	}{
+		{"negative task count", nil, -1, false},
+		{"inverted window", []core.StreamBid{{Departure: cut, Cost: 1}}, 1, true},
+		{"departure past m", []core.StreamBid{{Departure: in.Slots + 1, Cost: 1}}, 1, false},
+		{"one bad bid among good ones", []core.StreamBid{good, {Departure: cut + 1, Cost: math.NaN()}, good}, 2, false},
+	}
+	type state struct {
+		now  core.Slot
+		inst *core.Instance
+		out  *core.Outcome
+	}
+	of := func(a core.Auction) state { return state{a.Now(), a.Instance(), a.Outcome()} }
+	refuse := func(t *testing.T, a core.Auction, tag string, arriving []core.StreamBid, tasks int, inverted bool) {
+		t.Helper()
+		before := of(a)
+		res, err := a.Step(arriving, tasks)
+		if err == nil {
+			t.Fatalf("%s: Step accepted (%+v)", tag, res)
+		}
+		if inverted && !errors.Is(err, core.ErrWindowInverted) {
+			t.Fatalf("%s: got %v, want ErrWindowInverted", tag, err)
+		}
+		if after := of(a); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s: refused Step changed the auction:\n got %+v\nwant %+v", tag, after, before)
+		}
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			whole, _ := k.playFresh(t, in, in.Slots)
+			a, _ := k.playFresh(t, in, cut)
+			for _, row := range rows {
+				refuse(t, a, row.name, row.arriving, row.tasks, row.inverted)
+			}
+			k.play(t, a, in, in.Slots)
+			if got, want := a.Outcome(), whole.Outcome(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round with refused Steps finished differently:\n got %+v\nwant %+v", got, want)
+			}
+			refuse(t, a, "after the round", nil, 0, false)
+			refuse(t, a, "bids after the round", []core.StreamBid{good}, 1, false)
+		})
+	}
+}
+
 // TestCheckpointEverySlot checkpoints at every slot boundary from 0 to
 // m. Each checkpoint restores with equal Now and Outcome, re-snapshots
 // byte-identically, and finishes the round exactly like an

@@ -144,9 +144,10 @@ func (c *completions) grow(n int) {
 
 // blocked reports that p may never be allocated (again): it holds or
 // held an assignment. Pool pop paths use it to skip re-allocated
-// winners and defaulted phones left behind in the heaps.
+// winners and defaulted phones left behind in the heaps. A nil tracker
+// (an auction with no lifecycle) blocks nothing.
 func (c *completions) blocked(p PhoneID) bool {
-	return c.enabled && c.status[p] != StatusNone
+	return c != nil && c.enabled && c.status[p] != StatusNone
 }
 
 // markAssigned notes that p won a task.
@@ -314,7 +315,7 @@ func defaultWinner(in *Instance, run *greedyRun, c *completions, p PhoneID, now 
 		if !b.Covers(t) || run.phoneTask[r] != NoTask || c.status[r] != StatusNone {
 			continue
 		}
-		if !in.AllocateAtLoss && b.Cost >= in.Value {
+		if !in.poolable(b.Cost) {
 			continue
 		}
 		switch {

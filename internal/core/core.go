@@ -80,7 +80,7 @@ func (b Bid) Covers(t Slot) bool { return b.Arrival <= t && t <= b.Departure }
 // ErrWindowInverted reports a bid whose claimed window is inverted
 // (ã > d̃). Such a bid covers no slot at all, so without an explicit
 // rejection it would be admitted and then silently never allocated;
-// Validate and every admission path (OnlineAuction.Step, Ledger.AddBid)
+// Validate and the one admission check behind both auctions' Step
 // reject it with this error instead, matchable via errors.Is.
 var ErrWindowInverted = errors.New("claimed window inverted: arrival after departure")
 
@@ -118,6 +118,15 @@ type Instance struct {
 	// default (false) only makes profitable assignments, which both
 	// mechanisms' truthfulness proofs tolerate.
 	AllocateAtLoss bool
+}
+
+// poolable is the reserve price: it reports whether a bid of the given
+// cost may enter the allocation pool, which holds every phone that can
+// win. A bid with cost ≥ ν could win only at a loss, so unless
+// AllocateAtLoss it is admitted (it still departs, and auditors may
+// inspect it) but never pooled.
+func (in *Instance) poolable(cost float64) bool {
+	return in.AllocateAtLoss || cost < in.Value
 }
 
 // NumPhones returns n, the number of participating smartphones.

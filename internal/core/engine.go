@@ -158,7 +158,7 @@ func (ix *arrivalsIndex) build(in *Instance) {
 	ix.start = resize(ix.start, m+2)
 	eligible := 0
 	for _, b := range in.Bids {
-		if !in.AllocateAtLoss && b.Cost >= in.Value {
+		if !in.poolable(b.Cost) {
 			continue
 		}
 		ix.start[b.Arrival+1]++
@@ -171,7 +171,7 @@ func (ix *arrivalsIndex) build(in *Instance) {
 	ix.cursor = resize(ix.cursor, m+1)
 	copy(ix.cursor, ix.start[:m+1])
 	for i, b := range in.Bids {
-		if !in.AllocateAtLoss && b.Cost >= in.Value {
+		if !in.poolable(b.Cost) {
 			continue
 		}
 		ix.phones[ix.cursor[b.Arrival]] = PhoneID(i)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // Auction is the stepping seam shared by the slot-by-slot auction
@@ -32,30 +33,106 @@ type Auction interface {
 
 var _ Auction = (*OnlineAuction)(nil)
 
-// Ledger is the round state of a greedy run assembled by an external
-// allocator: the bids and tasks seen so far plus the recorded
-// allocation (each task's winner and each phone's task and winning
-// slot). The budgeted engine (internal/budget) records its own
-// allocation decisions into a Ledger and prices its winners by
-// counterfactual replay.
+// Ledger is the round state of the budgeted engine (internal/budget):
+// the round's Instance (m, ν, the reserve rule, and the bids and tasks
+// seen so far), its clock, the allocation recorded so far (each task's
+// winner and each phone's task and winning slot), and the allocation
+// pool. Its Step opens each slot with Advance, announces each task with
+// AddTask, draws the task's winner from the pool and records it with
+// RecordWin, and prices winners by counterfactual replay over scratch
+// Ledgers it Resets and CopyFroms.
+//
+// OnlineAuction keeps the same facts in its own fields, but each rule
+// is written once and shared: the round and slot admission checks
+// (checkRound, checkSlot), the reserve price (Instance.poolable), the
+// pool (a costHeap drawn through popUsable), the outcome's allocation
+// (outcomeOf), the bounds-checked Bid (bidAt) and the checkpoint
+// (newCheckpoint).
+//
+// The pool's entries hold departures and phone IDs as int32: NewLedger
+// refuses a round longer than MaxInt32 slots, and Advance refuses more
+// than MaxInt32 phones.
 //
 // A Ledger is not safe for concurrent use.
 type Ledger struct {
 	inst      Instance
+	now       Slot      // last opened slot (0 before the first Advance)
 	byTask    []PhoneID // task -> winner (NoPhone if unserved)
 	phoneTask []TaskID  // phone -> its won task (NoTask if it lost)
 	wonAt     []Slot    // phone -> winning slot (0 if it lost)
+	pool      costHeap  // admitted phones the reserve price lets win
 }
 
 // NewLedger creates the ledger of an m-slot round with per-task value ν.
 func NewLedger(m Slot, value float64, allocateAtLoss bool) (*Ledger, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("ledger: round length %d < 1", m)
-	}
-	if value < 0 {
-		return nil, fmt.Errorf("ledger: negative task value %g", value)
+	if err := checkRound(m, value); err != nil {
+		return nil, fmt.Errorf("ledger: %w", err)
 	}
 	return &Ledger{inst: Instance{Slots: m, Value: value, AllocateAtLoss: allocateAtLoss}}, nil
+}
+
+// checkRound is both auctions' check of an m-slot round with per-task
+// value ν. The pool stores departures as int32, so m must fit one.
+func checkRound(m Slot, value float64) error {
+	switch {
+	case m < 1:
+		return fmt.Errorf("round length %d < 1", m)
+	case m > math.MaxInt32:
+		return fmt.Errorf("round length %d exceeds %d", m, math.MaxInt32)
+	case value < 0:
+		return fmt.Errorf("negative task value %g", value)
+	}
+	return nil
+}
+
+// checkSlot is both auctions' admission check of the slot after now in
+// an m-slot round that has admitted phones bids so far: the round must
+// not be over, numTasks must be non-negative, the arrivals must keep the
+// round within MaxInt32 phones (the pool stores phone IDs as int32), and
+// every arriving bid must pass Bid.Validate (an inverted window fails
+// with the typed ErrWindowInverted). A Step it refuses changes nothing.
+func checkSlot(m, now Slot, phones int, arriving []StreamBid, numTasks int) error {
+	if now >= m {
+		return fmt.Errorf("round already complete (%d slots)", m)
+	}
+	if numTasks < 0 {
+		return fmt.Errorf("negative task count %d", numTasks)
+	}
+	if n := phones + len(arriving); n > math.MaxInt32 {
+		return fmt.Errorf("%d phones exceed %d", n, math.MaxInt32)
+	}
+	for k, sb := range arriving {
+		b := Bid{Phone: PhoneID(phones + k), Arrival: now + 1, Departure: sb.Departure, Cost: sb.Cost}
+		if err := b.Validate(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bidAt returns admitted phone p's bid from bids; ok is false for any
+// other ID.
+func bidAt(bids []Bid, p PhoneID) (b Bid, ok bool) {
+	if p < 0 || int(p) >= len(bids) {
+		return Bid{}, false
+	}
+	return bids[p], true
+}
+
+// outcomeOf assembles the allocation byTask records over in, with every
+// payment zero: the caller prices its winners its own way.
+func outcomeOf(in *Instance, byTask []PhoneID) *Outcome {
+	alloc := NewAllocation(len(in.Tasks), len(in.Bids))
+	for k, ph := range byTask {
+		if ph != NoPhone {
+			alloc.Assign(TaskID(k), ph, in.Tasks[k].Arrival)
+		}
+	}
+	return &Outcome{
+		Allocation: alloc,
+		Payments:   make([]float64, len(in.Bids)),
+		Welfare:    alloc.Welfare(in),
+	}
 }
 
 // Slots returns the round length m.
@@ -67,14 +144,24 @@ func (l *Ledger) Value() float64 { return l.inst.Value }
 // AllocateAtLoss reports whether bids with cost ≥ ν may win.
 func (l *Ledger) AllocateAtLoss() bool { return l.inst.AllocateAtLoss }
 
+// Now returns the last opened slot (0 before the first Advance).
+func (l *Ledger) Now() Slot { return l.now }
+
+// Done reports whether all m slots have been opened.
+func (l *Ledger) Done() bool { return l.now >= l.inst.Slots }
+
 // NumPhones returns the number of admitted bids.
 func (l *Ledger) NumPhones() int { return len(l.inst.Bids) }
 
 // NumTasks returns the number of announced tasks.
 func (l *Ledger) NumTasks() int { return len(l.inst.Tasks) }
 
-// Bid returns phone i's admitted bid.
-func (l *Ledger) Bid(i PhoneID) Bid { return l.inst.Bids[i] }
+// Bid returns admitted phone p's bid; ok is false for any other ID.
+func (l *Ledger) Bid(p PhoneID) (b Bid, ok bool) { return bidAt(l.inst.Bids, p) }
+
+// Bids returns the admitted bids, indexed by phone ID. The slice aliases
+// the ledger's storage: read it only, and only until the next Advance.
+func (l *Ledger) Bids() []Bid { return l.inst.Bids }
 
 // WonAt returns the slot phone i won in (0 if it has not won).
 func (l *Ledger) WonAt(i PhoneID) Slot { return l.wonAt[i] }
@@ -82,34 +169,55 @@ func (l *Ledger) WonAt(i PhoneID) Slot { return l.wonAt[i] }
 // Task returns phone i's won task (NoTask if it lost).
 func (l *Ledger) Task(i PhoneID) TaskID { return l.phoneTask[i] }
 
-// Checkpoint records the ledger's round state at clock now for an
-// auction's Snapshot. It aliases the ledger's storage: encode it before
-// the ledger changes.
-func (l *Ledger) Checkpoint(now Slot) *Checkpoint {
-	return newCheckpoint(&l.inst, now, l.byTask, l.wonAt)
+// Checkpoint records the ledger's round state for an auction's
+// Snapshot. It aliases the ledger's storage: encode it before the ledger
+// changes.
+func (l *Ledger) Checkpoint() *Checkpoint {
+	return newCheckpoint(&l.inst, l.now, l.byTask, l.wonAt)
 }
 
-// AddBid admits a bid arriving in slot `arrival` and returns its dense
-// phone ID. The bid is validated (including the typed ErrWindowInverted
-// rejection); an invalid bid is not admitted.
-func (l *Ledger) AddBid(arrival Slot, sb StreamBid) (PhoneID, error) {
-	id := PhoneID(len(l.inst.Bids))
-	b := Bid{Phone: id, Arrival: arrival, Departure: sb.Departure, Cost: sb.Cost}
-	if err := b.Validate(l.inst.Slots); err != nil {
-		return NoPhone, err
+// Advance opens the slot after the clock, admits the bids arriving in
+// it, and returns the slot. The bids take the next dense phone IDs, in
+// order, and those Poolable enter the pool; the rest are recorded, since
+// they still depart and auditors may inspect them, but can never win.
+// numTasks is the number of tasks AddTask will announce in the slot.
+//
+// Advance refuses a slot checkSlot refuses, changing nothing. Otherwise
+// it grows the per-phone and per-task storage once for the slot's
+// appends, by doubling (see grown), as OnlineAuction.Step does.
+func (l *Ledger) Advance(arriving []StreamBid, numTasks int) (Slot, error) {
+	n := len(l.inst.Bids)
+	if err := checkSlot(l.inst.Slots, l.now, n, arriving, numTasks); err != nil {
+		return 0, err
 	}
-	l.inst.Bids = append(l.inst.Bids, b)
-	l.phoneTask = append(l.phoneTask, NoTask)
-	l.wonAt = append(l.wonAt, 0)
-	return id, nil
+	t := l.now + 1
+	a, r := len(arriving), numTasks
+	l.inst.Bids = grown(l.inst.Bids, a)
+	l.phoneTask = grown(l.phoneTask, a)
+	l.wonAt = grown(l.wonAt, a)
+	l.inst.Tasks = grown(l.inst.Tasks, r)
+	l.byTask = grown(l.byTask, r)
+	l.now = t
+	for k, sb := range arriving {
+		l.inst.Bids = append(l.inst.Bids, Bid{Phone: PhoneID(n + k), Arrival: t, Departure: sb.Departure, Cost: sb.Cost})
+		l.phoneTask = append(l.phoneTask, NoTask)
+		l.wonAt = append(l.wonAt, 0)
+		if l.Poolable(sb.Cost) {
+			l.pool.push(&l.inst.Bids[n+k])
+		}
+	}
+	return t, nil
 }
 
-// AddTask announces a task arriving in slot t and returns its dense
-// task ID. Tasks must be added in non-decreasing arrival order. The
-// task stays unserved unless RecordWin assigns it.
-func (l *Ledger) AddTask(t Slot) TaskID {
+// Poolable reports whether the reserve price lets a bid of the given
+// cost into the pool (see Instance.poolable).
+func (l *Ledger) Poolable(cost float64) bool { return l.inst.poolable(cost) }
+
+// AddTask announces a task arriving in the open slot and returns its
+// dense task ID. The task stays unserved unless RecordWin assigns it.
+func (l *Ledger) AddTask() TaskID {
 	id := TaskID(len(l.inst.Tasks))
-	l.inst.Tasks = append(l.inst.Tasks, Task{ID: id, Arrival: t})
+	l.inst.Tasks = append(l.inst.Tasks, Task{ID: id, Arrival: l.now})
 	l.byTask = append(l.byTask, NoPhone)
 	return id
 }
@@ -121,30 +229,38 @@ func (l *Ledger) RecordWin(k TaskID, winner PhoneID, t Slot) {
 	l.wonAt[winner] = t
 }
 
-// Assignable reports whether phone i holds no task yet, so an allocator
-// may still draft it.
-func (l *Ledger) Assignable(i PhoneID) bool { return l.phoneTask[i] == NoTask }
+// PopUsable pops the cheapest pooled phone that is active in the open
+// slot and holds no task (NoPhone if none is left).
+func (l *Ledger) PopUsable() PhoneID { return l.pool.popUsable(l.now, l.phoneTask, nil) }
+
+// Repool returns phone i, popped by PopUsable but not drafted, to the
+// pool.
+func (l *Ledger) Repool(i PhoneID) { l.pool.push(&l.inst.Bids[i]) }
 
 // Reset empties the ledger for a fresh round of the same shape, keeping
 // its storage. Counterfactual replays (internal/budget) reset a scratch
 // ledger instead of allocating one per replay.
 func (l *Ledger) Reset() {
+	l.now = 0
 	l.inst.Bids = l.inst.Bids[:0]
 	l.inst.Tasks = l.inst.Tasks[:0]
 	l.byTask = l.byTask[:0]
 	l.phoneTask = l.phoneTask[:0]
 	l.wonAt = l.wonAt[:0]
+	l.pool.items, l.pool.base = l.pool.items[:0], 0
 }
 
 // CopyFrom overwrites l with src's state, reusing l's storage. Both
 // ledgers must describe rounds of the same length m.
 func (l *Ledger) CopyFrom(src *Ledger) {
 	l.inst.Value, l.inst.AllocateAtLoss = src.inst.Value, src.inst.AllocateAtLoss
+	l.now = src.now
 	l.inst.Bids = append(l.inst.Bids[:0], src.inst.Bids...)
 	l.inst.Tasks = append(l.inst.Tasks[:0], src.inst.Tasks...)
 	l.byTask = append(l.byTask[:0], src.byTask...)
 	l.phoneTask = append(l.phoneTask[:0], src.phoneTask...)
 	l.wonAt = append(l.wonAt[:0], src.wonAt...)
+	l.pool.items, l.pool.base = append(l.pool.items[:0], src.pool.items...), src.pool.base
 }
 
 // Instance returns a deep copy of the bids and tasks recorded so far.
@@ -155,16 +271,4 @@ func (l *Ledger) Instance() *Instance {
 
 // Outcome assembles the allocation recorded so far with every payment
 // zero: the ledger's owner prices its winners its own way.
-func (l *Ledger) Outcome() *Outcome {
-	alloc := NewAllocation(l.NumTasks(), l.NumPhones())
-	for k, ph := range l.byTask {
-		if ph != NoPhone {
-			alloc.Assign(TaskID(k), ph, l.inst.Tasks[k].Arrival)
-		}
-	}
-	return &Outcome{
-		Allocation: alloc,
-		Payments:   make([]float64, l.NumPhones()),
-		Welfare:    alloc.Welfare(&l.inst),
-	}
-}
+func (l *Ledger) Outcome() *Outcome { return outcomeOf(&l.inst, l.byTask) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -27,11 +28,16 @@ func TestValidateInvertedWindowTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AddBid(4, StreamBid{Departure: 2, Cost: 1}); !errors.Is(err, ErrWindowInverted) {
-		t.Fatalf("Ledger.AddBid: got %v, want ErrWindowInverted", err)
+	for s := 1; s <= 3; s++ {
+		if _, err := l.Advance(nil, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if l.NumPhones() != 0 {
-		t.Fatalf("rejected bid admitted: %d phones", l.NumPhones())
+	if _, err := l.Advance([]StreamBid{{Departure: 2, Cost: 1}}, 0); !errors.Is(err, ErrWindowInverted) {
+		t.Fatalf("Ledger.Advance: got %v, want ErrWindowInverted", err)
+	}
+	if l.NumPhones() != 0 || l.Now() != 3 {
+		t.Fatalf("rejected slot changed the ledger: %d phones, clock %d", l.NumPhones(), l.Now())
 	}
 
 	// A window that is merely out of range keeps the generic error.
@@ -48,13 +54,19 @@ func TestNewLedgerValidation(t *testing.T) {
 	if _, err := NewLedger(5, -1, false); err == nil {
 		t.Fatal("want error for negative value")
 	}
+	// The pool stores departures as int32.
+	if _, err := NewLedger(math.MaxInt32+1, 30, false); err == nil {
+		t.Fatal("want error for a round longer than MaxInt32 slots")
+	}
 }
 
-// TestLedgerMirrorsOnlineAuction rebuilds an OnlineAuction round
-// decision-by-decision through the Ledger API and checks that
-// Ledger.Outcome reports the auction's allocation, winning slots and
-// welfare with every payment left zero — on the recording ledger, on a
-// ledger overwritten by CopyFrom, and on one replayed again after Reset.
+// TestLedgerMirrorsOnlineAuction drives a bare Ledger through an
+// OnlineAuction round by its exported API, as the budgeted engine does,
+// and checks that Ledger.Outcome reports the auction's allocation,
+// winning slots and welfare with every payment left zero — on the
+// recording ledger, on a ledger overwritten by CopyFrom, and on one
+// replayed again after Reset. The last catches a Reset that leaves a
+// stale task behind, which the budgeted engine's replays never read.
 func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	in := &Instance{
 		Slots: 6, Value: 30,
@@ -91,23 +103,16 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	}
 	want := oa.Outcome()
 
-	// mirror replays the round into l: a single global heap plays the
+	// mirror replays the round into l: the Ledger's own pool plays the
 	// allocator, the Ledger records its decisions.
 	mirror := func(l *Ledger) {
-		var h costHeap
 		for s := Slot(1); s <= in.Slots; s++ {
-			for _, sb := range byArrival[s] {
-				id, err := l.AddBid(s, sb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if l.AllocateAtLoss() || sb.Cost < l.Value() {
-					h.push(&l.inst.Bids[id])
-				}
+			if _, err := l.Advance(byArrival[s], perSlot[s-1]); err != nil {
+				t.Fatal(err)
 			}
 			for k := 0; k < perSlot[s-1]; k++ {
-				id := l.AddTask(s)
-				if winner := h.popEligible(s); winner != NoPhone {
+				id := l.AddTask()
+				if winner := l.PopUsable(); winner != NoPhone {
 					l.RecordWin(id, winner, s)
 				}
 			}
@@ -142,7 +147,7 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	check("ledger", l)
 
 	// The checkpoint feeds snapshots; it must match the live state.
-	c := l.Checkpoint(in.Slots)
+	c := l.Checkpoint()
 	for k := range c.ByTask {
 		if c.ByTask[k] != want.Allocation.ByTask[k] {
 			t.Fatalf("Checkpoint ByTask[%d] = %d != %d", k, c.ByTask[k], want.Allocation.ByTask[k])
@@ -160,12 +165,14 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := cp.AddBid(2, StreamBid{Departure: 3, Cost: 1})
-	if err != nil {
-		t.Fatal(err)
+	for s := Slot(1); s <= 3; s++ {
+		if _, err := cp.Advance([]StreamBid{{Departure: 3, Cost: 1}}, 1); err != nil {
+			t.Fatal(err)
+		}
+		if k := cp.AddTask(); s == 2 {
+			cp.RecordWin(k, PhoneID(1), s)
+		}
 	}
-	cp.RecordWin(cp.AddTask(2), id, 2)
-	cp.AddTask(3)
 	cp.CopyFrom(l)
 	check("copy", cp)
 	cp.Reset()

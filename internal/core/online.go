@@ -241,6 +241,33 @@ func (h *costHeap) peekEligible(t Slot) PhoneID {
 	return NoPhone
 }
 
+// popUsable pops the cheapest phone active in slot t that holds no task
+// in phoneTask and that lifecycle c (nil: none) does not block. On top
+// of popEligible's lazy deletion it discards the unusable entries: a won
+// task and a lifecycle block (a re-allocated winner drafted while still
+// pooled, a defaulted phone) are both permanent, so no later pop could
+// return them either.
+func (h *costHeap) popUsable(t Slot, phoneTask []TaskID, c *completions) PhoneID {
+	for {
+		p := h.popEligible(t)
+		if p == NoPhone || (phoneTask[p] == NoTask && !c.blocked(p)) {
+			return p
+		}
+	}
+}
+
+// peekUsable reports the phone popUsable would return next, discarding
+// unusable entries but leaving the survivor in place.
+func (h *costHeap) peekUsable(t Slot, phoneTask []TaskID, c *completions) PhoneID {
+	for {
+		p := h.peekEligible(t)
+		if p == NoPhone || (phoneTask[p] == NoTask && !c.blocked(p)) {
+			return p
+		}
+		h.pop()
+	}
+}
+
 // compact is the departed-entry discard of popEligible done in bulk, at
 // the end of slot t: once the heap has doubled since the last compaction
 // (and holds at least 64 entries), it drops every entry departed by t

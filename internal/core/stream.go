@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -58,11 +57,13 @@ type SlotResult struct {
 // copies its state O(1) times per element. Each amount Step issues is
 // recorded, and Outcome re-prices only the winners that have not yet
 // departed.
+//
+// Its round state mirrors the budgeted engine's Ledger field for field,
+// and the two share every rule over it (see Ledger). It keeps that
+// state in its own fields rather than a Ledger: kept in one, the
+// engine-heavy workload's step p99s rose (ROADMAP item 1 records the
+// pairs and the cause).
 type OnlineAuction struct {
-	slots          Slot
-	value          float64
-	allocateAtLoss bool
-
 	now   Slot // last processed slot (0 before the first Step)
 	bids  []Bid
 	tasks []Task
@@ -79,22 +80,16 @@ type OnlineAuction struct {
 	run  greedyRun   // winners plus retained cascade pricing state
 	comp completions // assignment lifecycle (off by default)
 
-	inst  Instance  // reusable view over bids/tasks, refreshed by instance()
+	inst  Instance  // the round's m, ν and reserve rule, and a view over bids/tasks refreshed by instance()
 	fixes []slotFix // reusable cascade scratch
 }
 
 // NewOnlineAuction creates a round of m slots with per-task value ν.
 func NewOnlineAuction(m Slot, value float64, allocateAtLoss bool) (*OnlineAuction, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("online auction: round length %d < 1", m)
+	if err := checkRound(m, value); err != nil {
+		return nil, fmt.Errorf("online auction: %w", err)
 	}
-	if m > math.MaxInt32 {
-		return nil, fmt.Errorf("online auction: round length %d exceeds %d", m, math.MaxInt32)
-	}
-	if value < 0 {
-		return nil, fmt.Errorf("online auction: negative task value %g", value)
-	}
-	oa := &OnlineAuction{slots: m, value: value, allocateAtLoss: allocateAtLoss}
+	oa := &OnlineAuction{inst: Instance{Slots: m, Value: value, AllocateAtLoss: allocateAtLoss}}
 	oa.run.resetSlots(m)
 	oa.depHead = make([]int32, m+1)
 	oa.depTail = make([]int32, m+1)
@@ -167,29 +162,17 @@ func (oa *OnlineAuction) CompletionCounts() CompletionCounts { return oa.comp.co
 func (oa *OnlineAuction) Now() Slot { return oa.now }
 
 // Done reports whether all m slots have been processed.
-func (oa *OnlineAuction) Done() bool { return oa.now >= oa.slots }
+func (oa *OnlineAuction) Done() bool { return oa.now >= oa.inst.Slots }
 
 // Step advances the auction one slot: the given bids join (their claimed
 // arrival is the new slot), numTasks tasks are announced and greedily
 // allocated, and payments are finalized for winners whose reported
 // departure is the new slot.
 func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, error) {
-	if oa.Done() {
-		return nil, fmt.Errorf("online auction: round already complete (%d slots)", oa.slots)
-	}
-	if numTasks < 0 {
-		return nil, fmt.Errorf("online auction: negative task count %d", numTasks)
-	}
-	if n := len(oa.bids) + len(arriving); n > math.MaxInt32 {
-		return nil, fmt.Errorf("online auction: %d phones exceed %d", n, math.MaxInt32)
+	if err := checkSlot(oa.inst.Slots, oa.now, len(oa.bids), arriving, numTasks); err != nil {
+		return nil, fmt.Errorf("online auction: %w", err)
 	}
 	t := oa.now + 1
-	for k, sb := range arriving {
-		probe := Bid{Phone: PhoneID(len(oa.bids) + k), Arrival: t, Departure: sb.Departure, Cost: sb.Cost}
-		if err := probe.Validate(oa.slots); err != nil {
-			return nil, fmt.Errorf("online auction: %w", err)
-		}
-	}
 	oa.now = t
 	oa.reserve(len(arriving), numTasks)
 	res := &SlotResult{Slot: t, Joined: make([]PhoneID, 0, len(arriving))}
@@ -213,10 +196,7 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 			oa.depNext[tail] = int32(id)
 		}
 		oa.depTail[sb.Departure] = int32(id)
-		// Reserve price: bids that can never yield positive welfare are
-		// recorded (they may still depart, and auditors may inspect them)
-		// but never enter the allocation pool.
-		if oa.allocateAtLoss || sb.Cost < oa.value {
+		if oa.inst.poolable(sb.Cost) {
 			oa.heap.push(&bid)
 		}
 	}
@@ -227,7 +207,7 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		oa.tasks = append(oa.tasks, Task{ID: id, Arrival: t})
 		oa.run.byTask = append(oa.run.byTask, NoPhone)
 		oa.run.runnerUp = append(oa.run.runnerUp, NoPhone)
-		winner := oa.popUsable(t)
+		winner := oa.heap.popUsable(t, oa.run.phoneTask, &oa.comp)
 		if winner == NoPhone {
 			oa.run.unserved[t]++
 			res.Unserved++
@@ -238,7 +218,7 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		oa.run.wonAt[winner] = t
 		oa.run.noteWinner(t, winner, oa.bids[winner].Cost)
 		oa.comp.markAssigned(winner)
-		oa.run.runnerUp[id] = oa.peekUsable(t)
+		oa.run.runnerUp[id] = oa.heap.peekUsable(t, oa.run.phoneTask, &oa.comp)
 		res.Assignments = append(res.Assignments, Assignment{Task: id, Phone: winner, Slot: t})
 	}
 
@@ -286,44 +266,11 @@ func (oa *OnlineAuction) reserve(a, r int) {
 	oa.run.runnerUp = grown(oa.run.runnerUp, r)
 }
 
-// popUsable pops the cheapest phone eligible in slot t that can still
-// take a task. The lifecycle adds two terminal skip conditions on top
-// of the heap's departed-phone lazy deletion: re-allocated winners
-// (drafted by a default while still pooled) and defaulted phones.
-// Both are permanent, so discarding is safe; with tracking off neither
-// triggers and the path is unchanged.
-func (oa *OnlineAuction) popUsable(t Slot) PhoneID {
-	for {
-		p := oa.heap.popEligible(t)
-		if p == NoPhone || (oa.run.phoneTask[p] == NoTask && !oa.comp.blocked(p)) {
-			return p
-		}
-	}
-}
-
-// peekUsable reports the phone popUsable would return next, discarding
-// unusable entries but leaving the survivor in place.
-func (oa *OnlineAuction) peekUsable(t Slot) PhoneID {
-	for {
-		p := oa.heap.peekEligible(t)
-		if p == NoPhone || (oa.run.phoneTask[p] == NoTask && !oa.comp.blocked(p)) {
-			return p
-		}
-		oa.heap.pop()
-	}
-}
-
 // instance refreshes the auction's reusable Instance view over the bids
 // and tasks seen so far and returns it. The view shares their backing
 // arrays and is valid until the next Step.
 func (oa *OnlineAuction) instance() *Instance {
-	oa.inst = Instance{
-		Slots:          oa.slots,
-		Value:          oa.value,
-		Bids:           oa.bids,
-		Tasks:          oa.tasks,
-		AllocateAtLoss: oa.allocateAtLoss,
-	}
+	oa.inst.Bids, oa.inst.Tasks = oa.bids, oa.tasks
 	return &oa.inst
 }
 
@@ -343,17 +290,7 @@ func (oa *OnlineAuction) price(in *Instance, i PhoneID) float64 {
 // priced: an issued amount is copied from the record Step keeps.
 func (oa *OnlineAuction) Outcome() *Outcome {
 	in := oa.instance()
-	alloc := NewAllocation(len(oa.tasks), len(oa.bids))
-	for k, p := range oa.run.byTask {
-		if p != NoPhone {
-			alloc.Assign(TaskID(k), p, oa.tasks[k].Arrival)
-		}
-	}
-	out := &Outcome{
-		Allocation: alloc,
-		Payments:   make([]float64, len(oa.bids)),
-		Welfare:    alloc.Welfare(in),
-	}
+	out := outcomeOf(in, oa.run.byTask)
 	for i, task := range oa.run.phoneTask {
 		if task == NoTask {
 			continue
@@ -377,7 +314,7 @@ func (oa *OnlineAuction) Outcome() *Outcome {
 // defaulted phone holds no task but keeps its issued (clawed back)
 // amount; Completion tells the two apart.
 func (oa *OnlineAuction) Standing(p PhoneID) (task TaskID, won Slot, paid float64, settled bool) {
-	if p < 0 || int(p) >= len(oa.bids) {
+	if _, ok := bidAt(oa.bids, p); !ok {
 		return NoTask, 0, 0, false
 	}
 	paid, settled = oa.comp.settled(p)
@@ -385,12 +322,7 @@ func (oa *OnlineAuction) Standing(p PhoneID) (task TaskID, won Slot, paid float6
 }
 
 // Bid returns admitted phone p's bid; ok is false for any other ID.
-func (oa *OnlineAuction) Bid(p PhoneID) (Bid, bool) {
-	if p < 0 || int(p) >= len(oa.bids) {
-		return Bid{}, false
-	}
-	return oa.bids[p], true
-}
+func (oa *OnlineAuction) Bid(p PhoneID) (Bid, bool) { return bidAt(oa.bids, p) }
 
 // Instance returns a copy of the bids and tasks accumulated so far,
 // e.g. to compare the online outcome against the offline optimum.
