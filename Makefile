@@ -118,18 +118,22 @@ wire-diff:
 # individual rationality, and sum-of-payments <= B on every audited
 # instance. Last, the pricing differential: resumed counterfactual
 # probes against fresh replays from slot 1 (identical answers,
-# bit-identical payments), and every payment against a bisected
-# critical value.
+# bit-identical payments), also with winners priced out of arrival
+# order; every payment against a bisected critical value; pricing
+# leaving the observed stage state its replays share untouched; and
+# the golden allocation and payment bits of 400 Table I rounds.
 budget-audit:
 	$(call gate,./internal/budget/,TestNaiveTruncatedNotTruthful TestBudgetEnginesPassCounterexample \
-		TestBudgetAuditCampaign TestResumedProbesMatchReplay TestPaymentIsBisectedCriticalValue,-count=1)
+		TestBudgetAuditCampaign TestResumedProbesMatchReplay TestProbesOutOfArrivalOrder \
+		TestPaymentIsBisectedCriticalValue TestPricingLeavesObservedState TestGoldenPayments,-count=1)
 
 # budget-bench records the budgeted engines' per-round throughput
 # against the unbudgeted baseline (counterfactual critical-value
-# pricing is the deliberate cost; see docs/BUDGET.md) plus the
-# welfare-per-budget sweep across the workload zoo.
+# pricing is the deliberate cost; see docs/BUDGET.md), as the median and
+# extremes of five runs, plus the welfare-per-budget sweep across the
+# workload zoo.
 budget-bench:
-	$(GO) test -bench BenchmarkBudgetedSlot -benchtime $(BENCHTIME) -run '^$$' ./internal/budget/ \
+	$(GO) test -bench BenchmarkBudgetedSlot -benchtime $(BENCHTIME) -count 5 -run '^$$' ./internal/budget/ \
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section budget-slot
 	$(GO) test -bench BenchmarkBudgetSweep -benchtime 1x -run '^$$' . \

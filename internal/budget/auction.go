@@ -34,42 +34,68 @@ type Auction struct {
 
 	byDeparture [][]core.PhoneID
 
-	// arrivalStage[i] is the stage phone i's bid arrived in; stageCosts[k]
-	// the costs observed during stage k; samples[k] the ascending merge of
-	// stageCosts[1..k-1], built once when stage k opens.
-	arrivalStage []int
-	stageCosts   [][]float64
-	samples      [][]float64
-	rawThr       []float64 // full-sample raw threshold per opened stage
+	// samples[k] is the ascending sample of the costs that arrived before
+	// stage k, built once when stage k opens, and rawThr[k] the engine's
+	// threshold on it. exclThr[k][r], computed on first use and NaN
+	// until then, is the threshold on samples[k] less its element of
+	// rank r, the first of its value: the exclude-self gate of every
+	// phone of that cost. The samples hold the costs of phones
+	// 0..sampled−1 (IDs follow arrival order, so a stage's arrivals are a
+	// run of IDs).
+	samples [][]float64
+	rawThr  []float64
+	exclThr [][]float64
+	sampled int
 
 	reserved float64   // Σ committed caps; never exceeds the budget
 	capAt    []float64 // per phone: payment cap reserved at win (0: no win)
 
 	tasksAt []int // per slot: tasks announced (replays re-read them)
+	stageAt []int // per slot: the stage covering it
 
 	// Counterfactual critical-value cache: critVal[i] is valid while the
 	// clock still reads critNow[i], and for good once settled[i] is set:
 	// i has been priced through its departure, so its amount is final.
-	// Replays leave these (and byDeparture) empty: they never settle.
+	// Replays keep none of these per-phone records: they never settle.
 	critVal []float64
 	critNow []core.Slot
 	settled []bool
 
 	trackDepartures bool
-	replay          bool // restoring or probing: re-derive state, skip settlement
+	replay          bool // restoring: re-derive state, skip settlement
 	metrics         *core.Metrics
 	inst            *Metrics    // budget observability (nil disables)
 	tracer          *obs.Tracer // budget_stage events (nil disables)
 
-	excl []float64 // exclude-self scratch
+	excl  []float64 // exclude-self scratch
+	batch []float64 // stage-opening scratch: the closed stage's costs
 
-	// Counterfactual pricing scratch, built on first use. prefix replays
-	// the observed round up to the slot before a priced winner's arrival;
-	// probe copies it and replays the rest with the winner's report
-	// replaced (see winsWithBid).
-	prefix, probe *Auction
-	arriving      []core.StreamBid
-	grid          []float64
+	// Counterfactual pricing scratch, built on first use (see
+	// winsWithBid). prefix replays the observed round up to the slot
+	// before a priced winner's arrival; probe copies it and replays the
+	// rest with the winner's report replaced; anchor replays it up to the
+	// slot before the earliest arrival among phones that have not
+	// departed, which no live pricing goes below. Every phone below
+	// lowest has departed.
+	prefix, probe, anchor *Auction
+	lowest                core.PhoneID
+	arriving              []core.StreamBid
+
+	// grid holds the sorted, duplicate-free critical-value candidates of
+	// every winner priced through slot gridUntil (0: none yet): ν, the
+	// costs of phones 0..gridPhones−1 and the breakpoints of stages
+	// 1..gridStages (see gridThrough). gridAdd and gridSpare are scratch.
+	grid, gridAdd, gridSpare []float64
+	gridUntil                core.Slot
+	gridPhones, gridStages   int
+
+	// A replay's view of the observed round. src is the live auction it
+	// replays (nil on a live auction). Its stages below ownFrom hold only
+	// observed costs, so it reads their samples, thresholds and
+	// exclude-self table from src; from ownFrom on a stage's sample holds
+	// the watched phone's replaced report and is the replay's own.
+	src     *Auction
+	ownFrom int
 
 	// Probe bookkeeping on a replay: watch is the phone whose report is
 	// replaced (NoPhone otherwise); watchLost is set once it can no
@@ -94,16 +120,24 @@ func New(m core.Slot, value float64, allocateAtLoss bool, budget float64, eng En
 		eng = StageSampling{}
 	}
 	stages := NumStages(m)
+	stageAt := make([]int, m+1)
+	for k, from := 1, core.Slot(1); k <= stages; k++ {
+		for ; from <= stageEnd(m, k, stages); from++ {
+			stageAt[from] = k
+		}
+	}
 	return &Auction{
 		ledger:      l,
 		budget:      budget,
 		eng:         eng,
 		stages:      stages,
 		byDeparture: make([][]core.PhoneID, m+1),
-		stageCosts:  make([][]float64, stages+1),
 		samples:     make([][]float64, stages+1),
 		rawThr:      make([]float64, stages+1),
+		exclThr:     make([][]float64, stages+1),
 		tasksAt:     make([]int, m+1),
+		stageAt:     stageAt,
+		ownFrom:     stages + 1,
 		watch:       core.NoPhone,
 	}, nil
 }
@@ -156,17 +190,18 @@ func (a *Auction) Now() core.Slot { return a.ledger.Now() }
 func (a *Auction) Done() bool { return a.ledger.Done() }
 
 // openStages advances the stage clock to cover slot t, building each
-// newly opened stage's sample and raw threshold.
+// newly opened stage's sample and raw threshold where they are a's own:
+// every stage of a live auction, and a probe's stages from ownFrom on.
 func (a *Auction) openStages(t core.Slot) {
 	for a.stage < a.stages && (a.stage == 0 || stageEnd(a.ledger.Slots(), a.stage, a.stages) < t) {
 		a.stage++
 		k := a.stage
-		if k == 1 {
-			a.samples[k] = a.samples[k][:0]
-		} else {
-			a.samples[k] = mergeSorted(a.samples[k][:0], a.samples[k-1], a.stageCosts[k-1])
+		switch {
+		case a.src == nil:
+			a.observeStage(k)
+		case k >= a.ownFrom:
+			a.replaceStage(k)
 		}
-		a.rawThr[k] = a.eng.Threshold(allowanceAt(a.budget, k, a.stages), a.ledger.Value(), a.samples[k])
 		if a.inst != nil {
 			a.inst.Stage.Set(int64(k))
 			a.inst.StageThreshold.Set(a.rawThr[k])
@@ -183,6 +218,44 @@ func (a *Auction) openStages(t core.Slot) {
 	}
 }
 
+// observeStage builds live stage k's sample, merging the costs of the
+// phones that arrived in stage k−1 into stage k−1's, and its raw
+// threshold. The ledger has admitted no phone of a later stage yet.
+func (a *Auction) observeStage(k int) {
+	if k > 1 {
+		bids, end := a.ledger.Bids(), stageEnd(a.ledger.Slots(), k-1, a.stages)
+		a.batch = a.batch[:0]
+		for ; a.sampled < len(bids) && bids[a.sampled].Arrival <= end; a.sampled++ {
+			a.batch = append(a.batch, bids[a.sampled].Cost)
+		}
+		prev := a.samples[k-1]
+		a.samples[k] = mergeSorted(make([]float64, 0, len(prev)+len(a.batch)), prev, a.batch)
+	}
+	a.rawThr[k] = a.eng.Threshold(allowanceAt(a.budget, k, a.stages), a.ledger.Value(), a.samples[k])
+	a.exclThr[k] = make([]float64, len(a.samples[k]))
+	for r := range a.exclThr[k] {
+		a.exclThr[k][r] = math.NaN()
+	}
+}
+
+// replaceStage builds probe a's own stage k: the observed sample with
+// the watched phone's cost replaced by its probed report, and its raw
+// threshold.
+func (a *Auction) replaceStage(k int) {
+	c, b := a.src.ledger.Bids()[a.watch].Cost, a.ledger.Bids()[a.watch].Cost
+	a.samples[k] = replaced(a.samples[k][:0], a.src.samples[k], c, b)
+	a.rawThr[k] = a.eng.Threshold(allowanceAt(a.budget, k, a.stages), a.ledger.Value(), a.samples[k])
+}
+
+// observed returns the live auction whose round a replays (a itself
+// when live).
+func (a *Auction) observed() *Auction {
+	if a.src != nil {
+		return a.src
+	}
+	return a
+}
+
 // effThreshold returns the gate applied to phone i in the current
 // stage: the running minimum over stages j ≤ stage of the raw
 // thresholds, each recomputed on the stage sample with i's own cost
@@ -190,20 +263,47 @@ func (a *Auction) openStages(t core.Slot) {
 // report (exclusion removes the cost; arrivals of others fix the
 // samples) and non-increasing in the stage, so a delayed arrival can
 // never buy a higher cap.
+//
+// Wherever the sample less i's cost holds only observed costs, the
+// observed round's exclude-self table has the threshold: on every
+// stage of a live auction, a prefix or the anchor, and on a probe's
+// stages below ownFrom; and for the watched phone on every stage, since
+// removing its probed report leaves the observed sample less its cost.
 func (a *Auction) effThreshold(i core.PhoneID) float64 {
-	c := a.ledger.Bids()[i].Cost
-	arrived := a.arrivalStage[i]
+	o := a.observed()
+	arrived := o.stageAt[a.ledger.Bids()[i].Arrival]
 	eff := math.Inf(1)
 	for j := 1; j <= a.stage; j++ {
-		thr := a.rawThr[j]
+		thr := o.rawThr[j]
+		if j >= a.ownFrom {
+			thr = a.rawThr[j] // a probe's own stage
+		}
 		if arrived < j { // i's cost is in stage j's sample: re-estimate without it
-			thr = a.eng.Threshold(allowanceAt(a.budget, j, a.stages), a.ledger.Value(), a.exclude(a.samples[j], c))
+			if j < a.ownFrom || i == a.watch {
+				thr = o.exclThreshold(j, o.ledger.Bids()[i].Cost)
+			} else {
+				thr = a.eng.Threshold(allowanceAt(a.budget, j, a.stages), a.ledger.Value(), a.exclude(a.samples[j], a.ledger.Bids()[i].Cost))
+			}
 		}
 		if thr < eff {
 			eff = thr
 		}
 	}
 	return eff
+}
+
+// exclThreshold returns live stage k's threshold on its sample with one
+// instance of cost c removed, from the exclude-self table.
+func (a *Auction) exclThreshold(k int, c float64) float64 {
+	sample := a.samples[k]
+	r := sort.SearchFloat64s(sample, c)
+	if r >= len(sample) || sample[r] != c {
+		return a.rawThr[k] // not present (cost mutated externally); fail open
+	}
+	if math.IsNaN(a.exclThr[k][r]) {
+		a.exclThr[k][r] = a.eng.Threshold(allowanceAt(a.budget, k, a.stages), a.ledger.Value(), a.exclude(sample, c))
+	}
+	return a.exclThr[k][r]
 }
 
 // exclude returns sample with one instance of cost c removed, reusing
@@ -261,10 +361,7 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 	for k, sb := range arriving {
 		id := first + core.PhoneID(k)
 		res.Joined = append(res.Joined, id)
-		a.arrivalStage = append(a.arrivalStage, a.stage)
-		a.stageCosts[a.stage] = append(a.stageCosts[a.stage], sb.Cost)
-		a.capAt = append(a.capAt, 0)
-		if !a.replay {
+		if a.src == nil {
 			a.trackPricing(id, sb.Departure)
 		}
 		if id == a.watch && !a.ledger.Poolable(sb.Cost) {
@@ -308,7 +405,9 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 			continue
 		}
 		a.ledger.RecordWin(id, winner, t)
-		a.capAt[winner] = eff
+		if a.src == nil {
+			a.capAt[winner] = eff
+		}
 		a.reserved += eff
 		res.Assignments = append(res.Assignments, core.Assignment{Task: id, Phone: winner, Slot: t})
 		if a.inst != nil {
@@ -318,9 +417,10 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 	}
 }
 
-// trackPricing extends the settlement and payment-cache state to phone
-// id, departing in slot departure.
+// trackPricing extends the cap, settlement and payment-cache state to
+// phone id, departing in slot departure.
 func (a *Auction) trackPricing(id core.PhoneID, departure core.Slot) {
+	a.capAt = append(a.capAt, 0)
 	a.critVal = append(a.critVal, 0)
 	a.critNow = append(a.critNow, 0)
 	a.settled = append(a.settled, false)
@@ -443,8 +543,10 @@ func (a *Auction) searchCritical(i core.PhoneID, wins func(b float64) bool) floa
 }
 
 // candidates returns winner i's critical-value candidates strictly
-// between lo and hi, ascending and duplicate-free, in the auction's
-// reused buffer.
+// between lo and hi, ascending and duplicate-free. lo is i's own bid, so
+// i's cost is never among them. The slice is a range of the grid shared
+// by every winner priced through the same slot: read it only, and only
+// until the next call.
 //
 // The win/lose boundary is always a comparison against a report-
 // independent quantity: another phone's cost (heap order, cascade
@@ -455,35 +557,45 @@ func (a *Auction) searchCritical(i core.PhoneID, wins func(b float64) bool) floa
 // therefore holds the boundary, unless i's own report moves a
 // quantity it is compared against (searchCritical bisects for those).
 func (a *Auction) candidates(i core.PhoneID, lo, hi float64) []float64 {
-	until := a.pricedThrough(i)
-	g := append(a.grid[:0], a.ledger.Value())
-	for j, b := range a.ledger.Bids() {
-		if b.Arrival > until {
-			break // IDs are in arrival order
-		}
-		if core.PhoneID(j) != i {
-			g = append(g, b.Cost)
-		}
+	a.gridThrough(a.pricedThrough(i))
+	g := a.grid
+	from := sort.Search(len(g), func(k int) bool { return g[k] > lo })
+	to := sort.Search(len(g), func(k int) bool { return g[k] >= hi })
+	return g[from:max(from, to)]
+}
+
+// gridThrough brings the grid to that of the winners priced through slot
+// until: ν, the costs of the phones arrived by then, and the breakpoints
+// of the stages opened by then, sorted and duplicate-free. Once the
+// clock has reached until, those phones and stage samples are fixed, so
+// the grid depends on until alone, and a later until only merges in what
+// it adds; an earlier one rebuilds it.
+func (a *Auction) gridThrough(until core.Slot) {
+	if until == a.gridUntil {
+		return
+	}
+	add := a.gridAdd[:0]
+	if until < a.gridUntil || a.gridUntil == 0 {
+		a.grid, a.gridPhones, a.gridStages = a.grid[:0], 0, 0
+		add = append(add, a.ledger.Value())
+	}
+	bids := a.ledger.Bids()
+	for ; a.gridPhones < len(bids) && bids[a.gridPhones].Arrival <= until; a.gridPhones++ {
+		add = append(add, bids[a.gridPhones].Cost)
 	}
 	m := a.ledger.Slots()
-	for k := 1; k <= a.stages && (k == 1 || stageEnd(m, k-1, a.stages) < until); k++ {
-		g = a.eng.Breakpoints(g, allowanceAt(a.budget, k, a.stages), len(a.samples[k]))
+	for k := a.gridStages + 1; k <= a.stages && (k == 1 || stageEnd(m, k-1, a.stages) < until); k++ {
+		add = a.eng.Breakpoints(add, allowanceAt(a.budget, k, a.stages), len(a.samples[k]))
+		a.gridStages = k
 	}
-	a.grid = g
-	inside := g[:0]
+	g := mergeSorted(a.gridSpare[:0], a.grid, add)
+	uniq := g[:0]
 	for _, c := range g {
-		if lo < c && c < hi {
-			inside = append(inside, c)
-		}
-	}
-	sort.Float64s(inside)
-	uniq := inside[:0]
-	for _, c := range inside {
 		if len(uniq) == 0 || c != uniq[len(uniq)-1] {
 			uniq = append(uniq, c)
 		}
 	}
-	return uniq
+	a.grid, a.gridSpare, a.gridAdd, a.gridUntil = uniq, a.grid, add, until
 }
 
 // winsWithBid reports whether phone i wins a task when the round
@@ -492,38 +604,56 @@ func (a *Auction) candidates(i core.PhoneID, lo, hi float64) []float64 {
 // the full mechanism: stage layout, exclude-self thresholds, both
 // gates, and heap order. It is the same replay as stepping a fresh
 // auction from slot 1 (the differential test holds it to that), made
-// cheaper three ways:
+// cheaper five ways:
 //
 //   - Shared prefix. Before i arrives nothing can depend on its report,
 //     so the prefix scratch auction replays slots 1..arrival−1 once and
 //     every probe resumes from a copy of it. Phone IDs follow arrival
 //     order, so the winners of one settlement (and Outcome's ID-order
 //     walk) only move the prefix forward.
+//   - Anchor. A later settlement can need an earlier arrival than the
+//     prefix has passed. The anchor replay is held at the slot before
+//     the earliest arrival among phones that have not departed: no phone
+//     priced live from now on arrived earlier, and that arrival never
+//     decreases, so the anchor only steps forward (at most m slots a
+//     round) and the prefix restarts from a copy of it. Only a phone
+//     priced after its departure (Restore, or a direct call) can need
+//     a slot before the anchor; the prefix then restarts from slot 1.
+//   - Observed stage state. A stage sample that holds only observed
+//     costs — every stage of the prefix and the anchor, and a probe's
+//     stages up to i's arrival stage — is the live round's own: the
+//     replay reads its sample, raw threshold and exclude-self table
+//     instead of rebuilding them. It never changes them; it only fills
+//     in a table entry first needed in a replay, with the value the live
+//     round would compute.
 //   - Early exit. A win is never revoked, and a phone refused by the
 //     reserve or discarded by the posted-price gate never returns to
 //     the pool, so the probe stops as soon as either happens.
-//   - Reused storage. Both scratch auctions are reset or overwritten in
-//     place rather than built per probe.
+//   - Reused storage. The scratch auctions are reset or overwritten in
+//     place rather than built per probe, and admit the replayed bids
+//     without re-validating them.
 func (a *Auction) winsWithBid(i core.PhoneID, b float64, until core.Slot) bool {
 	if a.prefix == nil {
-		a.prefix, a.probe = a.newReplay(), a.newReplay()
+		a.prefix, a.probe, a.anchor = a.newReplay(), a.newReplay(), a.newReplay()
 	}
 	arrival := a.ledger.Bids()[i].Arrival
 	if a.prefix.Now() >= arrival {
-		a.prefix.reset()
+		a.advanceAnchor(arrival)
+		if a.anchor.Now() < arrival {
+			a.prefix.copyFrom(a.anchor)
+		} else {
+			a.prefix.reset()
+		}
 	}
 	for a.prefix.Now() < arrival-1 {
-		if !a.replaySlot(a.prefix, core.NoPhone, 0) {
-			return false // unreachable: the live round accepted this stream
-		}
+		a.replaySlot(a.prefix, core.NoPhone, 0)
 	}
 	cf := a.probe
 	cf.copyFrom(a.prefix)
 	cf.watch, cf.watchLost = i, false
+	cf.ownFrom = a.stageAt[arrival] + 1
 	for cf.Now() < until {
-		if !a.replaySlot(cf, i, b) {
-			return false // unreachable, as above
-		}
+		a.replaySlot(cf, i, b)
 		if cf.ledger.WonAt(i) != 0 {
 			return true
 		}
@@ -534,20 +664,43 @@ func (a *Auction) winsWithBid(i core.PhoneID, b float64, until core.Slot) bool {
 	return false
 }
 
-// newReplay returns an empty allocation-only auction of a's round.
+// advanceAnchor steps the anchor replay toward the slot before the
+// earliest arrival among phones that have not departed, but not past
+// the slot before arrival.
+func (a *Auction) advanceAnchor(arrival core.Slot) {
+	bids, now := a.ledger.Bids(), a.ledger.Now()
+	for int(a.lowest) < len(bids) && bids[a.lowest].Departure < now {
+		a.lowest++
+	}
+	to := arrival - 1
+	if int(a.lowest) < len(bids) {
+		to = min(to, bids[a.lowest].Arrival-1)
+	}
+	for a.anchor.Now() < to {
+		a.replaySlot(a.anchor, core.NoPhone, 0)
+	}
+}
+
+// newReplay returns an empty allocation-only replay of a's round.
 func (a *Auction) newReplay() *Auction {
-	cf, err := New(a.ledger.Slots(), a.ledger.Value(), a.ledger.AllocateAtLoss(), a.budget, a.eng)
+	l, err := core.NewLedger(a.ledger.Slots(), a.ledger.Value(), a.ledger.AllocateAtLoss())
 	if err != nil {
 		panic(err) // unreachable: a was built with these parameters
 	}
-	cf.replay = true
-	return cf
+	return &Auction{
+		ledger: l, budget: a.budget, eng: a.eng, stages: a.stages,
+		samples: make([][]float64, a.stages+1),
+		rawThr:  make([]float64, a.stages+1),
+		src:     a,
+		ownFrom: a.stages + 1,
+		watch:   core.NoPhone,
+	}
 }
 
 // replaySlot steps replay cf through its next slot of a's observed
 // round, with phone i's reported cost replaced by b (i = NoPhone: as
-// observed). It reports false only if the stream is rejected.
-func (a *Auction) replaySlot(cf *Auction, i core.PhoneID, b float64) bool {
+// observed).
+func (a *Auction) replaySlot(cf *Auction, i core.PhoneID, b float64) {
 	t := cf.Now() + 1
 	a.arriving = a.arriving[:0]
 	bids := a.ledger.Bids()
@@ -558,40 +711,24 @@ func (a *Auction) replaySlot(cf *Auction, i core.PhoneID, b float64) bool {
 		}
 		a.arriving = append(a.arriving, core.StreamBid{Departure: bids[j].Departure, Cost: c})
 	}
-	if _, err := cf.ledger.Advance(a.arriving, a.tasksAt[t]); err != nil {
-		return false
-	}
+	cf.ledger.Readmit(a.arriving, a.tasksAt[t])
 	cf.openStages(t)
 	cf.res = core.SlotResult{Slot: t, Joined: cf.res.Joined[:0], Assignments: cf.res.Assignments[:0]}
 	cf.allocate(a.arriving, a.tasksAt[t], &cf.res)
-	return true
 }
 
 // reset empties replay a back to before slot 1, keeping its storage.
 func (a *Auction) reset() {
 	a.ledger.Reset()
 	a.stage, a.reserved = 0, 0
-	a.arrivalStage = a.arrivalStage[:0]
-	a.capAt = a.capAt[:0]
-	for k := range a.samples {
-		a.samples[k] = a.samples[k][:0]
-		a.stageCosts[k] = a.stageCosts[k][:0]
-		a.rawThr[k] = 0
-	}
 }
 
-// copyFrom overwrites replay a with replay src's allocation state,
-// reusing a's storage. Both replay the same round.
+// copyFrom overwrites replay a with the allocation state of src, a
+// replay of the same round whose stages are all observed (a prefix or
+// the anchor), reusing a's storage.
 func (a *Auction) copyFrom(src *Auction) {
 	a.ledger.CopyFrom(src.ledger)
 	a.stage, a.reserved = src.stage, src.reserved
-	a.arrivalStage = append(a.arrivalStage[:0], src.arrivalStage...)
-	a.capAt = append(a.capAt[:0], src.capAt...)
-	copy(a.rawThr, src.rawThr)
-	for k := range a.samples {
-		a.samples[k] = append(a.samples[k][:0], src.samples[k]...)
-		a.stageCosts[k] = append(a.stageCosts[k][:0], src.stageCosts[k]...)
-	}
 }
 
 // Outcome assembles the round outcome so far: the ledger's allocation

@@ -33,6 +33,7 @@ func BenchmarkBudgetedSlot(b *testing.B) {
 	run := func(b *testing.B, boot func() (core.Auction, error)) {
 		b.Helper()
 		var paid, welfare float64
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			a, err := boot()

@@ -236,3 +236,19 @@ func mergeSorted(dst, sorted, batch []float64) []float64 {
 	dst = append(dst, sorted[i:]...)
 	return append(dst, batch[j:]...)
 }
+
+// replaced appends to dst the ascending sample with one instance of c
+// replaced by b. dst must not share storage with sample.
+func replaced(dst, sample []float64, c, b float64) []float64 {
+	r := sort.SearchFloat64s(sample, c)
+	dst = append(dst, sample[:r]...)
+	if r < len(sample) && sample[r] == c {
+		r++
+	}
+	dst = append(dst, sample[r:]...)
+	at := sort.SearchFloat64s(dst, b)
+	dst = append(dst, 0)
+	copy(dst[at+1:], dst[at:])
+	dst[at] = b
+	return dst
+}

@@ -35,16 +35,29 @@ func replayWins(a *Auction, i core.PhoneID, b float64, until core.Slot) bool {
 // at admission). It returns the number of probes compared.
 func checkAgainstReplay(t *testing.T, a *Auction, label string) int {
 	t.Helper()
+	var winners []core.PhoneID
+	for p := range a.ledger.NumPhones() {
+		if i := core.PhoneID(p); a.ledger.WonAt(i) != 0 {
+			winners = append(winners, i)
+		}
+	}
+	return checkWinners(t, a, label, winners, nil)
+}
+
+// checkWinners is checkAgainstReplay over the given winners, priced in
+// the order given. Before each resumed probe it calls observe, if
+// non-nil, with the probed phone.
+func checkWinners(t *testing.T, a *Auction, label string, winners []core.PhoneID, observe func(core.PhoneID)) int {
+	t.Helper()
 	out := a.Outcome()
 	probes := 0
-	for p := range out.Payments {
-		i := core.PhoneID(p)
-		if a.ledger.WonAt(i) == 0 {
-			continue
-		}
+	for _, i := range winners {
 		until := a.pricedThrough(i)
 		compare := func(b float64) bool {
 			probes++
+			if observe != nil {
+				observe(i)
+			}
 			got, want := a.winsWithBid(i, b, until), replayWins(a, i, b, until)
 			if got != want {
 				t.Fatalf("%s: phone %d bid %v: resumed probe wins=%v, replay wins=%v", label, i, b, got, want)
@@ -57,8 +70,8 @@ func checkAgainstReplay(t *testing.T, a *Auction, label string) int {
 		}
 		fast := a.searchCritical(i, compare)
 		oracle := a.searchCritical(i, func(b float64) bool { return replayWins(a, i, b, until) })
-		if math.Float64bits(fast) != math.Float64bits(oracle) || math.Float64bits(out.Payments[p]) != math.Float64bits(oracle) {
-			t.Fatalf("%s: phone %d paid %v, resumed search %v, replay search %v", label, i, out.Payments[p], fast, oracle)
+		if math.Float64bits(fast) != math.Float64bits(oracle) || math.Float64bits(out.Payments[i]) != math.Float64bits(oracle) {
+			t.Fatalf("%s: phone %d paid %v, resumed search %v, replay search %v", label, i, out.Payments[i], fast, oracle)
 		}
 	}
 	return probes
@@ -170,4 +183,155 @@ func TestPaymentIsBisectedCriticalValue(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestProbesOutOfArrivalOrder prices the winners of finished Table I
+// rounds in descending and in shuffled arrival order, so the prefix is
+// often past the next winner's arrival: it restarts from the anchor
+// when the anchor is still before that arrival, and from slot 1 when
+// the winner arrived before every phone still to depart. Every probe
+// must match replayWins and every payment the settled one, and both
+// restarts must occur.
+func TestProbesOutOfArrivalOrder(t *testing.T) {
+	seeds := uint64(6)
+	if testing.Short() || raceEnabled {
+		seeds = 2
+	}
+	restarts := map[string]int{}
+	for _, eng := range []Engine{StageSampling{}, Frugal{}} {
+		for _, budget := range []float64{200, 2000} {
+			for seed := uint64(1); seed <= seeds; seed++ {
+				in, err := workload.DefaultScenario().Generate(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s B=%g seed %d", eng.Name(), budget, seed)
+				rng := workload.NewRNG(seed)
+				for _, order := range []string{"descending", "shuffled"} {
+					a := driveTo(t, in, budget, eng, in.Slots)
+					var winners []core.PhoneID
+					for p := a.ledger.NumPhones() - 1; p >= 0; p-- {
+						if i := core.PhoneID(p); a.ledger.WonAt(i) != 0 {
+							winners = append(winners, i)
+						}
+					}
+					if order == "shuffled" {
+						for k := len(winners) - 1; k > 0; k-- {
+							j := int(rng.Uint64() % uint64(k+1))
+							winners[k], winners[j] = winners[j], winners[k]
+						}
+					}
+					observe := func(i core.PhoneID) {
+						arrival := a.ledger.Bids()[i].Arrival
+						if a.prefix == nil || a.prefix.Now() < arrival {
+							return
+						}
+						if to := min(arrival-1, a.anchorSlot()); a.anchor.Now() <= to {
+							restarts["anchor"]++
+						} else {
+							restarts["slot 1"]++
+						}
+					}
+					checkWinners(t, a, label+" "+order, winners, observe)
+				}
+			}
+		}
+	}
+	if restarts["anchor"] == 0 || restarts["slot 1"] == 0 {
+		t.Fatalf("restarts %v: want both the anchor copy and the slot-1 fallback exercised", restarts)
+	}
+	t.Logf("prefix restarts: %v", restarts)
+}
+
+// anchorSlot returns the slot the anchor is held at: the one before the
+// earliest arrival among phones that have not departed.
+func (a *Auction) anchorSlot() core.Slot {
+	for _, b := range a.ledger.Bids() {
+		if b.Departure >= a.ledger.Now() {
+			return b.Arrival - 1
+		}
+	}
+	return a.ledger.Now()
+}
+
+// TestPricingLeavesObservedState pins that pricing never writes the
+// observed stage state it shares with its replays: after every Step of
+// a priced round, the stage, each opened stage's sample and raw
+// threshold equal, bit for bit, those of an unpriced run of the same
+// stream, and every exclude-self threshold the priced round has cached
+// equals the unpriced run's for the same cost.
+func TestPricingLeavesObservedState(t *testing.T) {
+	seeds := uint64(4)
+	if testing.Short() || raceEnabled {
+		seeds = 1
+	}
+	for _, eng := range []Engine{StageSampling{}, Frugal{}} {
+		for _, budget := range []float64{200, 2000} {
+			for seed := uint64(1); seed <= seeds; seed++ {
+				in, err := workload.DefaultScenario().Generate(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s B=%g seed %d", eng.Name(), budget, seed)
+				priced, err := New(in.Slots, in.Value, in.AllocateAtLoss, budget, eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unpriced, err := New(in.Slots, in.Value, in.AllocateAtLoss, budget, eng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unpriced.replay = true // settles nothing, so prices nothing
+				paid, cached := 0, 0
+				err = core.StepThrough(priced, in, in.Slots, func(res *core.SlotResult) error {
+					paid += len(res.Payments)
+					now := priced.Now()
+					if err := core.StepThrough(unpriced, in, now, nil); err != nil {
+						return err
+					}
+					if priced.stage != unpriced.stage {
+						return fmt.Errorf("stage %d, unpriced %d", priced.stage, unpriced.stage)
+					}
+					for k := 1; k <= priced.stage; k++ {
+						if !sameBits(priced.samples[k], unpriced.samples[k]) {
+							return fmt.Errorf("stage %d sample %v, unpriced %v", k, priced.samples[k], unpriced.samples[k])
+						}
+						if !sameBits([]float64{priced.rawThr[k]}, []float64{unpriced.rawThr[k]}) {
+							return fmt.Errorf("stage %d threshold %v, unpriced %v", k, priced.rawThr[k], unpriced.rawThr[k])
+						}
+						for r, thr := range priced.exclThr[k] {
+							if math.IsNaN(thr) {
+								continue
+							}
+							cached++
+							c := priced.samples[k][r]
+							if want := unpriced.exclThreshold(k, c); !sameBits([]float64{thr}, []float64{want}) {
+								return fmt.Errorf("stage %d less %v: cached threshold %v, unpriced %v", k, c, thr, want)
+							}
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if paid == 0 || cached == 0 {
+					t.Fatalf("%s: %d payments and %d cached thresholds: nothing to check", label, paid, cached)
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether x and y hold the same floats, bit for bit.
+func sameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for k := range x {
+		if math.Float64bits(x[k]) != math.Float64bits(y[k]) {
+			return false
+		}
+	}
+	return true
 }

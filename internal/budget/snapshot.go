@@ -69,11 +69,10 @@ func Restore(data []byte) (*Auction, error) {
 	if err != nil {
 		return nil, fmt.Errorf("restore budget auction: %w", err)
 	}
-	// Settlement is skipped during the replay, so the settlement state is
-	// rebuilt after it. A winner that departed before the checkpoint was
-	// paid at its departure, and that amount is final (see
-	// criticalValue): price it once more here, which settles it as the
-	// live round did.
+	// Settlement is skipped during the replay. A winner that departed
+	// before the checkpoint was paid at its departure, and that amount is
+	// final (see criticalValue): price it once more here, which settles
+	// it as the live round did.
 	a.replay = true
 	err = c.Replay(a, nil, a.ledger.Checkpoint)
 	a.replay = false
@@ -81,9 +80,7 @@ func Restore(data []byte) (*Auction, error) {
 		return nil, fmt.Errorf("restore budget auction: %w", err)
 	}
 	for i, b := range c.Bids {
-		p := core.PhoneID(i)
-		a.trackPricing(p, b.Departure)
-		if b.Departure <= c.Now && a.ledger.WonAt(p) != 0 {
+		if p := core.PhoneID(i); b.Departure <= c.Now && a.ledger.WonAt(p) != 0 {
 			a.criticalValue(p)
 		}
 	}

@@ -40,7 +40,7 @@ var _ Auction = (*OnlineAuction)(nil)
 // pool. Its Step opens each slot with Advance, announces each task with
 // AddTask, draws the task's winner from the pool and records it with
 // RecordWin, and prices winners by counterfactual replay over scratch
-// Ledgers it Resets and CopyFroms.
+// Ledgers it Resets, CopyFroms and steps with Readmit.
 //
 // OnlineAuction keeps the same facts in its own fields, but each rule
 // is written once and shared: the round and slot admission checks
@@ -186,10 +186,19 @@ func (l *Ledger) Checkpoint() *Checkpoint {
 // it grows the per-phone and per-task storage once for the slot's
 // appends, by doubling (see grown), as OnlineAuction.Step does.
 func (l *Ledger) Advance(arriving []StreamBid, numTasks int) (Slot, error) {
-	n := len(l.inst.Bids)
-	if err := checkSlot(l.inst.Slots, l.now, n, arriving, numTasks); err != nil {
+	if err := checkSlot(l.inst.Slots, l.now, len(l.inst.Bids), arriving, numTasks); err != nil {
 		return 0, err
 	}
+	return l.Readmit(arriving, numTasks), nil
+}
+
+// Readmit is Advance without checkSlot, for a counterfactual replay of
+// a slot that a live round has already admitted: the caller guarantees
+// that the slot is within the round, numTasks is non-negative, and every
+// bid passed checkSlot there or differs from one that did only in a
+// finite, non-negative cost.
+func (l *Ledger) Readmit(arriving []StreamBid, numTasks int) Slot {
+	n := len(l.inst.Bids)
 	t := l.now + 1
 	a, r := len(arriving), numTasks
 	l.inst.Bids = grown(l.inst.Bids, a)
@@ -206,7 +215,7 @@ func (l *Ledger) Advance(arriving []StreamBid, numTasks int) (Slot, error) {
 			l.pool.push(&l.inst.Bids[n+k])
 		}
 	}
-	return t, nil
+	return t
 }
 
 // Poolable reports whether the reserve price lets a bid of the given
