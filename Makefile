@@ -6,7 +6,7 @@ BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH.json
 
-.PHONY: all check fmt vet build test agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench loc staticcheck profile obs-demo clean
+.PHONY: all check fmt vet build test examples agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench loc staticcheck profile obs-demo clean
 
 all: check
 
@@ -18,10 +18,11 @@ all: check
 # offline engine can never silently drift from the Hungarian+VCG oracle.
 # agent-repeat reruns the CLI agent's end-of-service tests many times,
 # so a shutdown race cannot hide behind a lucky single run.
+# examples runs every example program, which the build only compiles.
 # perfbench-check vets and tests the benchmark module, which the root
 # build skips. fmt fails if any Go file, perfbench/ included, is not
 # gofmt-clean.
-check: fmt vet build test agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout
+check: fmt vet build test examples agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout
 
 fmt:
 	@out=$$(gofmt -l .) || exit 1; \
@@ -38,6 +39,15 @@ test:
 
 agent-repeat:
 	$(GO) test -count=200 ./cmd/crowd-agent
+
+# examples runs each program under examples/ (its stdout discarded) and
+# fails on the first that exits non-zero.
+EXAMPLES := $(sort $(patsubst %/main.go,%,$(wildcard examples/*/main.go)))
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "go run ./$$e"; \
+		$(GO) run ./$$e >/dev/null || { echo "examples: $$e failed"; exit 1; }; \
+	done
 
 # perfbench-check builds, vets and tests perfbench/, the repository
 # benchmark. It is its own Go module, so `go build ./...` at the root

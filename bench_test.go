@@ -34,7 +34,6 @@ import (
 	"dynacrowd/internal/experiments"
 	"dynacrowd/internal/market"
 	"dynacrowd/internal/sim"
-	"dynacrowd/internal/typed"
 	"dynacrowd/internal/workload"
 )
 
@@ -366,56 +365,6 @@ func BenchmarkCompletionLifecycle(b *testing.B) {
 }
 
 // --- extension benchmarks ---
-
-// BenchmarkTypedMechanisms measures the heterogeneous-sensing extension
-// (internal/typed): offline VCG vs online greedy with binary-search
-// critical payments.
-func BenchmarkTypedMechanisms(b *testing.B) {
-	rng := workload.NewRNG(31)
-	build := func(slots core.Slot, phones int) *typed.Instance {
-		in := &typed.Instance{Slots: slots, Values: []float64{20, 45, 30}}
-		for i := 0; i < phones; i++ {
-			a := core.Slot(1 + rng.Intn(int(slots)))
-			d := a + core.Slot(rng.Intn(int(slots-a)+1))
-			caps := typed.Caps(0)
-			if rng.Intn(3) == 0 {
-				caps |= typed.Caps(1)
-			}
-			if rng.Intn(2) == 0 {
-				caps |= typed.Caps(2)
-			}
-			in.Bids = append(in.Bids, typed.Bid{
-				Phone: core.PhoneID(i), Arrival: a, Departure: d,
-				Cost: rng.Uniform(1, 18), Caps: caps,
-			})
-		}
-		for t := core.Slot(1); t <= slots; t++ {
-			for k := rng.Poisson(1.5); k > 0; k-- {
-				in.Tasks = append(in.Tasks, typed.Task{
-					ID: core.TaskID(len(in.Tasks)), Arrival: t, Kind: typed.Kind(rng.Intn(3)),
-				})
-			}
-		}
-		return in
-	}
-	in := build(30, 120)
-	b.Run("offline", func(b *testing.B) {
-		mech := &typed.OfflineMechanism{}
-		for i := 0; i < b.N; i++ {
-			if _, err := mech.Run(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("online", func(b *testing.B) {
-		mech := &typed.OnlineMechanism{}
-		for i := 0; i < b.N; i++ {
-			if _, err := mech.Run(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkMarketRounds measures the multi-round market driver.
 func BenchmarkMarketRounds(b *testing.B) {

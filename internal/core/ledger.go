@@ -45,7 +45,8 @@ var _ Auction = (*OnlineAuction)(nil)
 // OnlineAuction keeps the same facts in its own fields, but each rule
 // is written once and shared: the round and slot admission checks
 // (checkRound, checkSlot), the reserve price (Instance.poolable), the
-// pool (a costHeap drawn through popUsable), the outcome's allocation
+// pool (a costHeap drawn through popUsable and shed of departed entries
+// by compact once each slot closes), the outcome's allocation
 // (outcomeOf), the bounds-checked Bid (bidAt) and the checkpoint
 // (newCheckpoint).
 //
@@ -197,7 +198,12 @@ func (l *Ledger) Advance(arriving []StreamBid, numTasks int) (Slot, error) {
 // that the slot is within the round, numTasks is non-negative, and every
 // bid passed checkSlot there or differs from one that did only in a
 // finite, non-negative cost.
+//
+// Slot l.now has closed, so Readmit first compacts the pool through it,
+// as OnlineAuction.Step does at the end of each slot, which bounds the
+// departed entries this ledger and the replays that CopyFrom it carry.
 func (l *Ledger) Readmit(arriving []StreamBid, numTasks int) Slot {
+	l.pool.compact(l.now)
 	n := len(l.inst.Bids)
 	t := l.now + 1
 	a, r := len(arriving), numTasks

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -181,4 +182,43 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	}
 	mirror(cp)
 	check("reset", cp)
+}
+
+// TestLedgerCompactsPool churns 400 poolable phones through a 40-slot
+// round by Advance, ten arriving in each slot for an eight-slot window
+// while two tasks a slot draw winners, and checks after every slot that
+// the pool holds fewer than max(64, 2 × its undeparted entries), the
+// bound costHeap.compact keeps under steady churn. Without compaction
+// the departed entries pile up and the pool outgrows it in slot 18.
+func TestLedgerCompactsPool(t *testing.T) {
+	const m, perSlot, window, tasks = 40, 10, 8, 2
+	rng := rand.New(rand.NewSource(29))
+	l, err := NewLedger(m, 30, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := Slot(1); s <= m; s++ {
+		arriving := make([]StreamBid, perSlot)
+		for k := range arriving {
+			arriving[k] = StreamBid{Departure: min(s+window-1, m), Cost: 1 + 28*rng.Float64()}
+		}
+		if _, err := l.Advance(arriving, tasks); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < tasks; k++ {
+			id := l.AddTask()
+			if winner := l.PopUsable(); winner != NoPhone {
+				l.RecordWin(id, winner, s)
+			}
+		}
+		undeparted := 0
+		for _, e := range l.pool.items {
+			if Slot(e.dep) >= s {
+				undeparted++
+			}
+		}
+		if n := l.pool.len(); n >= max(64, 2*undeparted) {
+			t.Fatalf("slot %d: pool holds %d entries, %d undeparted", s, n, undeparted)
+		}
+	}
 }
