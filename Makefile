@@ -126,16 +126,20 @@ wire-diff:
 # deviation audit — every phone, every misreport, five seeded rounds per
 # engine and budget level — asserting zero positive-gain deviations,
 # individual rationality, and sum-of-payments <= B on every audited
-# instance. Last, the pricing differential: resumed counterfactual
-# probes against fresh replays from slot 1 (identical answers,
-# bit-identical payments), also with winners priced out of arrival
-# order; every payment against a bisected critical value; pricing
-# leaving the observed stage state its replays share untouched; and
-# the golden allocation and payment bits of 400 Table I rounds.
+# instance. Last, the pricing differential: counterfactual probes,
+# each started from a rewind of the observed round, against fresh
+# replays from slot 1 (identical answers, bit-identical payments), also
+# with winners priced out of arrival order so the rewind goes back in
+# time; every payment against a bisected critical value; pricing
+# leaving the observed state its replays read untouched; and the golden
+# allocation and payment bits of 400 Table I rounds. Every probe starts
+# from core.Ledger.Rewind, so the core test that rewinds a ledger to
+# each slot and finishes the round as recorded is gated here too.
 budget-audit:
 	$(call gate,./internal/budget/,TestNaiveTruncatedNotTruthful TestBudgetEnginesPassCounterexample \
 		TestBudgetAuditCampaign TestResumedProbesMatchReplay TestProbesOutOfArrivalOrder \
 		TestPaymentIsBisectedCriticalValue TestPricingLeavesObservedState TestGoldenPayments,-count=1)
+	$(call gate,./internal/core/,TestLedgerMirrorsOnlineAuction,-count=1)
 
 # budget-bench records the budgeted engines' per-round throughput
 # against the unbudgeted baseline (counterfactual critical-value

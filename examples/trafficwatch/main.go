@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"dynacrowd"
 	"dynacrowd/internal/baseline"
@@ -64,7 +65,7 @@ func main() {
 	}
 
 	fmt.Println()
-	if err := fig.WriteTable(log.Writer()); err != nil {
+	if err := fig.WriteTable(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 

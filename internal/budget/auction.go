@@ -50,8 +50,11 @@ type Auction struct {
 	reserved float64   // Σ committed caps; never exceeds the budget
 	capAt    []float64 // per phone: payment cap reserved at win (0: no win)
 
-	tasksAt []int // per slot: tasks announced (replays re-read them)
-	stageAt []int // per slot: the stage covering it
+	// The observed round's history, which replays read.
+	tasksAt    []int       // per slot: tasks announced
+	stageAt    []int       // per slot: the stage covering it
+	reservedAt []float64   // per slot: reserved once its allocation ends
+	dropped    []core.Slot // per phone: slot the posted-price gate discarded it (0: never)
 
 	// Counterfactual critical-value cache: critVal[i] is valid while the
 	// clock still reads critNow[i], and for good once settled[i] is set:
@@ -71,15 +74,12 @@ type Auction struct {
 	batch []float64 // stage-opening scratch: the closed stage's costs
 
 	// Counterfactual pricing scratch, built on first use (see
-	// winsWithBid). prefix replays the observed round up to the slot
-	// before a priced winner's arrival; probe copies it and replays the
-	// rest with the winner's report replaced; anchor replays it up to the
-	// slot before the earliest arrival among phones that have not
-	// departed, which no live pricing goes below. Every phone below
-	// lowest has departed.
-	prefix, probe, anchor *Auction
-	lowest                core.PhoneID
-	arriving              []core.StreamBid
+	// winsWithBid). prefix is the observed round rewound to the close of
+	// the slot before a priced winner's arrival; probe copies it and
+	// replays the rest with the winner's report replaced.
+	prefix   *core.Ledger
+	probe    *Auction
+	arriving []core.StreamBid
 
 	// grid holds the sorted, duplicate-free critical-value candidates of
 	// every winner priced through slot gridUntil (0: none yet): ν, the
@@ -137,6 +137,7 @@ func New(m core.Slot, value float64, allocateAtLoss bool, budget float64, eng En
 		exclThr:     make([][]float64, stages+1),
 		tasksAt:     make([]int, m+1),
 		stageAt:     stageAt,
+		reservedAt:  make([]float64, m+1),
 		ownFrom:     stages + 1,
 		watch:       core.NoPhone,
 	}, nil
@@ -266,9 +267,9 @@ func (a *Auction) observed() *Auction {
 //
 // Wherever the sample less i's cost holds only observed costs, the
 // observed round's exclude-self table has the threshold: on every
-// stage of a live auction, a prefix or the anchor, and on a probe's
-// stages below ownFrom; and for the watched phone on every stage, since
-// removing its probed report leaves the observed sample less its cost.
+// stage of a live auction and on a probe's stages below ownFrom; and
+// for the watched phone on every stage, since removing its probed
+// report leaves the observed sample less its cost.
 func (a *Auction) effThreshold(i core.PhoneID) float64 {
 	o := a.observed()
 	arrived := o.stageAt[a.ledger.Bids()[i].Arrival]
@@ -387,6 +388,9 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 			if winner == a.watch {
 				a.watchLost = true
 			}
+			if a.src == nil {
+				a.dropped[winner] = t
+			}
 			res.Unserved++
 			if a.inst != nil {
 				a.inst.ThresholdRejects.Inc()
@@ -415,12 +419,16 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 			a.inst.Remaining.Set(a.Remaining())
 		}
 	}
+	if a.src == nil {
+		a.reservedAt[t] = a.reserved
+	}
 }
 
-// trackPricing extends the cap, settlement and payment-cache state to
-// phone id, departing in slot departure.
+// trackPricing extends the cap, discard, settlement and payment-cache
+// state to phone id, departing in slot departure.
 func (a *Auction) trackPricing(id core.PhoneID, departure core.Slot) {
 	a.capAt = append(a.capAt, 0)
+	a.dropped = append(a.dropped, 0)
 	a.critVal = append(a.critVal, 0)
 	a.critNow = append(a.critNow, 0)
 	a.settled = append(a.settled, false)
@@ -604,52 +612,41 @@ func (a *Auction) gridThrough(until core.Slot) {
 // the full mechanism: stage layout, exclude-self thresholds, both
 // gates, and heap order. It is the same replay as stepping a fresh
 // auction from slot 1 (the differential test holds it to that), made
-// cheaper five ways:
+// cheaper four ways:
 //
-//   - Shared prefix. Before i arrives nothing can depend on its report,
-//     so the prefix scratch auction replays slots 1..arrival−1 once and
-//     every probe resumes from a copy of it. Phone IDs follow arrival
-//     order, so the winners of one settlement (and Outcome's ID-order
-//     walk) only move the prefix forward.
-//   - Anchor. A later settlement can need an earlier arrival than the
-//     prefix has passed. The anchor replay is held at the slot before
-//     the earliest arrival among phones that have not departed: no phone
-//     priced live from now on arrived earlier, and that arrival never
-//     decreases, so the anchor only steps forward (at most m slots a
-//     round) and the prefix restarts from a copy of it. Only a phone
-//     priced after its departure (Restore, or a direct call) can need
-//     a slot before the anchor; the prefix then restarts from slot 1.
+//   - Rewind. Before i arrives nothing can depend on its report, so
+//     the replay's state at the close of slot arrival−1 is the observed
+//     round's, which is final once that slot closes. The prefix ledger
+//     is rewound to it (core.Ledger.Rewind, with the slots the
+//     posted-price gate dropped phones in), and the stage and reserved
+//     amount are read from the per-slot records. The prefix is rewound
+//     again only when a winner of another arrival slot is priced; every
+//     probe resumes from a copy of it.
 //   - Observed stage state. A stage sample that holds only observed
-//     costs — every stage of the prefix and the anchor, and a probe's
-//     stages up to i's arrival stage — is the live round's own: the
-//     replay reads its sample, raw threshold and exclude-self table
-//     instead of rebuilding them. It never changes them; it only fills
-//     in a table entry first needed in a replay, with the value the live
-//     round would compute.
+//     costs — a probe's stages up to i's arrival stage — is the live
+//     round's own: the replay reads its sample, raw threshold and
+//     exclude-self table instead of rebuilding them. It never changes
+//     them; it only fills in a table entry first needed in a replay,
+//     with the value the live round would compute.
 //   - Early exit. A win is never revoked, and a phone refused by the
 //     reserve or discarded by the posted-price gate never returns to
 //     the pool, so the probe stops as soon as either happens.
-//   - Reused storage. The scratch auctions are reset or overwritten in
-//     place rather than built per probe, and admit the replayed bids
-//     without re-validating them.
+//   - Reused storage. The prefix and the probe are overwritten in place
+//     rather than built per probe, and the probe admits the replayed
+//     bids without re-validating them.
 func (a *Auction) winsWithBid(i core.PhoneID, b float64, until core.Slot) bool {
-	if a.prefix == nil {
-		a.prefix, a.probe, a.anchor = a.newReplay(), a.newReplay(), a.newReplay()
+	if a.probe == nil {
+		a.prefix, a.probe = new(core.Ledger), a.newReplay()
+		a.prefix.Rewind(a.ledger, 0, nil)
 	}
 	arrival := a.ledger.Bids()[i].Arrival
-	if a.prefix.Now() >= arrival {
-		a.advanceAnchor(arrival)
-		if a.anchor.Now() < arrival {
-			a.prefix.copyFrom(a.anchor)
-		} else {
-			a.prefix.reset()
-		}
-	}
-	for a.prefix.Now() < arrival-1 {
-		a.replaySlot(a.prefix, core.NoPhone, 0)
+	s := arrival - 1
+	if a.prefix.Now() != s {
+		a.prefix.Rewind(a.ledger, s, a.dropped)
 	}
 	cf := a.probe
-	cf.copyFrom(a.prefix)
+	cf.ledger.CopyFrom(a.prefix)
+	cf.stage, cf.reserved = a.stageAt[s], a.reservedAt[s]
 	cf.watch, cf.watchLost = i, false
 	cf.ownFrom = a.stageAt[arrival] + 1
 	for cf.Now() < until {
@@ -664,29 +661,10 @@ func (a *Auction) winsWithBid(i core.PhoneID, b float64, until core.Slot) bool {
 	return false
 }
 
-// advanceAnchor steps the anchor replay toward the slot before the
-// earliest arrival among phones that have not departed, but not past
-// the slot before arrival.
-func (a *Auction) advanceAnchor(arrival core.Slot) {
-	bids, now := a.ledger.Bids(), a.ledger.Now()
-	for int(a.lowest) < len(bids) && bids[a.lowest].Departure < now {
-		a.lowest++
-	}
-	to := arrival - 1
-	if int(a.lowest) < len(bids) {
-		to = min(to, bids[a.lowest].Arrival-1)
-	}
-	for a.anchor.Now() < to {
-		a.replaySlot(a.anchor, core.NoPhone, 0)
-	}
-}
-
 // newReplay returns an empty allocation-only replay of a's round.
 func (a *Auction) newReplay() *Auction {
-	l, err := core.NewLedger(a.ledger.Slots(), a.ledger.Value(), a.ledger.AllocateAtLoss())
-	if err != nil {
-		panic(err) // unreachable: a was built with these parameters
-	}
+	l := new(core.Ledger)
+	l.Rewind(a.ledger, 0, nil)
 	return &Auction{
 		ledger: l, budget: a.budget, eng: a.eng, stages: a.stages,
 		samples: make([][]float64, a.stages+1),
@@ -715,20 +693,6 @@ func (a *Auction) replaySlot(cf *Auction, i core.PhoneID, b float64) {
 	cf.openStages(t)
 	cf.res = core.SlotResult{Slot: t, Joined: cf.res.Joined[:0], Assignments: cf.res.Assignments[:0]}
 	cf.allocate(a.arriving, a.tasksAt[t], &cf.res)
-}
-
-// reset empties replay a back to before slot 1, keeping its storage.
-func (a *Auction) reset() {
-	a.ledger.Reset()
-	a.stage, a.reserved = 0, 0
-}
-
-// copyFrom overwrites replay a with the allocation state of src, a
-// replay of the same round whose stages are all observed (a prefix or
-// the anchor), reusing a's storage.
-func (a *Auction) copyFrom(src *Auction) {
-	a.ledger.CopyFrom(src.ledger)
-	a.stage, a.reserved = src.stage, src.reserved
 }
 
 // Outcome assembles the round outcome so far: the ledger's allocation

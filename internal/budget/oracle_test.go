@@ -3,6 +3,7 @@ package budget
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dynacrowd/internal/core"
@@ -187,17 +188,15 @@ func TestPaymentIsBisectedCriticalValue(t *testing.T) {
 
 // TestProbesOutOfArrivalOrder prices the winners of finished Table I
 // rounds in descending and in shuffled arrival order, so the prefix is
-// often past the next winner's arrival: it restarts from the anchor
-// when the anchor is still before that arrival, and from slot 1 when
-// the winner arrived before every phone still to depart. Every probe
-// must match replayWins and every payment the settled one, and both
-// restarts must occur.
+// often rewound to an earlier slot than the one it holds. Every probe
+// must match replayWins and every payment the settled one, and such
+// backward rewinds must occur.
 func TestProbesOutOfArrivalOrder(t *testing.T) {
 	seeds := uint64(6)
 	if testing.Short() || raceEnabled {
 		seeds = 2
 	}
-	restarts := map[string]int{}
+	backward := 0
 	for _, eng := range []Engine{StageSampling{}, Frugal{}} {
 		for _, budget := range []float64{200, 2000} {
 			for seed := uint64(1); seed <= seeds; seed++ {
@@ -222,14 +221,8 @@ func TestProbesOutOfArrivalOrder(t *testing.T) {
 						}
 					}
 					observe := func(i core.PhoneID) {
-						arrival := a.ledger.Bids()[i].Arrival
-						if a.prefix == nil || a.prefix.Now() < arrival {
-							return
-						}
-						if to := min(arrival-1, a.anchorSlot()); a.anchor.Now() <= to {
-							restarts["anchor"]++
-						} else {
-							restarts["slot 1"]++
+						if a.prefix != nil && a.ledger.Bids()[i].Arrival-1 < a.prefix.Now() {
+							backward++
 						}
 					}
 					checkWinners(t, a, label+" "+order, winners, observe)
@@ -237,27 +230,17 @@ func TestProbesOutOfArrivalOrder(t *testing.T) {
 			}
 		}
 	}
-	if restarts["anchor"] == 0 || restarts["slot 1"] == 0 {
-		t.Fatalf("restarts %v: want both the anchor copy and the slot-1 fallback exercised", restarts)
+	if backward == 0 {
+		t.Fatal("no probe rewound the prefix to an earlier slot: the backward path went unexercised")
 	}
-	t.Logf("prefix restarts: %v", restarts)
-}
-
-// anchorSlot returns the slot the anchor is held at: the one before the
-// earliest arrival among phones that have not departed.
-func (a *Auction) anchorSlot() core.Slot {
-	for _, b := range a.ledger.Bids() {
-		if b.Departure >= a.ledger.Now() {
-			return b.Arrival - 1
-		}
-	}
-	return a.ledger.Now()
+	t.Logf("backward rewinds: %d", backward)
 }
 
 // TestPricingLeavesObservedState pins that pricing never writes the
-// observed stage state it shares with its replays: after every Step of
-// a priced round, the stage, each opened stage's sample and raw
-// threshold equal, bit for bit, those of an unpriced run of the same
+// observed state it shares with its replays: after every Step of a
+// priced round, the stage, each opened stage's sample and raw
+// threshold, the posted-price discard slots and the per-slot reserved
+// amounts equal, bit for bit, those of an unpriced run of the same
 // stream, and every exclude-self threshold the priced round has cached
 // equals the unpriced run's for the same cost.
 func TestPricingLeavesObservedState(t *testing.T) {
@@ -291,6 +274,12 @@ func TestPricingLeavesObservedState(t *testing.T) {
 					}
 					if priced.stage != unpriced.stage {
 						return fmt.Errorf("stage %d, unpriced %d", priced.stage, unpriced.stage)
+					}
+					if !slices.Equal(priced.dropped, unpriced.dropped) {
+						return fmt.Errorf("dropped %v, unpriced %v", priced.dropped, unpriced.dropped)
+					}
+					if !sameBits(priced.reservedAt[:now+1], unpriced.reservedAt[:now+1]) {
+						return fmt.Errorf("reserved by slot %v, unpriced %v", priced.reservedAt[:now+1], unpriced.reservedAt[:now+1])
 					}
 					for k := 1; k <= priced.stage; k++ {
 						if !sameBits(priced.samples[k], unpriced.samples[k]) {

@@ -268,18 +268,20 @@ func rebuildSlotWinners(in *Instance, run *greedyRun, t Slot) {
 	}
 }
 
-// defaultWinner is the shared default + in-slot re-allocation step. It
-// marks p defaulted, releases its task, drafts the cheapest eligible
-// replacement (scanning the full bid list generalizes the recorded
-// runner-up: nothing cheaper than the runner-up can be eligible unless
-// it has itself won or defaulted since), refreshes the slot's pricing
-// tables, and prices the replacement immediately when it has already
-// departed. The price callback must evaluate the caller's payment
-// engine against the post-mutation state.
-func defaultWinner(in *Instance, run *greedyRun, c *completions, p PhoneID, now Slot, price func(PhoneID) float64) (*DefaultResult, error) {
+// Default marks phone p's assignment as failed: p is paid nothing (any
+// issued payment is reported as a clawback), and its task is re-allocated
+// to the next-cheapest eligible phone, which is priced at its own
+// critical value under the post-default state (by the cascade at once,
+// if it has already departed). Errors mirror Complete. The replacement
+// scan covers every bid, which generalizes the recorded runner-up:
+// nothing cheaper than it can be eligible unless it has itself won or
+// defaulted since.
+func (oa *OnlineAuction) Default(p PhoneID) (*DefaultResult, error) {
+	c, run := &oa.comp, &oa.run
 	if !c.enabled {
 		return nil, ErrNotTracking
 	}
+	in := oa.instance()
 	if p < 0 || int(p) >= len(c.status) {
 		return nil, fmt.Errorf("default: unknown phone %d: %w", p, ErrNotAssigned)
 	}
@@ -296,7 +298,7 @@ func defaultWinner(in *Instance, run *greedyRun, c *completions, p PhoneID, now 
 	res := &DefaultResult{Phone: p, Task: k, Slot: t, Replacement: NoPhone}
 	c.status[p] = StatusDefaulted
 	c.counts.Defaulted++
-	c.log = append(c.log, CompletionEvent{Phone: p, Slot: now})
+	c.log = append(c.log, CompletionEvent{Phone: p, Slot: oa.now})
 	if c.paidAt[p] != 0 {
 		res.Clawback = c.paid[p]
 		c.counts.Clawbacks++
@@ -340,9 +342,9 @@ func defaultWinner(in *Instance, run *greedyRun, c *completions, p PhoneID, now 
 	rebuildSlotWinners(in, run, t)
 	c.counts.Reallocated++
 	res.Replacement = best
-	if in.Bids[best].Departure <= now {
-		amount := price(best)
-		c.markPaid(best, amount, now)
+	if in.Bids[best].Departure <= oa.now {
+		amount := oa.price(in, best)
+		c.markPaid(best, amount, oa.now)
 		res.Payments = append(res.Payments, PaymentNotice{Phone: best, Amount: amount})
 	}
 	return res, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Auction is the stepping seam shared by the slot-by-slot auction
@@ -40,7 +41,8 @@ var _ Auction = (*OnlineAuction)(nil)
 // pool. Its Step opens each slot with Advance, announces each task with
 // AddTask, draws the task's winner from the pool and records it with
 // RecordWin, and prices winners by counterfactual replay over scratch
-// Ledgers it Resets, CopyFroms and steps with Readmit.
+// Ledgers: it Rewinds one to the observed round's close of a slot,
+// CopyFroms that into a probe, and steps the probe with Readmit.
 //
 // OnlineAuction keeps the same facts in its own fields, but each rule
 // is written once and shared: the round and slot admission checks
@@ -252,17 +254,45 @@ func (l *Ledger) PopUsable() PhoneID { return l.pool.popUsable(l.now, l.phoneTas
 // pool.
 func (l *Ledger) Repool(i PhoneID) { l.pool.push(&l.inst.Bids[i]) }
 
-// Reset empties the ledger for a fresh round of the same shape, keeping
-// its storage. Counterfactual replays (internal/budget) reset a scratch
-// ledger instead of allocating one per replay.
-func (l *Ledger) Reset() {
-	l.now = 0
-	l.inst.Bids = l.inst.Bids[:0]
-	l.inst.Tasks = l.inst.Tasks[:0]
-	l.byTask = l.byTask[:0]
-	l.phoneTask = l.phoneTask[:0]
-	l.wonAt = l.wonAt[:0]
-	l.pool.items, l.pool.base = l.pool.items[:0], 0
+// Rewind overwrites l with src's round as it stood when slot s (at most
+// src.Now()) closed, reusing l's storage: src's header, the bids and
+// tasks that arrived by s, the wins taken by s, and a pool of exactly
+// the phones that can still be drawn after s — poolable, departing after
+// s, holding no task, and not dropped by s. dropped[i] is the slot in
+// which src's owner discarded phone i from its pool for good without a
+// win (0, or past the slice: never). Every part of that state is final
+// once s closes, and pops follow the strict (cost, ID) order, so the
+// rebuilt pool draws as src's did. Rewind(src, 0, nil) empties l for a
+// fresh round of src's shape.
+func (l *Ledger) Rewind(src *Ledger, s Slot, dropped []Slot) {
+	l.inst.Slots, l.inst.Value, l.inst.AllocateAtLoss = src.inst.Slots, src.inst.Value, src.inst.AllocateAtLoss
+	l.now = s
+	// IDs follow arrival order, so what arrived by s is a prefix.
+	bids, tasks := src.inst.Bids, src.inst.Tasks
+	bids = bids[:sort.Search(len(bids), func(i int) bool { return bids[i].Arrival > s })]
+	tasks = tasks[:sort.Search(len(tasks), func(k int) bool { return tasks[k].Arrival > s })]
+	l.inst.Bids = append(l.inst.Bids[:0], bids...)
+	l.inst.Tasks = append(l.inst.Tasks[:0], tasks...)
+	l.byTask = append(l.byTask[:0], src.byTask[:len(tasks)]...)
+	l.phoneTask = append(l.phoneTask[:0], src.phoneTask[:len(bids)]...)
+	l.wonAt = append(l.wonAt[:0], src.wonAt[:len(bids)]...)
+	for k, p := range l.byTask {
+		if p != NoPhone && src.wonAt[p] > s {
+			l.byTask[k] = NoPhone
+		}
+	}
+	l.pool.items = l.pool.items[:0]
+	for i := range l.inst.Bids {
+		if l.wonAt[i] > s {
+			l.phoneTask[i], l.wonAt[i] = NoTask, 0
+		}
+		b := &l.inst.Bids[i]
+		if l.phoneTask[i] == NoTask && b.Departure > s && l.Poolable(b.Cost) &&
+			(i >= len(dropped) || dropped[i] == 0 || dropped[i] > s) {
+			l.pool.push(b)
+		}
+	}
+	l.pool.base = len(l.pool.items) // nothing departed by s is left to shed
 }
 
 // CopyFrom overwrites l with src's state, reusing l's storage. Both

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,9 +67,9 @@ func TestNewLedgerValidation(t *testing.T) {
 // OnlineAuction round by its exported API, as the budgeted engine does,
 // and checks that Ledger.Outcome reports the auction's allocation,
 // winning slots and welfare with every payment left zero — on the
-// recording ledger, on a ledger overwritten by CopyFrom, and on one
-// replayed again after Reset. The last catches a Reset that leaves a
-// stale task behind, which the budgeted engine's replays never read.
+// recording ledger, and for every slot s on a ledger Rewound to s (and
+// on a CopyFrom of it) that steps the rest of the round. It also checks
+// that Rewind keeps phones dropped by s out of the pool.
 func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	in := &Instance{
 		Slots: 6, Value: 30,
@@ -104,10 +106,10 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	}
 	want := oa.Outcome()
 
-	// mirror replays the round into l: the Ledger's own pool plays the
-	// allocator, the Ledger records its decisions.
-	mirror := func(l *Ledger) {
-		for s := Slot(1); s <= in.Slots; s++ {
+	// mirror replays the round into l after slot from: the Ledger's own
+	// pool plays the allocator, the Ledger records its decisions.
+	mirror := func(l *Ledger, from Slot) {
+		for s := from + 1; s <= in.Slots; s++ {
 			if _, err := l.Advance(byArrival[s], perSlot[s-1]); err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +146,7 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirror(l)
+	mirror(l, 0)
 	check("ledger", l)
 
 	// The checkpoint feeds snapshots; it must match the live state.
@@ -160,28 +162,65 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 		}
 	}
 
-	// CopyFrom overwrites a ledger holding another round; Reset then
-	// leaves a ledger that records the round like a fresh one.
-	cp, err := NewLedger(in.Slots, in.Value, in.AllocateAtLoss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := Slot(1); s <= 3; s++ {
-		if _, err := cp.Advance([]StreamBid{{Departure: 3, Cost: 1}}, 1); err != nil {
+	// other returns an m-slot ledger holding another round: three slots
+	// of phones and tasks, a win in slot 2.
+	other := func(m Slot) *Ledger {
+		o, err := NewLedger(m, 7, !in.AllocateAtLoss)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if k := cp.AddTask(); s == 2 {
-			cp.RecordWin(k, PhoneID(1), s)
+		for s := Slot(1); s <= 3; s++ {
+			if _, err := o.Advance([]StreamBid{{Departure: 3, Cost: 1}}, 1); err != nil {
+				t.Fatal(err)
+			}
+			if k := o.AddTask(); s == 2 {
+				o.RecordWin(k, PhoneID(1), s)
+			}
+		}
+		return o
+	}
+
+	// Rewound to the close of any slot s, a ledger holding another round
+	// (of another shape) finishes the round as recorded, and so does a
+	// same-shape ledger that copies the rewind. Rewinding to 0 is the
+	// fresh round, which catches a stale task left behind.
+	for s := Slot(0); s <= in.Slots; s++ {
+		rw, cp := other(3), other(in.Slots)
+		rw.Rewind(l, s, nil)
+		if s == 0 && (rw.NumPhones() != 0 || rw.NumTasks() != 0) {
+			t.Fatalf("rewind to 0 holds %d phones, %d tasks", rw.NumPhones(), rw.NumTasks())
+		}
+		cp.CopyFrom(rw)
+		mirror(rw, s)
+		check(fmt.Sprintf("rewind to %d", s), rw)
+		mirror(cp, s)
+		check(fmt.Sprintf("copy of rewind to %d", s), cp)
+	}
+
+	// A phone dropped by s never enters the rewound pool; one dropped
+	// later does. After slot 1, phone 0 holds task 0 and phone 1 is
+	// pooled; slot 2 admits phone 2 and the reserve-priced phone 3.
+	for _, tc := range []struct {
+		dropped []Slot
+		want    []PhoneID
+	}{
+		{nil, []PhoneID{2, 1}},
+		{[]Slot{0, 1}, []PhoneID{2}},
+		{[]Slot{0, 2}, []PhoneID{2, 1}},
+	} {
+		rw := other(in.Slots)
+		rw.Rewind(l, 1, tc.dropped)
+		if _, err := rw.Advance(byArrival[2], 0); err != nil {
+			t.Fatal(err)
+		}
+		var got []PhoneID
+		for p := rw.PopUsable(); p != NoPhone; p = rw.PopUsable() {
+			got = append(got, p)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("rewind to 1 with dropped %v pops %v, want %v", tc.dropped, got, tc.want)
 		}
 	}
-	cp.CopyFrom(l)
-	check("copy", cp)
-	cp.Reset()
-	if cp.NumPhones() != 0 || cp.NumTasks() != 0 {
-		t.Fatalf("reset ledger holds %d phones, %d tasks", cp.NumPhones(), cp.NumTasks())
-	}
-	mirror(cp)
-	check("reset", cp)
 }
 
 // TestLedgerCompactsPool churns 400 poolable phones through a 40-slot

@@ -135,20 +135,6 @@ func (oa *OnlineAuction) TrackCompletions(on bool) {
 // no live assignment, and ErrNotTracking when the lifecycle is off.
 func (oa *OnlineAuction) Complete(p PhoneID) error { return oa.comp.complete(p) }
 
-// Default marks phone p's assignment as failed: p is paid nothing (any
-// issued payment is reported as a clawback), and its task is re-allocated
-// to the next-cheapest eligible phone, which is priced at its own
-// critical value under the post-default state. Errors mirror Complete.
-func (oa *OnlineAuction) Default(p PhoneID) (*DefaultResult, error) {
-	if !oa.comp.enabled {
-		return nil, ErrNotTracking
-	}
-	in := oa.instance()
-	return defaultWinner(in, &oa.run, &oa.comp, p, oa.now, func(r PhoneID) float64 {
-		return oa.price(in, r)
-	})
-}
-
 // Completion returns phone p's lifecycle view (zero value while
 // tracking is off or for unknown phones).
 func (oa *OnlineAuction) Completion(p PhoneID) CompletionState {
