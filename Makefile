@@ -6,7 +6,7 @@ BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH.json
 
-.PHONY: all check fmt vet build test examples agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench loadtest-smoke loadtest bench loc staticcheck profile obs-demo clean
+.PHONY: all check fmt vet build test examples agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench repro bench loc staticcheck profile obs-demo clean
 
 all: check
 
@@ -21,8 +21,9 @@ all: check
 # examples runs every example program, which the build only compiles.
 # perfbench-check vets and tests the benchmark module, which the root
 # build skips. fmt fails if any Go file, perfbench/ included, is not
-# gofmt-clean.
-check: fmt vet build test examples agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout
+# gofmt-clean. repro pins the reproduction report and EXPERIMENTS.md to
+# a golden file.
+check: fmt vet build test examples agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout repro
 
 fmt:
 	@out=$$(gofmt -l .) || exit 1; \
@@ -154,23 +155,6 @@ budget-bench:
 		| tee /dev/stderr \
 		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section budget-sweep
 
-# loadtest-smoke is the fast gate for the load harness (docs/LOADTEST.md):
-# a 5k-agent swarm over in-memory pipes in both wire formats, with a
-# conservative sustained-throughput floor so a fan-out regression that
-# halves delivery rate fails loudly even on a busy CI box.
-loadtest-smoke:
-	$(GO) run ./cmd/crowdsim -load -load-agents 5000 -load-ticks 30 -load-min-msgs 50000 >/dev/null
-
-# loadtest is the full recorded run: the 100k-agent sustained swarm plus
-# a hot-cache 2k-agent run (where throughput is codec-bound rather than
-# scheduler-bound — that is where the binary framing's >=3x shows),
-# both appended to the trajectory file.
-loadtest:
-	$(GO) run ./cmd/crowdsim -load -load-agents 2000 -load-ticks 50 \
-		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section load-2k
-	$(GO) run ./cmd/crowdsim -load -load-agents 100000 -load-ticks 50 \
-		| $(GO) run ./cmd/benchjson -out $(BENCH_OUT) -section load-100k
-
 # diff-sweep proves the oracle-differential batteries actually ran, so
 # the equivalence evidence cannot silently drop out of the gate. The
 # offline sweep pins the interval engine to Hungarian+VCG, and the literal-VCG
@@ -206,6 +190,15 @@ fanout:
 	$(call gate,./internal/platform/,TestHungUpPhoneGetsNoSlotFrames TestResumedPhoneGetsSlotFramesAgain \
 		TestSupersededSessionKeepsResumedPhone TestNextRoundClearsSessionIndex TestTickFlatAfterDetach \
 		TestTickAllocationFlatInPopulation TestSteadyStateFanoutAllocFree,-race -count=10)
+
+# repro proves the reproduction is pinned: crowdsim's full default
+# report (Figs. 6-11 with their shape checks, then the baselines,
+# robustness, reserve, anytime and quality extensions) must equal
+# cmd/crowdsim/testdata/report.golden byte for byte, EXPERIMENTS.md's
+# Fig. 6-11 tables must show its values, and a 2-seed report must render
+# every section with no per-seed guarantee violated.
+repro:
+	$(call gate,./cmd/crowdsim/,TestReportGolden TestReportQuick,-count=1)
 
 # staticcheck runs honnef.co/go/tools if it is installed; the tier-1
 # gate stays dependency-free, so a missing binary is a skip, not a

@@ -2,9 +2,186 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// TestReportGolden pins the full default report (20 seeds, base seed 1)
+// byte for byte, and EXPERIMENTS.md's Fig. 6-11 tables to it. After a
+// change that moves a figure on purpose, regenerate the golden with
+// `go run ./cmd/crowdsim > cmd/crowdsim/testdata/report.golden` and the
+// tables from it.
+func TestReportGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/report.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(nil, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("report differs from testdata/report.golden at line %d:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("report has %d lines, testdata/report.golden %d", len(gl), len(wl))
+	}
+
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, documented := goldenFigures(t, string(want)), documentedFigures(string(doc))
+	for _, id := range paperFigures {
+		g, d := golden[id], documented[id]
+		if len(d) != len(g) {
+			t.Errorf("EXPERIMENTS.md %s table has %d rows, the report %d", id, len(d), len(g))
+		}
+		for _, cells := range d {
+			row, ok := g[cells[0]]
+			if !ok {
+				t.Errorf("EXPERIMENTS.md %s has a row at x = %s, the report none", id, cells[0])
+				continue
+			}
+			// row: online mean, ci, offline mean, ci; cells: x, online,
+			// offline, then for Fig. 6 the offline-online gap.
+			want := []string{
+				halfUp(t, row[0], cells[1]) + " ± " + halfUp(t, row[1], cells[1]),
+				halfUp(t, row[2], cells[2]) + " ± " + halfUp(t, row[3], cells[2]),
+			}
+			if len(cells) > 3 {
+				want = append(want, fmt.Sprint((thousandths(t, row[2])-thousandths(t, row[0])+500)/1000))
+			}
+			if got := cells[1:]; strings.Join(got, " | ") != strings.Join(want, " | ") {
+				t.Errorf("EXPERIMENTS.md %s at x = %s: %q, the report rounds to %q", id, cells[0], got, want)
+			}
+		}
+	}
+}
+
+// goldenFigures reads the paper figures' rows out of a report: figure id
+// → x → online mean, online ci, offline mean, offline ci.
+func goldenFigures(t *testing.T, report string) map[string]map[string][]string {
+	title := regexp.MustCompile(`\((fig\d+)\)$`)
+	figs := map[string]map[string][]string{}
+	var rows map[string][]string // the open figure's, if any
+	for _, line := range strings.Split(report, "\n") {
+		if m := title.FindStringSubmatch(line); m != nil {
+			rows = map[string][]string{}
+			figs[m[1]] = rows
+			continue
+		}
+		if line == "```" {
+			rows = nil
+		}
+		// A row reads "x  mean ± ci  mean ± ci"; skip the column header
+		// and the rule under it.
+		if f := strings.Fields(line); rows != nil && len(f) == 7 && f[2] == "±" {
+			rows[f[0]] = []string{f[1], f[3], f[4], f[6]}
+		}
+	}
+	if len(figs) != len(paperFigures) {
+		t.Fatalf("golden report holds figures %v, want %v", figs, paperFigures)
+	}
+	return figs
+}
+
+// documentedFigures reads the rows of each "## Fig. N" table in
+// EXPERIMENTS.md: figure id → rows of cells, x first.
+func documentedFigures(doc string) map[string][][]string {
+	heading := regexp.MustCompile(`^## Fig\. (\d+) `)
+	figs := map[string][][]string{}
+	id := ""
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			id = ""
+			if m := heading.FindStringSubmatch(line); m != nil {
+				id = "fig" + m[1]
+			}
+			continue
+		}
+		if id == "" || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if _, err := strconv.ParseFloat(cells[0], 64); err == nil {
+			figs[id] = append(figs[id], cells)
+		}
+	}
+	return figs
+}
+
+// thousandths parses a report value, printed with three decimals.
+func thousandths(t *testing.T, s string) int64 {
+	t.Helper()
+	whole, frac, ok := strings.Cut(s, ".")
+	n, err := strconv.ParseInt(whole+frac, 10, 64)
+	if !ok || len(frac) != 3 || err != nil {
+		t.Fatalf("report value %q is not printed with three decimals", s)
+	}
+	return n
+}
+
+// halfUp rounds the report value s half up to as many decimals as the
+// documented cell like ("a ± b") shows on its mean: 1498.550 becomes
+// 1498.6 beside "1498.6 ± 68.4". Formatting the float 1498.55 with %.1f
+// gives 1498.5, because the float sits just below it.
+func halfUp(t *testing.T, s, like string) string {
+	t.Helper()
+	mean, _, _ := strings.Cut(like, " ")
+	_, frac, _ := strings.Cut(mean, ".")
+	d := len(frac)
+	if d > 3 {
+		t.Fatalf("documented value %q has more decimals than the report's three", mean)
+	}
+	p := int64(math.Pow10(3 - d))
+	n := (thousandths(t, s) + p/2) / p
+	if d == 0 {
+		return strconv.FormatInt(n, 10)
+	}
+	q := int64(math.Pow10(d))
+	return fmt.Sprintf("%d.%0*d", n/q, d, n%q)
+}
+
+// TestReportQuick: at 2 seeds every section of the full report renders,
+// no per-seed guarantee (competitive ratio, dominance, IR) is violated,
+// and only the statistical σ checks may fail.
+func TestReportQuick(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-seeds", "2", "-seed", "3"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, s := range sections {
+		if got := strings.Contains(out, "## "+s.title); got == s.onRequest {
+			t.Errorf("section %q in the full report: %v", s.title, got)
+		}
+	}
+	for _, id := range paperFigures {
+		if !strings.Contains(out, "("+id+")") {
+			t.Errorf("report missing %s", id)
+		}
+	}
+	if strings.Contains(out, "VIOLATED") {
+		t.Fatalf("hard guarantees violated:\n%s", out)
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "FAIL") && !strings.Contains(line, "σ") {
+			t.Errorf("non-statistical shape check failed: %s", line)
+		}
+	}
+}
 
 func TestRunQuickSingleFigure(t *testing.T) {
 	var buf bytes.Buffer
@@ -154,7 +331,7 @@ func TestRunAllWithCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "shape checks") || !strings.Contains(out, "PASS") {
+	if !strings.Contains(out, "Shape checks") || !strings.Contains(out, "PASS") {
 		t.Fatalf("check output missing:\n%s", out)
 	}
 	if strings.Contains(out, "FAIL") {

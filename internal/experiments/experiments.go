@@ -179,17 +179,3 @@ func FigureByID(results []*Result, id string) (*stats.Figure, error) {
 	}
 	return nil, fmt.Errorf("experiments: unknown figure %q", id)
 }
-
-// RunAll executes all three sweeps.
-func RunAll(opt Options) ([]*Result, error) {
-	opt = opt.withDefaults()
-	var out []*Result
-	for _, sw := range Sweeps(opt.Scenario) {
-		r, err := RunSweep(sw, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

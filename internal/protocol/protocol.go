@@ -228,7 +228,7 @@ func finite(f float64) bool {
 
 // AppendFrame appends m's wire encoding in format f to dst and returns
 // the extended slice. This is how pre-encoded frames are built once and
-// shared across many connections (see Writer.SendEncoded); Writer.Send
+// shared across many connections (see Writer.QueueEncoded); Writer.Send
 // uses it internally with a reusable scratch buffer.
 func AppendFrame(dst []byte, m *Message, f Format) ([]byte, error) {
 	switch f {
@@ -280,17 +280,6 @@ func (w *Writer) Format() Format { return w.format }
 // Send writes one message and flushes.
 func (w *Writer) Send(m *Message) error {
 	if err := w.Queue(m); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// SendEncoded writes a frame already encoded by AppendFrame (in the
-// Writer's current format — the caller guarantees the match) and
-// flushes. Zero-allocation: this is the fan-out hot path, where one
-// encoded broadcast frame is shared by every session.
-func (w *Writer) SendEncoded(frame []byte) error {
-	if err := w.QueueEncoded(frame); err != nil {
 		return err
 	}
 	return w.Flush()
