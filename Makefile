@@ -6,7 +6,7 @@ BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH.json
 
-.PHONY: all check fmt vet build test examples agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench repro bench loc staticcheck profile obs-demo clean
+.PHONY: all check fmt vet build test examples agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench repro round-bytes bench loc staticcheck profile obs-demo clean
 
 all: check
 
@@ -22,8 +22,8 @@ all: check
 # perfbench-check vets and tests the benchmark module, which the root
 # build skips. fmt fails if any Go file, perfbench/ included, is not
 # gofmt-clean. repro pins the reproduction report and EXPERIMENTS.md to
-# a golden file.
-check: fmt vet build test examples agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout repro
+# a golden file. round-bytes pins a streaming round's bytes per bid.
+check: fmt vet build test examples agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout repro round-bytes
 
 fmt:
 	@out=$$(gofmt -l .) || exit 1; \
@@ -199,6 +199,13 @@ fanout:
 # every section with no per-seed guarantee violated.
 repro:
 	$(call gate,./cmd/crowdsim/,TestReportGolden TestReportQuick,-count=1)
+
+# round-bytes pins the bytes one fresh engine-heavy-scale streaming
+# round (BenchmarkStreamingRound's 100,317 bids) allocates per bid:
+# OnlineAuction keeps three per-phone slices while the lifecycle is off,
+# and one more per-phone slice grown by doubling fails the bound.
+round-bytes:
+	$(call gate,.,TestStreamingRoundBytesPerBid,-count=1)
 
 # staticcheck runs honnef.co/go/tools if it is installed; the tier-1
 # gate stays dependency-free, so a missing binary is a skip, not a

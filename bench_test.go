@@ -27,6 +27,7 @@ package dynacrowd_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -246,41 +247,79 @@ func BenchmarkStreamingSlot(b *testing.B) {
 	b.ReportMetric(float64(in.Slots), "slots/op")
 }
 
-// BenchmarkStreamingRound steps one round at the engine-heavy scale
-// through OnlineAuction.Step and Outcome: the heavy-traffic scenario at
+// heavyRound is the engine-heavy-scale round BenchmarkStreamingRound
+// and TestStreamingRoundBytesPerBid play: the heavy-traffic scenario at
 // 2000 phones and 200 tasks per slot, about 10^5 bids over 50 slots.
-// BenchmarkStreamingSlot's ~300-bid round stays small enough that
-// append doubles its slices anyway; this one shows what growing the
-// round's storage costs, in B/op as well as ns/op.
-func BenchmarkStreamingRound(b *testing.B) {
+type heavyRound struct {
+	in        *core.Instance
+	perSlot   []int
+	byArrival [][]core.StreamBid
+}
+
+func newHeavyRound(tb testing.TB) *heavyRound {
+	tb.Helper()
 	scn := workload.HeavyTrafficScenario()
 	scn.PhoneRate, scn.TaskRate = 2000, 200
 	in, err := scn.Generate(5)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	perSlot := in.TasksPerSlot()
-	byArrival := make([][]core.StreamBid, in.Slots+1)
+	r := &heavyRound{in: in, perSlot: in.TasksPerSlot(), byArrival: make([][]core.StreamBid, in.Slots+1)}
 	for _, bid := range in.Bids {
-		byArrival[bid.Arrival] = append(byArrival[bid.Arrival], core.StreamBid{
+		r.byArrival[bid.Arrival] = append(r.byArrival[bid.Arrival], core.StreamBid{
 			Departure: bid.Departure, Cost: bid.Cost,
 		})
 	}
+	return r
+}
+
+// play steps a fresh OnlineAuction through the round and assembles its
+// outcome.
+func (r *heavyRound) play(tb testing.TB) {
+	oa, err := core.NewOnlineAuction(r.in.Slots, r.in.Value, r.in.AllocateAtLoss)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for t := core.Slot(1); t <= r.in.Slots; t++ {
+		if _, err := oa.Step(r.byArrival[t], r.perSlot[t-1]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	oa.Outcome()
+}
+
+// BenchmarkStreamingRound steps one heavyRound through OnlineAuction.Step
+// and Outcome. BenchmarkStreamingSlot's ~300-bid round stays small
+// enough that append doubles its slices anyway; this one shows what
+// growing the round's storage costs, in B/op as well as ns/op.
+func BenchmarkStreamingRound(b *testing.B) {
+	r := newHeavyRound(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		oa, err := core.NewOnlineAuction(in.Slots, in.Value, in.AllocateAtLoss)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for t := core.Slot(1); t <= in.Slots; t++ {
-			if _, err := oa.Step(byArrival[t], perSlot[t-1]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		oa.Outcome()
+		r.play(b)
 	}
-	b.ReportMetric(float64(len(in.Bids)), "bids/op")
+	b.ReportMetric(float64(len(r.in.Bids)), "bids/op")
+}
+
+// TestStreamingRoundBytesPerBid pins the bytes one fresh heavyRound
+// allocates per bid. With three per-phone slices (bids, won tasks,
+// departure links) the round allocates 210.6 B per bid (go1.24, amd64);
+// the bound allows 5% over that. One more 8-byte per-phone slice, grown
+// by doubling, adds about 21 B per bid and fails it.
+func TestStreamingRoundBytesPerBid(t *testing.T) {
+	const bound = 221.0
+	r := newHeavyRound(t)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	r.play(t)
+	runtime.ReadMemStats(&ms)
+	perBid := float64(ms.TotalAlloc-before) / float64(len(r.in.Bids))
+	t.Logf("one round of %d bids allocated %.1f B per bid", len(r.in.Bids), perBid)
+	if perBid > bound {
+		t.Errorf("one round allocated %.1f B per bid, want ≤ %.0f", perBid, bound)
+	}
 }
 
 // BenchmarkWorkloadGeneration isolates the generator.

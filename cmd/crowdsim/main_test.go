@@ -353,6 +353,24 @@ func TestRunBudgetFigure(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
+	// The mechanism column names the mechanism alone: the B column
+	// beside it holds the budget, rounded.
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		cells := strings.Split(line, " | ")
+		if len(cells) != 7 || strings.HasPrefix(line, "| scenario") || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		rows++
+		switch mech := cells[1]; mech {
+		case "online-greedy", "budget-stage", "budget-frugal":
+		default:
+			t.Errorf("mechanism cell %q in row %q", mech, line)
+		}
+	}
+	if rows != 21 {
+		t.Errorf("%d table rows, want 21 (3 scenarios × (1 + 2 engines × 3 budgets))", rows)
+	}
 }
 
 // TestRunBudgetOverride: -budget swaps the budgeted mechanism into the

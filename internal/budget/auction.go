@@ -408,7 +408,7 @@ func (a *Auction) allocate(arriving []core.StreamBid, numTasks int, res *core.Sl
 			}
 			continue
 		}
-		a.ledger.RecordWin(id, winner, t)
+		a.ledger.RecordWin(id, winner)
 		if a.src == nil {
 			a.capAt[winner] = eff
 		}
@@ -446,7 +446,7 @@ func (a *Auction) settle(t core.Slot, res *core.SlotResult) {
 		if a.trackDepartures {
 			res.Departed = append(res.Departed, ph)
 		}
-		if a.ledger.WonAt(ph) == 0 {
+		if a.ledger.Task(ph) == core.NoTask {
 			continue
 		}
 		res.Payments = append(res.Payments, core.PaymentNotice{Phone: ph, Amount: a.criticalValue(ph)})
@@ -651,7 +651,7 @@ func (a *Auction) winsWithBid(i core.PhoneID, b float64, until core.Slot) bool {
 	cf.ownFrom = a.stageAt[arrival] + 1
 	for cf.Now() < until {
 		a.replaySlot(cf, i, b)
-		if cf.ledger.WonAt(i) != 0 {
+		if cf.ledger.Task(i) != core.NoTask {
 			return true
 		}
 		if cf.watchLost {
@@ -703,7 +703,7 @@ func (a *Auction) replaySlot(cf *Auction, i core.PhoneID, b float64) {
 func (a *Auction) Outcome() *core.Outcome {
 	out := a.ledger.Outcome()
 	for i := range out.Payments {
-		if ph := core.PhoneID(i); a.ledger.WonAt(ph) != 0 {
+		if ph := core.PhoneID(i); a.ledger.Task(ph) != core.NoTask {
 			out.Payments[i] = a.criticalValue(ph)
 		}
 	}

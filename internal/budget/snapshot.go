@@ -80,7 +80,7 @@ func Restore(data []byte) (*Auction, error) {
 		return nil, fmt.Errorf("restore budget auction: %w", err)
 	}
 	for i, b := range c.Bids {
-		if p := core.PhoneID(i); b.Departure <= c.Now && a.ledger.WonAt(p) != 0 {
+		if p := core.PhoneID(i); b.Departure <= c.Now && a.ledger.Task(p) != core.NoTask {
 			a.criticalValue(p)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // have relinked a slot's chains.
 func literalCascadePayment(in *Instance, run *greedyRun, i PhoneID) float64 {
 	bids := in.Bids
-	won := run.wonAt[i]
+	won := wonAt(in.Tasks, run.phoneTask[i])
 	dep := bids[i].Departure
 	pay := bids[i].Cost
 	var fixes []slotFix
@@ -248,7 +248,7 @@ func BenchmarkCascadeDenseSlot(b *testing.B) {
 			var idx arrivalsIndex
 			idx.build(in)
 			alloc := NewAllocation(len(in.Tasks), len(in.Bids))
-			run := greedyRun{byTask: alloc.ByTask, phoneTask: alloc.ByPhone, wonAt: alloc.WonAt, runnerUp: make([]PhoneID, len(in.Tasks))}
+			run := greedyRun{byTask: alloc.ByTask, phoneTask: alloc.ByPhone, runnerUp: make([]PhoneID, len(in.Tasks))}
 			run.resetSlots(in.Slots)
 			runBaseline(in, &idx, &run, nil)
 			winners := 0

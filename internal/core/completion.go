@@ -119,26 +119,30 @@ type DefaultResult struct {
 }
 
 // completions is OnlineAuction's record of issued payments and its
-// lifecycle tracker. All slices are indexed by PhoneID. The payment
-// record (paid, paidAt) is kept whether or not tracking is on: Outcome
-// and Standing read it instead of re-pricing a departed winner. The
-// lifecycle state (status, log, counts) is kept only while tracking is
-// on; when it is off those methods are cheap no-ops.
+// lifecycle tracker. taskPaid, indexed by TaskID, is kept whether or not
+// tracking is on: Outcome and Standing read it instead of re-pricing a
+// departed winner (see OnlineAuction.settled). The lifecycle state is
+// kept only while tracking is on, and its per-phone slices are extended
+// only then: status, and paid and paidAt, the payment record of each
+// phone, which outlives a default so the default can claw it back. When
+// tracking is off the lifecycle methods are cheap no-ops.
 type completions struct {
-	enabled bool
-	status  []CompletionStatus
-	paid    []float64 // phone -> amount issued (clawed back if defaulted)
-	paidAt  []Slot    // phone -> clock the payment was issued at (0: none)
-	log     []CompletionEvent
-	counts  CompletionCounts
+	enabled  bool
+	taskPaid []float64 // task -> amount last issued to its winner
+	status   []CompletionStatus
+	paid     []float64 // phone -> amount issued (clawed back if defaulted)
+	paidAt   []Slot    // phone -> clock the payment was issued at (0: none)
+	log      []CompletionEvent
+	counts   CompletionCounts
 }
 
-// grow extends the per-phone arrays to cover n phones.
+// grow extends the lifecycle's per-phone slices to cover n phones while
+// tracking is on.
 func (c *completions) grow(n int) {
-	c.paid = extend(c.paid, n)
-	c.paidAt = extend(c.paidAt, n)
 	if c.enabled {
 		c.status = extend(c.status, n)
+		c.paid = extend(c.paid, n)
+		c.paidAt = extend(c.paidAt, n)
 	}
 }
 
@@ -159,25 +163,21 @@ func (c *completions) markAssigned(p PhoneID) {
 
 // payable reports whether a departing winner should be paid: with
 // tracking off every winner is; with tracking on, defaulted phones are
-// not (their wonAt is cleared too, so this is a second line of defense).
+// not (their task is cleared too, so this is a second line of defense).
 func (c *completions) payable(p PhoneID) bool {
 	return !c.enabled || c.status[p] == StatusAssigned || c.status[p] == StatusCompleted
 }
 
-// markPaid records an issued payment so the outcome reports the amount
-// actually executed (later defaults in overlapping slots may shift the
-// recomputed cascade value, but an executed payment does not move).
-func (c *completions) markPaid(p PhoneID, amount float64, now Slot) {
-	c.paid[p] = amount
-	c.paidAt[p] = now
-}
-
-// settled returns the issued payment for p, if one was executed.
-func (c *completions) settled(p PhoneID) (float64, bool) {
-	if c.paidAt[p] == 0 {
-		return 0, false
+// markPaid records the payment issued to p, the winner of task, so the
+// outcome reports the amount actually executed (later defaults in
+// overlapping slots may shift the recomputed cascade value, but an
+// executed payment does not move).
+func (c *completions) markPaid(p PhoneID, task TaskID, amount float64, now Slot) {
+	c.taskPaid[task] = amount
+	if c.enabled {
+		c.paid[p] = amount
+		c.paidAt[p] = now
 	}
-	return c.paid[p], true
 }
 
 // complete transitions p from assigned to completed.
@@ -236,17 +236,16 @@ func (c *completions) restoreFrom(snap *CompletionSnapshot) error {
 	return nil
 }
 
-// state assembles p's lifecycle view.
-func (c *completions) state(run *greedyRun, p PhoneID) CompletionState {
+// state assembles p's lifecycle view from the allocation's phoneTask
+// over tasks.
+func (c *completions) state(phoneTask []TaskID, tasks []Task, p PhoneID) CompletionState {
 	st := CompletionState{Task: NoTask}
 	if !c.enabled || p < 0 || int(p) >= len(c.status) {
 		return st
 	}
 	st.Status = c.status[p]
-	if task := run.phoneTask[p]; task != NoTask {
-		st.Task = task
-		st.Slot = run.wonAt[p]
-	}
+	st.Task = phoneTask[p]
+	st.Slot = wonAt(tasks, st.Task)
 	st.Paid = c.paid[p]
 	st.PaidAt = c.paidAt[p]
 	return st
@@ -304,7 +303,6 @@ func (oa *OnlineAuction) Default(p PhoneID) (*DefaultResult, error) {
 		c.counts.Clawbacks++
 	}
 	run.phoneTask[p] = NoTask
-	run.wonAt[p] = 0
 	run.byTask[k] = NoPhone
 
 	// Replacement scan: cheapest and second-cheapest phones that cover
@@ -336,7 +334,6 @@ func (oa *OnlineAuction) Default(p PhoneID) (*DefaultResult, error) {
 	}
 	run.byTask[k] = best
 	run.phoneTask[best] = k
-	run.wonAt[best] = t
 	run.runnerUp[k] = second
 	c.status[best] = StatusAssigned
 	rebuildSlotWinners(in, run, t)
@@ -344,7 +341,7 @@ func (oa *OnlineAuction) Default(p PhoneID) (*DefaultResult, error) {
 	res.Replacement = best
 	if in.Bids[best].Departure <= oa.now {
 		amount := oa.price(in, best)
-		c.markPaid(best, amount, oa.now)
+		c.markPaid(best, k, amount, oa.now)
 		res.Payments = append(res.Payments, PaymentNotice{Phone: best, Amount: amount})
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -207,6 +208,97 @@ func TestDefaultAfterPaymentClawsBack(t *testing.T) {
 	}
 	if st := oa.Completion(0); st.Status != StatusDefaulted || st.Paid != issued {
 		t.Fatalf("defaulted state %+v", st)
+	}
+}
+
+// TestTrackCompletionsMidRound enables the lifecycle after payments
+// have been issued untracked: the winners paid so far keep their amounts
+// and payment clocks, a paid winner's default claws its amount back, and
+// a replacement drafted after its departure is paid at once. The
+// figures below were recorded while every phone carried its own payment
+// record, tracked or not; untracked, the amount now sits on the task.
+func TestTrackCompletionsMidRound(t *testing.T) {
+	oa, err := NewOnlineAuction(6, 30, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slot 1: phones 0 and 1 win; phone 0 departs and is paid 9. Slot 2:
+	// phone 2 wins. Slot 3: phone 2 departs and is paid 12, and phone 3
+	// departs without a win.
+	stepOne(t, oa, []StreamBid{{Departure: 1, Cost: 5}, {Departure: 6, Cost: 7}, {Departure: 3, Cost: 9},
+		{Departure: 3, Cost: 12}, {Departure: 6, Cost: 20}}, 2)
+	stepOne(t, oa, nil, 1)
+	stepOne(t, oa, nil, 0)
+
+	oa.TrackCompletions(true)
+	dr, err := oa.Default(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr.Task != 0 || dr.Slot != 1 || dr.Replacement != 3 || dr.Clawback != 9 ||
+		len(dr.Payments) != 1 || dr.Payments[0] != (PaymentNotice{Phone: 3, Amount: 20}) {
+		t.Fatalf("default: %+v", dr)
+	}
+
+	type standing struct {
+		task    TaskID
+		won     Slot
+		paid    float64
+		settled bool
+	}
+	check := func(when string, want []CompletionState, wantStanding []standing) {
+		t.Helper()
+		for p := range want {
+			if got := oa.Completion(PhoneID(p)); got != want[p] {
+				t.Errorf("%s: phone %d state %+v, want %+v", when, p, got, want[p])
+			}
+			var got standing
+			got.task, got.won, got.paid, got.settled = oa.Standing(PhoneID(p))
+			if got != wantStanding[p] {
+				t.Errorf("%s: phone %d standing %+v, want %+v", when, p, got, wantStanding[p])
+			}
+		}
+		sameAfterRestore(t, oa)
+	}
+	check("after the default",
+		[]CompletionState{
+			{Status: StatusDefaulted, Task: NoTask, Paid: 9, PaidAt: 1},
+			{Status: StatusAssigned, Task: 1, Slot: 1},
+			{Status: StatusAssigned, Task: 2, Slot: 2, Paid: 12, PaidAt: 3},
+			{Status: StatusAssigned, Task: 0, Slot: 1, Paid: 20, PaidAt: 3},
+			{Status: StatusNone, Task: NoTask},
+		},
+		[]standing{{NoTask, 0, 9, true}, {1, 1, 0, false}, {2, 2, 12, true}, {0, 1, 20, true}, {NoTask, 0, 0, false}})
+
+	data, err := oa.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(c.Completions.Paid, c.Completions.PaidAt), "[9 0 12 20 0] [1 0 3 3 0]"; got != want {
+		t.Errorf("snapshot Paid, PaidAt = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(c.WonAt), "[0 1 2 1 0]"; got != want {
+		t.Errorf("snapshot WonAt = %s, want %s", got, want)
+	}
+
+	for s := 4; s <= 6; s++ {
+		stepOne(t, oa, nil, 0)
+	}
+	check("at the round's end",
+		[]CompletionState{
+			{Status: StatusDefaulted, Task: NoTask, Paid: 9, PaidAt: 1},
+			{Status: StatusAssigned, Task: 1, Slot: 1, Paid: 12, PaidAt: 6},
+			{Status: StatusAssigned, Task: 2, Slot: 2, Paid: 12, PaidAt: 3},
+			{Status: StatusAssigned, Task: 0, Slot: 1, Paid: 20, PaidAt: 3},
+			{Status: StatusNone, Task: NoTask},
+		},
+		[]standing{{NoTask, 0, 9, true}, {1, 1, 12, true}, {2, 2, 12, true}, {0, 1, 20, true}, {NoTask, 0, 0, false}})
+	if got, want := fmt.Sprint(oa.Outcome().Payments), "[0 12 12 20 0]"; got != want {
+		t.Errorf("outcome payments %s, want %s", got, want)
 	}
 }
 

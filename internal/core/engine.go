@@ -44,11 +44,11 @@ func extend[T any](s []T, n int) []T {
 // greedyRun is the outcome of one baseline greedy pass (Algorithm 1)
 // plus the side state cascadePayment prices from: each task's
 // runner-up at assignment time and per-slot winner-cost and unserved
-// tables. Slot-indexed slices are 1-based with index 0 unused.
+// tables. Slot-indexed slices are 1-based with index 0 unused. A
+// winner's slot is its task's arrival (see wonAt), so it is not stored.
 type greedyRun struct {
 	byTask    []PhoneID // task -> winner (NoPhone if unserved)
 	phoneTask []TaskID  // phone -> its won task (NoTask if it lost)
-	wonAt     []Slot    // phone -> winning slot (0 if it lost)
 	runnerUp  []PhoneID // task -> next-cheapest eligible phone when assigned
 
 	unserved []int32   // slot -> tasks left unserved
@@ -61,6 +61,25 @@ type greedyRun struct {
 	// stale flag is clear; every change to a slot's winners sets it.
 	slotEnd []TaskID // task -> where its within-slot chain stops
 	stale   []bool   // slot -> slotEnd entries need a relink
+}
+
+// wonAt returns the slot a phone holding task won in: the task's
+// arrival, or 0 for NoTask.
+func wonAt(tasks []Task, task TaskID) Slot {
+	if task == NoTask {
+		return 0
+	}
+	return tasks[task].Arrival
+}
+
+// fillWonAt sets wonAt[p] to the slot of every winner p that byTask
+// records over tasks.
+func fillWonAt(wonAt []Slot, tasks []Task, byTask []PhoneID) {
+	for k, p := range byTask {
+		if p != NoPhone {
+			wonAt[p] = tasks[k].Arrival
+		}
+	}
 }
 
 // resetSlots (re)sizes and clears the per-slot tables for an m-slot round.
@@ -203,7 +222,6 @@ func runBaseline(in *Instance, idx *arrivalsIndex, run *greedyRun, heapBuf []hea
 			}
 			run.byTask[ti] = winner
 			run.phoneTask[winner] = TaskID(ti)
-			run.wonAt[winner] = t
 			run.noteWinner(t, winner, in.Bids[winner].Cost)
 			run.runnerUp[ti] = h.peekEligible(t)
 		}
@@ -233,12 +251,12 @@ type slotFix struct {
 // fixes is reusable scratch; the (possibly grown) slice is returned.
 func cascadePayment(in *Instance, run *greedyRun, i PhoneID, fixes []slotFix) (float64, []slotFix) {
 	bids := in.Bids
-	won := run.wonAt[i]
+	tau := run.phoneTask[i]
+	won := in.Tasks[tau].Arrival
 	dep := bids[i].Departure
 	pay := bids[i].Cost
 	fixes = fixes[:0]
 
-	tau := run.phoneTask[i]
 	debt := i
 	for tau != NoTask {
 		t := in.Tasks[tau].Arrival

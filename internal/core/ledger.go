@@ -37,12 +37,13 @@ var _ Auction = (*OnlineAuction)(nil)
 // Ledger is the round state of the budgeted engine (internal/budget):
 // the round's Instance (m, ν, the reserve rule, and the bids and tasks
 // seen so far), its clock, the allocation recorded so far (each task's
-// winner and each phone's task and winning slot), and the allocation
-// pool. Its Step opens each slot with Advance, announces each task with
-// AddTask, draws the task's winner from the pool and records it with
-// RecordWin, and prices winners by counterfactual replay over scratch
-// Ledgers: it Rewinds one to the observed round's close of a slot,
-// CopyFroms that into a probe, and steps the probe with Readmit.
+// winner and each phone's task; a winner's slot is its task's arrival),
+// and the allocation pool. Its Step opens each slot with Advance,
+// announces each task with AddTask, draws the task's winner from the
+// pool and records it with RecordWin, and prices winners by
+// counterfactual replay over scratch Ledgers: it Rewinds one to the
+// observed round's close of a slot, CopyFroms that into a probe, and
+// steps the probe with Readmit.
 //
 // OnlineAuction keeps the same facts in its own fields, but each rule
 // is written once and shared: the round and slot admission checks
@@ -62,7 +63,6 @@ type Ledger struct {
 	now       Slot      // last opened slot (0 before the first Advance)
 	byTask    []PhoneID // task -> winner (NoPhone if unserved)
 	phoneTask []TaskID  // phone -> its won task (NoTask if it lost)
-	wonAt     []Slot    // phone -> winning slot (0 if it lost)
 	pool      costHeap  // admitted phones the reserve price lets win
 }
 
@@ -167,7 +167,7 @@ func (l *Ledger) Bid(p PhoneID) (b Bid, ok bool) { return bidAt(l.inst.Bids, p) 
 func (l *Ledger) Bids() []Bid { return l.inst.Bids }
 
 // WonAt returns the slot phone i won in (0 if it has not won).
-func (l *Ledger) WonAt(i PhoneID) Slot { return l.wonAt[i] }
+func (l *Ledger) WonAt(i PhoneID) Slot { return wonAt(l.inst.Tasks, l.phoneTask[i]) }
 
 // Task returns phone i's won task (NoTask if it lost).
 func (l *Ledger) Task(i PhoneID) TaskID { return l.phoneTask[i] }
@@ -176,7 +176,7 @@ func (l *Ledger) Task(i PhoneID) TaskID { return l.phoneTask[i] }
 // Snapshot. It aliases the ledger's storage: encode it before the ledger
 // changes.
 func (l *Ledger) Checkpoint() *Checkpoint {
-	return newCheckpoint(&l.inst, l.now, l.byTask, l.wonAt)
+	return newCheckpoint(&l.inst, l.now, l.byTask)
 }
 
 // Advance opens the slot after the clock, admits the bids arriving in
@@ -211,14 +211,12 @@ func (l *Ledger) Readmit(arriving []StreamBid, numTasks int) Slot {
 	a, r := len(arriving), numTasks
 	l.inst.Bids = grown(l.inst.Bids, a)
 	l.phoneTask = grown(l.phoneTask, a)
-	l.wonAt = grown(l.wonAt, a)
 	l.inst.Tasks = grown(l.inst.Tasks, r)
 	l.byTask = grown(l.byTask, r)
 	l.now = t
 	for k, sb := range arriving {
 		l.inst.Bids = append(l.inst.Bids, Bid{Phone: PhoneID(n + k), Arrival: t, Departure: sb.Departure, Cost: sb.Cost})
 		l.phoneTask = append(l.phoneTask, NoTask)
-		l.wonAt = append(l.wonAt, 0)
 		if l.Poolable(sb.Cost) {
 			l.pool.push(&l.inst.Bids[n+k])
 		}
@@ -239,11 +237,11 @@ func (l *Ledger) AddTask() TaskID {
 	return id
 }
 
-// RecordWin records task k being assigned to `winner` in slot t.
-func (l *Ledger) RecordWin(k TaskID, winner PhoneID, t Slot) {
+// RecordWin records task k being assigned to `winner` in the task's
+// slot.
+func (l *Ledger) RecordWin(k TaskID, winner PhoneID) {
 	l.byTask[k] = winner
 	l.phoneTask[winner] = k
-	l.wonAt[winner] = t
 }
 
 // PopUsable pops the cheapest pooled phone that is active in the open
@@ -278,16 +276,12 @@ func (l *Ledger) Rewind(src *Ledger, s Slot, dropped []Slot) {
 	l.inst.Tasks = append(l.inst.Tasks[:0], tasks...)
 	l.byTask = append(l.byTask[:0], src.byTask[:len(tasks)]...)
 	l.phoneTask = append(l.phoneTask[:0], src.phoneTask[:len(bids)]...)
-	l.wonAt = append(l.wonAt[:0], src.wonAt[:len(bids)]...)
-	for k, p := range l.byTask {
-		if p != NoPhone && src.wonAt[p] > s {
-			l.byTask[k] = NoPhone
-		}
-	}
 	l.pool.items = l.pool.items[:0]
 	for i := range l.inst.Bids {
-		if l.wonAt[i] > s {
-			l.phoneTask[i], l.wonAt[i] = NoTask, 0
+		// A win is taken in its task's slot, so the wins taken by s are
+		// exactly those of the tasks kept.
+		if int(l.phoneTask[i]) >= len(tasks) {
+			l.phoneTask[i] = NoTask
 		}
 		b := &l.inst.Bids[i]
 		if l.phoneTask[i] == NoTask && b.Departure > s && l.Poolable(b.Cost) &&
@@ -307,7 +301,6 @@ func (l *Ledger) CopyFrom(src *Ledger) {
 	l.inst.Tasks = append(l.inst.Tasks[:0], src.inst.Tasks...)
 	l.byTask = append(l.byTask[:0], src.byTask...)
 	l.phoneTask = append(l.phoneTask[:0], src.phoneTask...)
-	l.wonAt = append(l.wonAt[:0], src.wonAt...)
 	l.pool.items, l.pool.base = append(l.pool.items[:0], src.pool.items...), src.pool.base
 }
 

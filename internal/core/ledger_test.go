@@ -116,7 +116,7 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 			for k := 0; k < perSlot[s-1]; k++ {
 				id := l.AddTask()
 				if winner := l.PopUsable(); winner != NoPhone {
-					l.RecordWin(id, winner, s)
+					l.RecordWin(id, winner)
 				}
 			}
 		}
@@ -174,7 +174,7 @@ func TestLedgerMirrorsOnlineAuction(t *testing.T) {
 				t.Fatal(err)
 			}
 			if k := o.AddTask(); s == 2 {
-				o.RecordWin(k, PhoneID(1), s)
+				o.RecordWin(k, PhoneID(1))
 			}
 		}
 		return o
@@ -247,7 +247,7 @@ func TestLedgerCompactsPool(t *testing.T) {
 		for k := 0; k < tasks; k++ {
 			id := l.AddTask()
 			if winner := l.PopUsable(); winner != NoPhone {
-				l.RecordWin(id, winner, s)
+				l.RecordWin(id, winner)
 			}
 		}
 		undeparted := 0

@@ -65,10 +65,10 @@ func (*OnlineMechanism) Run(in *Instance) (*Outcome, error) {
 	run := &sc.run
 	run.byTask = alloc.ByTask
 	run.phoneTask = alloc.ByPhone
-	run.wonAt = alloc.WonAt
 	run.runnerUp = resize(run.runnerUp, in.NumTasks())
 	run.resetSlots(in.Slots)
 	sc.heap = runBaseline(in, &sc.idx, run, sc.heap)
+	fillWonAt(alloc.WonAt, in.Tasks, alloc.ByTask)
 
 	if met != nil {
 		met.SlotAllocSeconds.Observe(time.Since(start).Seconds())
@@ -91,7 +91,7 @@ func (*OnlineMechanism) Run(in *Instance) (*Outcome, error) {
 	}
 
 	// Unhook the escaping outcome before pooling the scratch.
-	run.byTask, run.phoneTask, run.wonAt = nil, nil, nil
+	run.byTask, run.phoneTask = nil, nil
 	return out, nil
 }
 
@@ -115,9 +115,10 @@ func (OnlineOracle) Run(in *Instance) (*Outcome, error) {
 	var idx arrivalsIndex
 	idx.build(in)
 	alloc := NewAllocation(in.NumTasks(), in.NumPhones())
-	run := greedyRun{byTask: alloc.ByTask, phoneTask: alloc.ByPhone, wonAt: alloc.WonAt, runnerUp: make([]PhoneID, in.NumTasks())}
+	run := greedyRun{byTask: alloc.ByTask, phoneTask: alloc.ByPhone, runnerUp: make([]PhoneID, in.NumTasks())}
 	run.resetSlots(in.Slots)
 	runBaseline(in, &idx, &run, nil)
+	fillWonAt(alloc.WonAt, in.Tasks, alloc.ByTask)
 
 	out := &Outcome{
 		Allocation: alloc,
@@ -127,7 +128,7 @@ func (OnlineOracle) Run(in *Instance) (*Outcome, error) {
 	var sc oracleScratch
 	for i, task := range run.phoneTask {
 		if task != NoTask {
-			out.Payments[i] = oracleCritical(in, &idx, PhoneID(i), run.wonAt[i], &sc)
+			out.Payments[i] = oracleCritical(in, &idx, PhoneID(i), alloc.WonAt[i], &sc)
 		}
 	}
 	return out, nil

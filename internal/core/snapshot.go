@@ -44,9 +44,10 @@ type Checkpoint struct {
 	Budget json.RawMessage `json:"budget,omitempty"`
 }
 
-// newCheckpoint records the round state of an auction at clock now. It
-// aliases the given slices: encode it before the auction moves on.
-func newCheckpoint(in *Instance, now Slot, byTask []PhoneID, wonAt []Slot) *Checkpoint {
+// newCheckpoint records the round state of an auction at clock now,
+// deriving each winner's slot from its task. It aliases in's bids and
+// byTask: encode it before the auction moves on.
+func newCheckpoint(in *Instance, now Slot, byTask []PhoneID) *Checkpoint {
 	c := &Checkpoint{
 		Version:        checkpointVersion,
 		Slots:          in.Slots,
@@ -55,8 +56,9 @@ func newCheckpoint(in *Instance, now Slot, byTask []PhoneID, wonAt []Slot) *Chec
 		Now:            now,
 		Bids:           in.Bids,
 		ByTask:         byTask,
-		WonAt:          wonAt,
+		WonAt:          make([]Slot, len(in.Bids)),
 	}
+	fillWonAt(c.WonAt, in.Tasks, byTask)
 	for _, t := range in.Tasks {
 		c.TaskArrivals = append(c.TaskArrivals, t.Arrival)
 	}
@@ -220,7 +222,7 @@ func StepThrough(a Auction, in *Instance, upTo Slot, after func(*SlotResult) err
 
 // checkpoint records the auction's state (see newCheckpoint).
 func (oa *OnlineAuction) checkpoint() *Checkpoint {
-	return newCheckpoint(oa.instance(), oa.now, oa.run.byTask, oa.run.wonAt)
+	return newCheckpoint(oa.instance(), oa.now, oa.run.byTask)
 }
 
 // Snapshot serializes the auction's full state so a platform can

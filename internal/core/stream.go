@@ -54,12 +54,14 @@ type SlotResult struct {
 //
 // The round's per-phone and per-task state grows once per Step, before
 // the slot's appends, and by doubling (see grown), so a round of n bids
-// copies its state O(1) times per element. Each amount Step issues is
-// recorded, and Outcome re-prices only the winners that have not yet
-// departed.
+// copies its state O(1) times per element. With the lifecycle off it
+// keeps three per-phone arrays: the bids, each phone's won task and the
+// departure lists' links. A winner's slot is its task's arrival, and
+// each amount Step issues is recorded on the winner's task, so Outcome
+// re-prices only the winners that have not yet departed.
 //
-// Its round state mirrors the budgeted engine's Ledger field for field,
-// and the two share every rule over it (see Ledger). It keeps that
+// Its round state holds the facts the budgeted engine's Ledger holds,
+// and the two share every rule over them (see Ledger). It keeps that
 // state in its own fields rather than a Ledger: kept in one, the
 // engine-heavy workload's step p99s rose (ROADMAP item 1 records the
 // pairs and the cause).
@@ -118,14 +120,20 @@ func (oa *OnlineAuction) TrackDepartures(on bool) { oa.trackDepartures = on }
 // recorded payment, which a later default claws back. Off by default,
 // at zero cost to the hot path.
 func (oa *OnlineAuction) TrackCompletions(on bool) {
-	oa.comp.enabled = on
+	c := &oa.comp
+	c.enabled = on
 	if !on {
 		return
 	}
-	oa.comp.grow(len(oa.bids))
+	c.grow(len(oa.bids))
 	for i, task := range oa.run.phoneTask {
-		if task != NoTask && oa.comp.status[i] == StatusNone {
-			oa.comp.status[i] = StatusAssigned
+		if task == NoTask || c.status[i] != StatusNone {
+			continue
+		}
+		c.status[i] = StatusAssigned
+		// Untracked, a winner is paid in its departure slot.
+		if dep := oa.bids[i].Departure; dep <= oa.now {
+			c.paid[i], c.paidAt[i] = c.taskPaid[task], dep
 		}
 	}
 }
@@ -138,7 +146,7 @@ func (oa *OnlineAuction) Complete(p PhoneID) error { return oa.comp.complete(p) 
 // Completion returns phone p's lifecycle view (zero value while
 // tracking is off or for unknown phones).
 func (oa *OnlineAuction) Completion(p PhoneID) CompletionState {
-	return oa.comp.state(&oa.run, p)
+	return oa.comp.state(oa.run.phoneTask, oa.tasks, p)
 }
 
 // CompletionCounts returns aggregate lifecycle outcomes.
@@ -171,7 +179,6 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		id := PhoneID(len(oa.bids))
 		bid := Bid{Phone: id, Arrival: t, Departure: sb.Departure, Cost: sb.Cost}
 		oa.bids = append(oa.bids, bid)
-		oa.run.wonAt = append(oa.run.wonAt, 0)
 		oa.run.phoneTask = append(oa.run.phoneTask, NoTask)
 		res.Joined = append(res.Joined, id)
 		// Appending at the tail keeps each departure list in ID order.
@@ -193,6 +200,7 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		oa.tasks = append(oa.tasks, Task{ID: id, Arrival: t})
 		oa.run.byTask = append(oa.run.byTask, NoPhone)
 		oa.run.runnerUp = append(oa.run.runnerUp, NoPhone)
+		oa.comp.taskPaid = append(oa.comp.taskPaid, 0)
 		winner := oa.heap.popUsable(t, oa.run.phoneTask, &oa.comp)
 		if winner == NoPhone {
 			oa.run.unserved[t]++
@@ -201,7 +209,6 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		}
 		oa.run.byTask[id] = winner
 		oa.run.phoneTask[winner] = id
-		oa.run.wonAt[winner] = t
 		oa.run.noteWinner(t, winner, oa.bids[winner].Cost)
 		oa.comp.markAssigned(winner)
 		oa.run.runnerUp[id] = oa.heap.peekUsable(t, oa.run.phoneTask, &oa.comp)
@@ -224,11 +231,12 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 		if oa.trackDepartures {
 			res.Departed = append(res.Departed, i)
 		}
-		if oa.run.wonAt[i] == 0 || !oa.comp.payable(i) {
+		task := oa.run.phoneTask[i]
+		if task == NoTask || !oa.comp.payable(i) {
 			continue
 		}
 		amount := oa.price(in, i)
-		oa.comp.markPaid(i, amount, t)
+		oa.comp.markPaid(i, task, amount, t)
 		res.Payments = append(res.Payments, PaymentNotice{Phone: i, Amount: amount})
 	}
 	if oa.metrics != nil {
@@ -244,12 +252,12 @@ func (oa *OnlineAuction) Step(arriving []StreamBid, numTasks int) (*SlotResult, 
 // and checkpoint alias them.
 func (oa *OnlineAuction) reserve(a, r int) {
 	oa.bids = grown(oa.bids, a)
-	oa.run.wonAt = grown(oa.run.wonAt, a)
 	oa.run.phoneTask = grown(oa.run.phoneTask, a)
 	oa.depNext = grown(oa.depNext, a)
 	oa.tasks = grown(oa.tasks, r)
 	oa.run.byTask = grown(oa.run.byTask, r)
 	oa.run.runnerUp = grown(oa.run.runnerUp, r)
+	oa.comp.taskPaid = grown(oa.comp.taskPaid, r)
 }
 
 // instance refreshes the auction's reusable Instance view over the bids
@@ -285,7 +293,7 @@ func (oa *OnlineAuction) Outcome() *Outcome {
 		// slots may shift the recomputed cascade value, but the amount
 		// actually issued is what the outcome owes. Without defaults
 		// the two are equal, so the copy only saves the cascade walk.
-		if amount, ok := oa.comp.settled(PhoneID(i)); ok {
+		if amount, ok := oa.settled(PhoneID(i)); ok {
 			out.Payments[i] = amount
 			continue
 		}
@@ -303,8 +311,26 @@ func (oa *OnlineAuction) Standing(p PhoneID) (task TaskID, won Slot, paid float6
 	if _, ok := bidAt(oa.bids, p); !ok {
 		return NoTask, 0, 0, false
 	}
-	paid, settled = oa.comp.settled(p)
-	return oa.run.phoneTask[p], oa.run.wonAt[p], paid, settled
+	paid, settled = oa.settled(p)
+	task = oa.run.phoneTask[p]
+	return task, wonAt(oa.tasks, task), paid, settled
+}
+
+// settled returns the payment issued to phone p, if one was. Under the
+// lifecycle the per-phone record holds it. Without the lifecycle every
+// winner is paid in its departure slot and nothing moves its task, so p
+// is settled exactly when it holds a task and has departed by the
+// clock, and the amount is on its task.
+func (oa *OnlineAuction) settled(p PhoneID) (float64, bool) {
+	c := &oa.comp
+	if c.enabled {
+		return c.paid[p], c.paidAt[p] != 0
+	}
+	task := oa.run.phoneTask[p]
+	if task == NoTask || oa.bids[p].Departure > oa.now {
+		return 0, false
+	}
+	return c.taskPaid[task], true
 }
 
 // Bid returns admitted phone p's bid; ok is false for any other ID.

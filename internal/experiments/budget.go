@@ -44,7 +44,7 @@ var BudgetFractions = []float64{0.25, 0.5, 1.0}
 // row answers "welfare bought per unit of money committed".
 type BudgetRow struct {
 	Scenario  string
-	Mechanism string
+	Mechanism string  // the mechanism's name, without the budget Budget holds
 	Budget    float64 // B, or 0 for the unbudgeted reference
 	Fraction  float64 // B as a fraction of the unbudgeted mean payment
 
@@ -127,6 +127,7 @@ func RunBudgetSweep(opt Options) (*BudgetSweepResult, error) {
 					return nil, fmt.Errorf("budget sweep: %s B=%g: %w", src.Name, b, err)
 				}
 				row.Scenario = src.Name
+				row.Mechanism = "budget-" + eng.Name()
 				row.Fraction = frac
 				res.Rows = append(res.Rows, row)
 				series[eng.Name()].Add(frac, samples)
@@ -160,7 +161,7 @@ func meanMetrics(ins []*core.Instance, seeds []uint64, mech core.Mechanism) (Bud
 // feasibility invariant on every round and returning the per-seed
 // welfare-per-unit samples for the figure.
 func budgetPoint(ins []*core.Instance, seeds []uint64, mech core.Mechanism, b float64) (BudgetRow, []float64, error) {
-	row := BudgetRow{Mechanism: mech.Name(), Budget: b}
+	row := BudgetRow{Budget: b}
 	samples := make([]float64, len(ins))
 	for i, in := range ins {
 		m, err := sim.RunInstance(in, seeds[i], mech)

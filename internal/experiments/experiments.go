@@ -165,17 +165,3 @@ func RunSweep(sw Sweep, opt Options) (*Result, error) {
 func Sweeps(base workload.Scenario) []Sweep {
 	return []Sweep{SlotsSweep(base), PhoneRateSweep(base), CostSweep(base)}
 }
-
-// FigureByID resolves a paper figure ID ("fig6".."fig11") from executed
-// sweep results.
-func FigureByID(results []*Result, id string) (*stats.Figure, error) {
-	for _, r := range results {
-		if r.Sweep.Figures[0] == id {
-			return r.Welfare, nil
-		}
-		if r.Sweep.Figures[1] == id {
-			return r.Overpayment, nil
-		}
-	}
-	return nil, fmt.Errorf("experiments: unknown figure %q", id)
-}

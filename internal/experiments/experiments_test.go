@@ -118,24 +118,6 @@ func TestRunSweepPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestFigureByID(t *testing.T) {
-	res := &Result{Sweep: SlotsSweep(tinyBase())}
-	res.Welfare = &stats.Figure{Title: "w"}
-	res.Overpayment = &stats.Figure{Title: "o"}
-	all := []*Result{res}
-	f, err := FigureByID(all, "fig6")
-	if err != nil || f.Title != "w" {
-		t.Fatalf("fig6 lookup: %v %v", f, err)
-	}
-	f, err = FigureByID(all, "fig9")
-	if err != nil || f.Title != "o" {
-		t.Fatalf("fig9 lookup: %v %v", f, err)
-	}
-	if _, err := FigureByID(all, "fig99"); err == nil {
-		t.Fatal("want unknown-figure error")
-	}
-}
-
 func TestCheckShapesOnRealRun(t *testing.T) {
 	base := tinyBase()
 	var results []*Result
