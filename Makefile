@@ -97,8 +97,10 @@ soak:
 # pins the online cascade payments to the literal Algorithm 2 re-run,
 # FuzzCompletionOrder drives arbitrary complete/default orderings
 # through the online auction's lifecycle and snapshot/restore, the
-# protocol fuzzer feeds arbitrary bytes to the binary frame decoder
-# (malformed input must error, never panic or hang), and FuzzRestore
+# protocol fuzzers feed arbitrary bytes to the binary frame decoder
+# (malformed input must error, never panic or hang) and to one pooled
+# Reader in both framings (its reused JSON decoder must read every
+# message, and every error, as a fresh decoder would), and FuzzRestore
 # feeds arbitrary bytes, seeded with the golden checkpoints, to both
 # auctions' restore (it must error or round-trip, never panic).
 # -fuzzminimizetime 100x bounds how long each new-coverage input is
@@ -111,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzCompletionOrder -fuzzminimizetime 100x -fuzztime 10s ./internal/core/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzIntervalSolver -fuzzminimizetime 100x -fuzztime 5s ./internal/matching/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBinaryFrame -fuzzminimizetime 100x -fuzztime 10s ./internal/protocol/
+	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzReceive -fuzzminimizetime 100x -fuzztime 10s ./internal/protocol/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzBudgetSnapshot -fuzzminimizetime 100x -fuzztime 10s ./internal/budget/
 	$(GO) test -race -count=1 -run '^$$' -fuzz FuzzRestore -fuzzminimizetime 100x -fuzztime 10s ./internal/core/auctiontest/
 

@@ -12,10 +12,10 @@ import (
 )
 
 // TestReportGolden pins the full default report (20 seeds, base seed 1)
-// byte for byte, and EXPERIMENTS.md's Fig. 6-11 tables to it. After a
-// change that moves a figure on purpose, regenerate the golden with
-// `go run ./cmd/crowdsim > cmd/crowdsim/testdata/report.golden` and the
-// tables from it.
+// byte for byte, and EXPERIMENTS.md's Fig. 6-11 tables and robustness
+// table to it. After a change that moves a figure on purpose, regenerate
+// the golden with `go run ./cmd/crowdsim > cmd/crowdsim/testdata/report.golden`
+// and the tables from it.
 func TestReportGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/report.golden")
 	if err != nil {
@@ -65,6 +65,30 @@ func TestReportGolden(t *testing.T) {
 			}
 		}
 	}
+
+	// The robustness table is the report's, row for row.
+	g := tableRows(string(want), "## Extension: robustness across workload variants")
+	d := tableRows(string(doc), "## Robustness (extension, not in the paper)")
+	if len(g) == 0 || strings.Join(d, "\n") != strings.Join(g, "\n") {
+		t.Errorf("EXPERIMENTS.md robustness table:\n%s\nthe report's:\n%s", strings.Join(d, "\n"), strings.Join(g, "\n"))
+	}
+}
+
+// tableRows returns the table lines of the section that heading opens in
+// a Markdown document, up to the next "## " heading.
+func tableRows(doc, heading string) []string {
+	var rows []string
+	in := false
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			in = line == heading
+			continue
+		}
+		if in && strings.HasPrefix(line, "|") {
+			rows = append(rows, line)
+		}
+	}
+	return rows
 }
 
 // goldenFigures reads the paper figures' rows out of a report: figure id

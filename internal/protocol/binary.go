@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -164,8 +163,9 @@ func appendBinaryFrame(dst []byte, m *Message) ([]byte, error) {
 }
 
 // decodeBinaryPayload decodes a frame payload (code byte + body, length
-// prefix already stripped) into *m, which the caller has zeroed.
-func decodeBinaryPayload(payload []byte, m *Message) error {
+// prefix already stripped) into *m, which the caller has zeroed. A cold
+// message's JSON body goes through the Reader's JSON decoder.
+func (r *Reader) decodeBinaryPayload(payload []byte, m *Message) error {
 	code := payload[0]
 	body := payload[1:]
 	if int(code) >= len(codeToType) || codeToType[code] == "" {
@@ -208,9 +208,7 @@ func decodeBinaryPayload(payload []byte, m *Message) error {
 		m.Cost = math.Float64frombits(binary.LittleEndian.Uint64(body[8:]))
 		m.Name = string(body[18:])
 	default:
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(m); err != nil {
+		if err := r.decodeJSON(body, m); err != nil {
 			return fmt.Errorf("protocol: %s frame: malformed JSON body: %w", typ, err)
 		}
 		if m.Type != typ {

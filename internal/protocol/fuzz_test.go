@@ -2,6 +2,9 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -9,9 +12,16 @@ import (
 	"dynacrowd/internal/chaos"
 )
 
-// FuzzReceive feeds arbitrary bytes through the wire reader: it must
-// never panic, and every message it accepts must satisfy Validate and
-// survive a re-encode/re-decode round trip.
+// FuzzReceive is a differential fuzzer for the Reader's reused JSON
+// decoder. Every input is read by one Reader, Reset between inputs the
+// way a pooled Reader moves between connections, first as JSON lines and
+// then as binary frames. Each read must give the same message, or the
+// same error string, as an oracle that decodes every message with a
+// fresh json.Decoder: for JSON lines the literal decode kept below, for
+// binary frames a Reader whose decoder is dropped before each frame.
+// Reading goes on past malformed messages, so a message that leaves the
+// decoder dirty shows in the next one. Every accepted message must also
+// satisfy Validate and survive a re-encode/re-decode round trip.
 func FuzzReceive(f *testing.F) {
 	f.Add([]byte(`{"type":"hello"}` + "\n"))
 	f.Add([]byte(`{"type":"bid","name":"a","duration":3,"cost":1.5}` + "\n"))
@@ -21,30 +31,137 @@ func FuzzReceive(f *testing.F) {
 	f.Add([]byte(`{nope`))
 	f.Add([]byte(strings.Repeat("x", 1024)))
 	f.Add([]byte{0x00, 0xff, 0x7b})
+	f.Add([]byte(`{"type":"ack"}{"type":"slot","slot":3}` + "\n" + `{"type":"slot","slot":5}` + "\n"))
+	f.Add([]byte(`{"type":"slot","slot":x}` + "\n" + `{"type":"slot","slot":5}` + "\n"))
+	f.Add([]byte("null\n5\n" + `{"type":"ack"}` + "\n"))
+	f.Add([]byte(`{"type":"ack"} ` + "\n   \n" + `{"type":"slot","slot":"5"}` + "\n" + `{"type":"ack","extra":1}` + "\n" + `{"type":"ack"}`))
+	f.Add(append(binaryFrame(f, &Message{Type: TypeWelcome, Phone: 3, Slot: 2, Departure: 6, Round: 1}),
+		binaryFrame(f, &Message{Type: TypeError, Error: "late"})...))
+	f.Add(append([]byte{6, 0, 0, 0, codeAck, '{', '"', 'x', '"', '}'}, binaryFrame(f, &Message{Type: TypeAck})...))
 
+	pooled := NewReader(nil)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(bytes.NewReader(data))
-		for i := 0; i < 64; i++ { // bounded: the stream is finite anyway
-			m, err := r.Receive()
-			if err != nil {
-				return // EOF or malformed input — both fine
+		for _, format := range []Format{FormatJSON, FormatBinary} {
+			var want []received
+			if format == FormatJSON {
+				want = literalReceiveJSON(data)
+			} else {
+				want = freshDecoderReceiveBinary(data)
 			}
-			if err := m.Validate(); err != nil {
-				t.Fatalf("Receive returned invalid message %+v: %v", m, err)
-			}
-			var buf bytes.Buffer
-			if err := NewWriter(&buf).Send(m); err != nil {
-				t.Fatalf("re-encode of %+v: %v", m, err)
-			}
-			back, err := NewReader(&buf).Receive()
-			if err != nil {
-				t.Fatalf("re-decode of %+v: %v", m, err)
-			}
-			if *back != *m {
-				t.Fatalf("round trip changed message: %+v -> %+v", m, back)
+			pooled.Reset(bytes.NewReader(data))
+			pooled.SetFormat(format)
+			for i, w := range want {
+				got := receiveOne(pooled)
+				if got != w {
+					t.Fatalf("%s message %d: reused decoder read %+v, fresh decoder %+v", format, i, got, w)
+				}
+				if got.err == "" {
+					checkRoundTrip(t, &got.m)
+				}
 			}
 		}
 	})
+}
+
+// binaryFrame returns m's binary frame.
+func binaryFrame(tb testing.TB, m *Message) []byte {
+	b, err := AppendFrame(nil, m, FormatBinary)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// received is one read's outcome: the message, or the error's text.
+type received struct {
+	m   Message
+	err string
+}
+
+// maxReads bounds the reads of one fuzz input; the stream is finite
+// anyway.
+const maxReads = 64
+
+func receiveOne(r *Reader) received {
+	var m Message
+	if err := r.ReceiveInto(&m); err != nil {
+		return received{err: err.Error()}
+	}
+	return received{m: m}
+}
+
+// literalReceiveJSON reads data as JSON lines, decoding each line with a
+// fresh json.Decoder, until the stream ends or maxReads reads.
+func literalReceiveJSON(data []byte) []received {
+	lines := NewReader(bytes.NewReader(data)) // splits lines only
+	var out []received
+	for len(out) < maxReads {
+		line, err := lines.readLine()
+		if err != nil {
+			out = append(out, received{err: err.Error()})
+			if err == io.EOF {
+				break
+			}
+			continue
+		}
+		if len(line) == 0 {
+			continue
+		}
+		var m Message
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&m); err != nil {
+			out = append(out, received{err: fmt.Sprintf("protocol: malformed message: %v", err)})
+			continue
+		}
+		if err := m.Validate(); err != nil {
+			out = append(out, received{err: err.Error()})
+			continue
+		}
+		out = append(out, received{m: m})
+	}
+	return out
+}
+
+// freshDecoderReceiveBinary reads data as binary frames through a Reader
+// whose JSON decoder is dropped before every frame.
+func freshDecoderReceiveBinary(data []byte) []received {
+	r := NewReader(bytes.NewReader(data))
+	r.SetFormat(FormatBinary)
+	var out []received
+	for len(out) < maxReads {
+		r.dec = nil
+		got := receiveOne(r)
+		out = append(out, got)
+		if got.err == io.EOF.Error() {
+			break
+		}
+	}
+	return out
+}
+
+// checkRoundTrip requires an accepted message to satisfy Validate and to
+// survive a re-encode/re-decode round trip in both framings.
+func checkRoundTrip(t *testing.T, m *Message) {
+	t.Helper()
+	if err := m.Validate(); err != nil {
+		t.Fatalf("accepted invalid message %+v: %v", m, err)
+	}
+	for _, format := range []Format{FormatJSON, FormatBinary} {
+		enc, err := AppendFrame(nil, m, format)
+		if err != nil {
+			t.Fatalf("re-encode (%s) of %+v: %v", format, m, err)
+		}
+		r := NewReader(bytes.NewReader(enc))
+		r.SetFormat(format)
+		back, err := r.Receive()
+		if err != nil {
+			t.Fatalf("re-decode (%s) of %+v: %v", format, m, err)
+		}
+		if *back != *m {
+			t.Fatalf("%s round trip changed message: %+v -> %+v", format, m, back)
+		}
+	}
 }
 
 // FuzzBinaryFrame feeds arbitrary bytes through the binary-framed
@@ -63,17 +180,10 @@ func FuzzReceive(f *testing.F) {
 // pooled Reader moves between connections, so whatever the previous
 // input left buffered must not leak into the next.
 func FuzzBinaryFrame(f *testing.F) {
-	frame := func(m *Message) []byte {
-		b, err := AppendFrame(nil, m, FormatBinary)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
-	slot := frame(&Message{Type: TypeSlot, Slot: 7})
-	bid := frame(&Message{Type: TypeBid, Name: "phone-a", Duration: 3, Cost: 12.5})
-	assign := frame(&Message{Type: TypeAssign, Phone: 2, Task: 9, Slot: 4})
-	payment := frame(&Message{Type: TypePayment, Phone: 2, Amount: 27.25, Slot: 5})
+	slot := binaryFrame(f, &Message{Type: TypeSlot, Slot: 7})
+	bid := binaryFrame(f, &Message{Type: TypeBid, Name: "phone-a", Duration: 3, Cost: 12.5})
+	assign := binaryFrame(f, &Message{Type: TypeAssign, Phone: 2, Task: 9, Slot: 4})
+	payment := binaryFrame(f, &Message{Type: TypePayment, Phone: 2, Amount: 27.25, Slot: 5})
 	f.Add(append(append([]byte{}, slot...), bid...), uint8(3))
 	f.Add(append(append([]byte{}, assign...), payment...), uint8(1))
 	f.Add(slot[:len(slot)-2], uint8(5))                              // truncated payload
@@ -101,25 +211,7 @@ func FuzzBinaryFrame(f *testing.F) {
 			accepted = append(accepted, *m)
 		}
 		for i := range accepted {
-			m := &accepted[i]
-			if err := m.Validate(); err != nil {
-				t.Fatalf("accepted invalid message %+v: %v", m, err)
-			}
-			for _, format := range []Format{FormatBinary, FormatJSON} {
-				enc, err := AppendFrame(nil, m, format)
-				if err != nil {
-					t.Fatalf("re-encode (%s) of %+v: %v", format, m, err)
-				}
-				rr := NewReader(bytes.NewReader(enc))
-				rr.SetFormat(format)
-				back, err := rr.Receive()
-				if err != nil {
-					t.Fatalf("re-decode (%s) of %+v: %v", format, m, err)
-				}
-				if *back != *m {
-					t.Fatalf("%s round trip changed message: %+v -> %+v", format, m, back)
-				}
-			}
+			checkRoundTrip(t, &accepted[i])
 		}
 
 		// Same bytes, delivered through a chaos conn that splits every

@@ -325,10 +325,20 @@ func (w *Writer) Flush() error {
 // (newline-delimited) mode; SetFormat switches to binary frames while
 // preserving any bytes already buffered, so a stream may negotiate
 // formats mid-connection. Not safe for concurrent use.
+//
+// Every JSON message, a JSON line or a cold binary frame's body, goes
+// through one json.Decoder that the Reader keeps across messages and
+// across Reset, so a warmed Reader allocates only the strings a message
+// carries.
 type Reader struct {
 	br      *bufio.Reader
 	format  Format
 	payload []byte // reused line/frame buffer; steady-state reads allocate nothing
+
+	// dec decodes each JSON message from body. It is nil before the
+	// first JSON message and after decodeJSON dropped it.
+	dec  *json.Decoder
+	body bytes.Reader
 }
 
 // NewReader wraps r.
@@ -365,7 +375,9 @@ func (r *Reader) Receive() (*Message, error) {
 
 // ReceiveInto reads the next message into *m, overwriting it. This is
 // the allocation-free read path: with binary framing, steady-state
-// receives of the hot message types perform no allocations at all.
+// receives of the hot message types perform no allocations at all, and
+// otherwise a warmed Reader allocates only the message's strings (its
+// type and, for instance, a bid's name).
 func (r *Reader) ReceiveInto(m *Message) error {
 	*m = Message{}
 	var err error
@@ -389,13 +401,31 @@ func (r *Reader) receiveJSON(m *Message) error {
 		if len(line) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(m); err != nil {
+		if err := r.decodeJSON(line, m); err != nil {
 			return fmt.Errorf("protocol: malformed message: %w", err)
 		}
 		return nil
 	}
+}
+
+// decodeJSON decodes the first JSON value in b into *m exactly as a
+// fresh json.Decoder with DisallowUnknownFields, reading b alone, would.
+// A decoder's error is sticky, and one that stopped short of b's end
+// still buffers the rest, so after an error, or a value that did not
+// end at b's end, the decoder is dropped and the next message gets a
+// fresh one.
+func (r *Reader) decodeJSON(b []byte, m *Message) error {
+	if r.dec == nil {
+		r.dec = json.NewDecoder(&r.body)
+		r.dec.DisallowUnknownFields()
+	}
+	r.body.Reset(b)
+	start := r.dec.InputOffset()
+	err := r.dec.Decode(m)
+	if err != nil || r.dec.InputOffset()-start != int64(len(b)) {
+		r.dec = nil
+	}
+	return err
 }
 
 // readLine accumulates the next newline-terminated line into the reused
@@ -458,5 +488,5 @@ func (r *Reader) receiveBinary(m *Message) error {
 	if k, err := io.ReadFull(r.br, buf); err != nil {
 		return fmt.Errorf("protocol: torn binary frame (%d of %d payload bytes): %w", k, n, err)
 	}
-	return decodeBinaryPayload(buf, m)
+	return r.decodeBinaryPayload(buf, m)
 }

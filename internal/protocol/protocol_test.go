@@ -178,3 +178,82 @@ func TestWireRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReceiveAllocs: a warmed Reader decodes JSON through the decoder it
+// keeps, so a message costs only the strings it carries: its type, for
+// the JSON lines and for the cold JSON bodies of binary frames alike.
+func TestReceiveAllocs(t *testing.T) {
+	cases := []struct {
+		format  Format
+		m       *Message
+		strings int // strings the decoded message carries
+	}{
+		{FormatJSON, &Message{Type: TypeSlot, Slot: 17}, 1},
+		{FormatJSON, &Message{Type: TypeAssign, Phone: 4, Task: 9, Slot: 17}, 1},
+		{FormatJSON, &Message{Type: TypePayment, Phone: 4, Amount: 23.75, Slot: 20}, 1},
+		{FormatBinary, &Message{Type: TypeAck}, 1},
+		{FormatBinary, &Message{Type: TypeWelcome, Phone: 4, Slot: 17, Departure: 21, Round: 2}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.format.String()+"/"+tc.m.Type, func(t *testing.T) {
+			frame, err := AppendFrame(nil, tc.m, tc.format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewReader(&loopReader{frame: frame})
+			r.SetFormat(tc.format)
+			var got Message
+			receive := func() {
+				if err := r.ReceiveInto(&got); err != nil {
+					t.Fatal(err)
+				}
+			}
+			receive() // warm: the decoder and its buffers
+			if avg := testing.AllocsPerRun(100, receive); avg > float64(tc.strings) {
+				t.Fatalf("%v allocs per message, want <= %d", avg, tc.strings)
+			}
+			if got != *tc.m {
+				t.Fatalf("decoded %+v, want %+v", got, *tc.m)
+			}
+		})
+	}
+}
+
+// TestReceiveIgnoresBytesAfterValue: a line's bytes after its first JSON
+// value are ignored, as a fresh decoder ignores them, and must not be
+// decoded as the next message.
+func TestReceiveIgnoresBytesAfterValue(t *testing.T) {
+	r := NewReader(strings.NewReader(`{"type":"ack"}{"type":"slot","slot":3}` + "\n" +
+		`{"type":"slot","slot":5}` + "\n"))
+	if m, err := r.Receive(); err != nil || m.Type != TypeAck {
+		t.Fatalf("first line: %+v, %v; want ack", m, err)
+	}
+	if m, err := r.Receive(); err != nil || *m != (Message{Type: TypeSlot, Slot: 5}) {
+		t.Fatalf("second line: %+v, %v; want slot 5", m, err)
+	}
+}
+
+// TestReceiveAfterMalformed: a decoder's error is sticky, so a malformed
+// message must not poison the next one, in either framing.
+func TestReceiveAfterMalformed(t *testing.T) {
+	slot5 := Message{Type: TypeSlot, Slot: 5}
+	r := NewReader(strings.NewReader(`{"type":"slot","slot":x}` + "\n" +
+		`{"type":"slot","slot":5}` + "\n"))
+	if m, err := r.Receive(); err == nil {
+		t.Fatalf("malformed line accepted as %+v", m)
+	}
+	if m, err := r.Receive(); err != nil || *m != slot5 {
+		t.Fatalf("line after the malformed one: %+v, %v; want slot 5", m, err)
+	}
+
+	stream := append([]byte{6, 0, 0, 0, codeAck}, `{"x":`...) // unterminated body
+	stream = append(stream, binaryFrame(t, &Message{Type: TypeAck})...)
+	r.Reset(bytes.NewReader(stream))
+	r.SetFormat(FormatBinary)
+	if m, err := r.Receive(); err == nil {
+		t.Fatalf("malformed body accepted as %+v", m)
+	}
+	if m, err := r.Receive(); err != nil || m.Type != TypeAck {
+		t.Fatalf("frame after the malformed body: %+v, %v; want ack", m, err)
+	}
+}
