@@ -6,7 +6,7 @@ BENCHTIME ?= 1x
 BENCH_SECTION ?= current
 BENCH_OUT ?= BENCH.json
 
-.PHONY: all check fmt vet build test examples agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench repro round-bytes bench loc staticcheck profile obs-demo clean
+.PHONY: all check fmt vet build test examples agent-repeat perfbench-check race race-hot soak fuzz-smoke diff-sweep wire-diff budget-audit conformance fanout budget-bench repro round-bytes observability bench loc staticcheck profile obs-demo clean
 
 all: check
 
@@ -23,7 +23,9 @@ all: check
 # build skips. fmt fails if any Go file, perfbench/ included, is not
 # gofmt-clean. repro pins the reproduction report and EXPERIMENTS.md to
 # a golden file. round-bytes pins a streaming round's bytes per bid.
-check: fmt vet build test examples agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout repro round-bytes
+# observability pins the metric catalog and the allocation-free
+# disabled paths.
+check: fmt vet build test examples agent-repeat perfbench-check race-hot race diff-sweep wire-diff budget-audit conformance fanout repro round-bytes observability
 
 fmt:
 	@out=$$(gofmt -l .) || exit 1; \
@@ -209,6 +211,18 @@ repro:
 # and one more per-phone slice grown by doubling fails the bound.
 round-bytes:
 	$(call gate,.,TestStreamingRoundBytesPerBid,-count=1)
+
+# observability proves the metric catalog check and the disabled-path
+# allocation tests ran: docs/OBSERVABILITY.md lists exactly what a
+# platform server with Config.Obs registers, unbudgeted and budgeted;
+# nil instruments, registry and Observability are inert; Emit on a nil
+# tracer allocates nothing; a Step with completion tracking off allocates only its SlotResult; and a
+# warmed OnlineMechanism.Run allocates only its Outcome, the same at 50
+# slots as at 200.
+observability:
+	$(call gate,./internal/platform/,TestObservabilityCatalog,-count=1)
+	$(call gate,./internal/obs/,TestNilInstrumentsAreNoOps TestNilTracerEmitAllocFree,-count=1)
+	$(call gate,./internal/core/,TestCompletionDisabledStepAllocFree TestPooledRunAllocatesOnlyOutcome,-count=1)
 
 # staticcheck runs honnef.co/go/tools if it is installed; the tier-1
 # gate stays dependency-free, so a missing binary is a skip, not a

@@ -49,15 +49,3 @@ func TestRunMarketErrors(t *testing.T) {
 		t.Fatal("want return-probability error")
 	}
 }
-
-func TestVerdictBands(t *testing.T) {
-	if v := verdict(5); !strings.Contains(v, "stable") {
-		t.Fatalf("verdict(5) = %q", v)
-	}
-	if v := verdict(20); !strings.Contains(v, "mildly") {
-		t.Fatalf("verdict(20) = %q", v)
-	}
-	if v := verdict(50); !strings.Contains(v, "UNSTABLE") {
-		t.Fatalf("verdict(50) = %q", v)
-	}
-}

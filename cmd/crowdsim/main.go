@@ -35,9 +35,6 @@
 //	               runs
 //	-cpuprofile f  write a CPU profile of the run to f (go tool pprof)
 //	-memprofile f  write an end-of-run heap profile to f
-//	-obs-addr a    serve live Prometheus metrics (mechanism latency
-//	               histograms, round counters) and pprof on this address
-//	               while the sweeps run; empty disables
 //
 // The full report at the default 20 seeds takes 0.28-0.32 s as a built
 // binary on a 2-vCPU Xeon, 0.44 s with GOMAXPROCS=1.
@@ -53,10 +50,7 @@ import (
 	"slices"
 
 	"dynacrowd/internal/budget"
-	"dynacrowd/internal/core"
 	"dynacrowd/internal/experiments"
-	"dynacrowd/internal/obs"
-	"dynacrowd/internal/sim"
 	"dynacrowd/internal/stats"
 	"dynacrowd/internal/workload"
 )
@@ -119,7 +113,6 @@ func run(args []string, out io.Writer) error {
 	quick := fs.Bool("quick", false, "3 seeds and thinned paper sweeps")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write an end-of-run heap profile to this file")
-	obsAddr := fs.String("obs-addr", "", "observability HTTP address (metrics, pprof); empty disables")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -164,19 +157,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *quick {
 		r.opt.Seeds = 3
-	}
-
-	if *obsAddr != "" {
-		o, err := obs.New(obs.Options{Addr: *obsAddr})
-		if err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
-		defer o.Close()
-		core.SetDefaultMetrics(core.NewMetrics(o.Registry))
-		defer core.SetDefaultMetrics(nil)
-		sim.SetInstruments(sim.NewInstruments(o.Registry))
-		defer sim.SetInstruments(nil)
-		fmt.Fprintf(os.Stderr, "crowdsim: observability on http://%s/metrics\n", o.HTTP.Addr())
 	}
 
 	if *cpuprofile != "" {

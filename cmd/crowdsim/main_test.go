@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -287,6 +288,32 @@ func TestRunValueOverride(t *testing.T) {
 	}
 	if a.String() == b.String() {
 		t.Fatal("-value override had no effect")
+	}
+}
+
+// TestRunProfiles: -cpuprofile and -memprofile write non-empty profiles
+// and leave the report itself unchanged.
+func TestRunProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var plain, profiled bytes.Buffer
+	if err := run([]string{"-quick", "-figure", "fig6"}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-quick", "-figure", "fig6", "-cpuprofile", cpu, "-memprofile", mem}, &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Fatalf("profiling changed the report:\n%s\nwant:\n%s", profiled.String(), plain.String())
+	}
+	for _, f := range []string{cpu, mem} {
+		st, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(f))
+		}
 	}
 }
 

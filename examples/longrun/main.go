@@ -43,11 +43,9 @@ func main() {
 			fmt.Printf("%5d %8d %8d %10.1f %8.3f\n",
 				rec.Round, m.Phones, rec.Returning, m.Welfare, m.OverpaymentRatio)
 		}
-		drift := res.OverpaymentDrift()
-		mean := res.MeanOverpayment()
 		fmt.Printf("mean σ %.3f, drift between halves %.4f (%.1f%% of mean)\n",
-			mean, drift, 100*drift/mean)
-		if drift < 0.25*mean {
+			res.MeanOverpayment(), res.OverpaymentDrift(), 100*res.RelativeDrift())
+		if res.Stable() {
 			fmt.Println("-> stable, matching the paper's long-run observation")
 		} else {
 			fmt.Println("-> drifting; the paper's claim does not hold at these settings")

@@ -78,8 +78,7 @@ type Plan struct {
 	ArmAfterBytes int64
 
 	// Counters, when non-nil, tallies every fault the plan injects,
-	// across all connections sharing the plan. See Counters.Register
-	// for the Prometheus bridge.
+	// across all connections sharing the plan.
 	Counters *Counters
 }
 

@@ -1,10 +1,6 @@
 package chaos
 
-import (
-	"sync/atomic"
-
-	"dynacrowd/internal/obs"
-)
+import "sync/atomic"
 
 // Counters tallies the faults a Plan actually injected, summed across
 // every connection sharing the Plan (the fields are atomics, so wrapped
@@ -16,29 +12,6 @@ type Counters struct {
 	StalledWrites atomic.Uint64 // Writes parked until connection close
 	Truncates     atomic.Uint64 // torn frames: prefix delivered, then cut
 	Disconnects   atomic.Uint64 // clean cuts (probabilistic or scripted)
-}
-
-// Register bridges the tally into an obs registry as
-// dynacrowd_chaos_*_total counters. Nil receiver or registry is a no-op;
-// registration is idempotent, so re-wrapping listeners under one
-// registry is safe.
-func (k *Counters) Register(reg *obs.Registry) {
-	if k == nil || reg == nil {
-		return
-	}
-	bridge := func(name, help string, a *atomic.Uint64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(a.Load()) })
-	}
-	bridge("dynacrowd_chaos_latency_injections_total",
-		"Injected latency sleeps that fired on a Read or Write.", &k.Latencies)
-	bridge("dynacrowd_chaos_stalled_reads_total",
-		"Reads parked until connection close by StallReads.", &k.StalledReads)
-	bridge("dynacrowd_chaos_stalled_writes_total",
-		"Writes parked until connection close by StallWrites.", &k.StalledWrites)
-	bridge("dynacrowd_chaos_truncates_total",
-		"Torn frames: a strict prefix delivered, then the connection cut.", &k.Truncates)
-	bridge("dynacrowd_chaos_disconnects_total",
-		"Clean mid-stream cuts (probabilistic or scripted via CutAfterWrites).", &k.Disconnects)
 }
 
 // The nil-safe per-fault hooks the connection wrapper calls.

@@ -379,7 +379,4 @@ type mechScratch struct {
 	fixes []slotFix
 }
 
-var mechPool = sync.Pool{New: func() any {
-	scratchPoolMisses.Add(1)
-	return new(mechScratch)
-}}
+var mechPool = sync.Pool{New: func() any { return new(mechScratch) }}

@@ -235,6 +235,37 @@ func TestMechanismConcurrentUse(t *testing.T) {
 	}
 }
 
+// outcomeAllocs is what one OnlineMechanism.Run must allocate once its
+// pooled scratch is warm: the Outcome, its Payments, and the Allocation
+// with its ByTask, ByPhone and WonAt slices.
+const outcomeAllocs = 6
+
+// TestPooledRunAllocatesOnlyOutcome: a warmed OnlineMechanism.Run
+// reuses its pooled scratch, so it allocates only the returned Outcome,
+// the same on a Table I round of 50 slots as on one of 200.
+func TestPooledRunAllocatesOnlyOutcome(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	mech := &core.OnlineMechanism{}
+	for _, slots := range []core.Slot{50, 200} {
+		scn := workload.DefaultScenario()
+		scn.Slots = slots
+		in, err := scn.Generate(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(100, func() {
+			if _, err := mech.Run(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != outcomeAllocs {
+			t.Errorf("m = %d: warmed Run allocates %v objects, want %d", slots, avg, outcomeAllocs)
+		}
+	}
+}
+
 // streamRound replays in through core.OnlineAuction slot by slot and
 // returns every payment issued at a departure plus the final Outcome.
 // Generated bids are in arrival order, so the stream assigns every phone

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // OnlineMechanism is the paper's Section V auction for the practical case
 // where bids and tasks are revealed slot by slot. Allocation is greedy
@@ -31,10 +28,6 @@ import (
 // reserve). When AllocateAtLoss is true the paper's unbounded-scarcity
 // case is capped at max(ν, b_i); the paper implicitly assumes phones are
 // abundant, so this cap is a documented boundary-condition choice.
-//
-// Run reports into the process default Metrics installed with
-// SetDefaultMetrics; while that is nil, instrumentation is off and the
-// hot path stays allocation-free.
 type OnlineMechanism struct{}
 
 // Name implements Mechanism.
@@ -49,12 +42,6 @@ func (*OnlineMechanism) Run(in *Instance) (*Outcome, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("online mechanism: %w", err)
 	}
-	met := defaultMetrics.Load()
-	var start time.Time
-	if met != nil {
-		start = time.Now()
-	}
-	scratchPoolGets.Add(1)
 	sc := mechPool.Get().(*mechScratch)
 	defer mechPool.Put(sc)
 	sc.idx.build(in)
@@ -70,11 +57,6 @@ func (*OnlineMechanism) Run(in *Instance) (*Outcome, error) {
 	sc.heap = runBaseline(in, &sc.idx, run, sc.heap)
 	fillWonAt(alloc.WonAt, in.Tasks, alloc.ByTask)
 
-	if met != nil {
-		met.SlotAllocSeconds.Observe(time.Since(start).Seconds())
-		start = time.Now()
-	}
-
 	out := &Outcome{
 		Allocation: alloc,
 		Payments:   make([]float64, in.NumPhones()),
@@ -82,12 +64,8 @@ func (*OnlineMechanism) Run(in *Instance) (*Outcome, error) {
 	}
 	for i, task := range run.phoneTask {
 		if task != NoTask {
-			met.noteCascade()
 			out.Payments[i], sc.fixes = cascadePayment(in, run, PhoneID(i), sc.fixes)
 		}
-	}
-	if met != nil {
-		met.PaymentSeconds.Observe(time.Since(start).Seconds())
 	}
 
 	// Unhook the escaping outcome before pooling the scratch.

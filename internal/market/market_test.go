@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynacrowd/internal/core"
+	"dynacrowd/internal/sim"
 	"dynacrowd/internal/workload"
 )
 
@@ -144,10 +145,42 @@ func TestLongRunStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drift := res.OverpaymentDrift()
-	mean := res.MeanOverpayment()
-	if drift > 0.25*mean {
-		t.Fatalf("overpayment drifted %.3f against mean %.3f (> 25%%)", drift, mean)
+	if !res.Stable() {
+		t.Fatalf("overpayment drifted %.3f against mean %.3f (> %g of it)",
+			res.OverpaymentDrift(), res.MeanOverpayment(), MaxStableDrift)
+	}
+}
+
+// TestStableBoundary: a run is stable up to a drift of exactly
+// MaxStableDrift of its mean, and not beyond; a run whose ratios are all
+// 0 is stable.
+func TestStableBoundary(t *testing.T) {
+	run := func(ratios ...float64) *Result {
+		r := &Result{}
+		for _, o := range ratios {
+			r.Rounds = append(r.Rounds, RoundRecord{Metrics: sim.RoundMetrics{OverpaymentRatio: o}})
+		}
+		return r
+	}
+	cases := []struct {
+		res    *Result
+		rel    float64
+		stable bool
+	}{
+		{run(7, 7, 9, 9), 0.25, true}, // drift 2, mean 8
+		{run(9, 9, 7, 7), 0.25, true},
+		{run(7, 7, 9.01, 9.01), 2.01 / 8.005, false},
+		{run(1, 1, 1, 1), 0, true},
+		{run(0, 0, 0, 0), 0, true},
+		{run(), 0, true},
+	}
+	for i, tc := range cases {
+		if got := tc.res.RelativeDrift(); got != tc.rel {
+			t.Errorf("case %d: relative drift %g, want %g", i, got, tc.rel)
+		}
+		if got := tc.res.Stable(); got != tc.stable {
+			t.Errorf("case %d: stable = %v, want %v", i, got, tc.stable)
+		}
 	}
 }
 

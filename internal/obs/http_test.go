@@ -24,14 +24,14 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestHTTPServerEndpoints(t *testing.T) {
-	o, err := New(Options{Addr: "127.0.0.1:0", RingSize: 64})
+	o, err := New(Options{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer o.Close()
 	o.Registry.Counter("demo_total", "Demo.").Add(5)
-	o.Trace(Event{Type: EventRoundOpen, Round: 1})
-	o.Trace(Event{Type: EventPayment, Phone: 2, Amount: 30, Slot: 4, Round: 1})
+	o.Tracer.Emit(Event{Type: EventRoundOpen, Round: 1})
+	o.Tracer.Emit(Event{Type: EventPayment, Phone: 2, Amount: 30, Slot: 4, Round: 1})
 
 	base := "http://" + o.HTTP.Addr()
 

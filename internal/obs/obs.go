@@ -7,19 +7,18 @@ type Options struct {
 	// Addr is the HTTP introspection listen address; "" disables the
 	// HTTP server (the registry and tracer still work in-process).
 	Addr string
-	// RingSize caps the trace ring (rounded up to a power of two).
-	// Zero means 4096.
-	RingSize int
 	// Sinks receive every traced event via the tracer's drainer
 	// goroutine (e.g. a JSONL file). Closed by Observability.Close.
 	Sinks []Sink
 }
 
+// ringSize is how many recent trace events New's tracer keeps for
+// /debug/rounds.
+const ringSize = 4096
+
 // Observability bundles one deployment's metrics registry, event
-// tracer, and optional HTTP server, with a single graceful Close. A nil
-// *Observability is fully inert: Reg() returns a nil registry (whose
-// instruments are no-ops), Trace does nothing, Close does nothing —
-// that is the allocation-free disabled path.
+// tracer, and optional HTTP server, with a single graceful Close. Close
+// on a nil *Observability does nothing.
 type Observability struct {
 	Registry *Registry
 	Tracer   *Tracer
@@ -33,12 +32,8 @@ type Observability struct {
 // given sinks, self-describing trace metrics, and (if opt.Addr is set)
 // a running HTTP server.
 func New(opt Options) (*Observability, error) {
-	ring := opt.RingSize
-	if ring <= 0 {
-		ring = 4096
-	}
 	reg := NewRegistry()
-	tr := NewTracer(ring, opt.Sinks...)
+	tr := NewTracer(ringSize, opt.Sinks...)
 	reg.CounterFunc("dynacrowd_trace_events_total",
 		"Auction trace events emitted.",
 		func() float64 { return float64(tr.Seq()) })
@@ -59,21 +54,6 @@ func New(opt Options) (*Observability, error) {
 		o.HTTP = h
 	}
 	return o, nil
-}
-
-// Reg returns the registry; nil-safe.
-func (o *Observability) Reg() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Registry
-}
-
-// Trace emits ev to the tracer; nil-safe, never blocks.
-func (o *Observability) Trace(ev Event) {
-	if o != nil {
-		o.Tracer.Emit(ev)
-	}
 }
 
 // Close stops the HTTP server (bounded by a deadline) and closes the

@@ -8,9 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"dynacrowd/internal/chaos"
 	"dynacrowd/internal/obs"
-	"dynacrowd/internal/sim"
 )
 
 // documentedMetrics parses the metric catalog tables of
@@ -68,8 +66,7 @@ func registeredMetrics(t *testing.T, reg *obs.Registry, into map[string]string) 
 
 // TestObservabilityCatalog checks docs/OBSERVABILITY.md against what a
 // running system registers: a platform server with observability on,
-// once unbudgeted and once budgeted, plus the simulator and chaos
-// bundles the catalog also documents. Every documented metric must be
+// once unbudgeted and once budgeted. Every documented metric must be
 // registered with its documented type, and every registered metric
 // documented.
 func TestObservabilityCatalog(t *testing.T) {
@@ -87,10 +84,6 @@ func TestObservabilityCatalog(t *testing.T) {
 		registeredMetrics(t, o.Registry, registered)
 		s.Close()
 	}
-	reg := obs.NewRegistry()
-	sim.NewInstruments(reg)
-	(&chaos.Counters{}).Register(reg)
-	registeredMetrics(t, reg, registered)
 
 	documented := documentedMetrics(t)
 	var missing, undocumented []string

@@ -430,3 +430,58 @@ func TestGarbageFlood(t *testing.T) {
 		t.Fatal("garbage not recorded as a protocol error")
 	}
 }
+
+// TestBlankLineIsProtocolError: a line of only blanks is a malformed
+// message, not a hang-up, so the server replies with an error and
+// counts it.
+func TestBlankLineIsProtocolError(t *testing.T) {
+	s := newTestServer(t, Config{Slots: 2, Value: 10})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("  \t \n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	m, err := protocol.NewReader(conn).Receive()
+	if err != nil || m.Type != protocol.TypeError {
+		t.Fatalf("reply to a blank line = %+v, %v; want an error message", m, err)
+	}
+	if got := s.Stats().ProtocolErrors; got != 1 {
+		t.Fatalf("ProtocolErrors = %d, want 1", got)
+	}
+}
+
+// TestAgentBlankLineIsError: an agent that reads a line of only blanks
+// from the platform reports an error event instead of a quiet hang-up.
+func TestAgentBlankLineIsError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		conn.Write([]byte("  \t \n"))
+		accepted <- conn
+	}()
+	a := dialAgent(t, ln.Addr().String())
+	if conn, ok := <-accepted; ok {
+		defer conn.Close()
+	}
+	select {
+	case ev, ok := <-a.Events():
+		if !ok || ev.Kind != EventError {
+			t.Fatalf("event = %+v (channel open %v), want an error event", ev, ok)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the error event")
+	}
+}

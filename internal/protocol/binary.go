@@ -209,7 +209,9 @@ func (r *Reader) decodeBinaryPayload(payload []byte, m *Message) error {
 		m.Name = string(body[18:])
 	default:
 		if err := r.decodeJSON(body, m); err != nil {
-			return fmt.Errorf("protocol: %s frame: malformed JSON body: %w", typ, err)
+			// %v, not %w: a body of blanks decodes to io.EOF, which
+			// callers would take for a clean hang-up.
+			return fmt.Errorf("protocol: %s frame: malformed JSON body: %v", typ, err)
 		}
 		if m.Type != typ {
 			return fmt.Errorf("protocol: frame code says %s but JSON body says %q", typ, m.Type)

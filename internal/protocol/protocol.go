@@ -402,7 +402,9 @@ func (r *Reader) receiveJSON(m *Message) error {
 			continue
 		}
 		if err := r.decodeJSON(line, m); err != nil {
-			return fmt.Errorf("protocol: malformed message: %w", err)
+			// %v, not %w: a line of blanks decodes to io.EOF, which
+			// callers would take for a clean hang-up.
+			return fmt.Errorf("protocol: malformed message: %v", err)
 		}
 		return nil
 	}

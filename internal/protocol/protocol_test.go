@@ -77,6 +77,28 @@ func TestReceiveRejects(t *testing.T) {
 	}
 }
 
+// TestBlankMessageIsNotEOF: a JSON line or a cold binary frame body of
+// only blanks is a malformed message, not a clean end of stream, though
+// the decoder reports it as io.EOF.
+func TestBlankMessageIsNotEOF(t *testing.T) {
+	cases := []struct {
+		format Format
+		raw    []byte
+		want   string
+	}{
+		{FormatJSON, []byte(" \t \n"), "protocol: malformed message: EOF"},
+		{FormatBinary, []byte{4, 0, 0, 0, codeEnd, ' ', ' ', '\t'}, "protocol: end frame: malformed JSON body: EOF"},
+	}
+	for _, tc := range cases {
+		r := NewReader(bytes.NewReader(tc.raw))
+		r.SetFormat(tc.format)
+		m, err := r.Receive()
+		if err == nil || errors.Is(err, io.EOF) || err.Error() != tc.want {
+			t.Errorf("%s: blank message read as %+v, %v; want the error %q, not io.EOF", tc.format, m, err, tc.want)
+		}
+	}
+}
+
 func TestReceiveOversizedLine(t *testing.T) {
 	line := `{"type":"bid","duration":1,"cost":1,"name":"` + strings.Repeat("x", MaxLineBytes) + `"}`
 	if _, err := NewReader(strings.NewReader(line + "\n")).Receive(); err == nil {

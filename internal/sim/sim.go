@@ -49,9 +49,7 @@ func RunInstance(in *core.Instance, seed uint64, mech core.Mechanism) (RoundMetr
 	if err != nil {
 		return RoundMetrics{}, fmt.Errorf("sim: %s: %w", mech.Name(), err)
 	}
-	elapsed := time.Since(start)
-	noteRound(elapsed)
-	return Metrics(in, seed, mech.Name(), out, elapsed), nil
+	return Metrics(in, seed, mech.Name(), out, time.Since(start)), nil
 }
 
 // Metrics derives RoundMetrics from an already-computed outcome.
@@ -120,9 +118,6 @@ func Compare(scn workload.Scenario, seeds []uint64, mechs []core.Mechanism, work
 						break
 					}
 					rep.Results = append(rep.Results, m)
-				}
-				if len(rep.Results) == len(mechs) {
-					noteReplication()
 				}
 				reps[idx] = rep
 			}

@@ -127,33 +127,8 @@ func (s Scenario) sampleCost(rng *RNG) float64 {
 // Generate draws one auction round from the scenario using the given
 // seed. Bids are ordered by arrival slot (the order a streaming platform
 // would observe), tasks by arrival. The same (scenario, seed) pair always
-// yields the identical instance.
+// yields the identical instance. It is GenerateWithProfiles with flat
+// arrival rates.
 func (s Scenario) Generate(seed uint64) (*core.Instance, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	rng := NewRNG(seed)
-	in := &core.Instance{Slots: s.Slots, Value: s.Value, AllocateAtLoss: s.AllocateAtLoss}
-	for t := core.Slot(1); t <= s.Slots; t++ {
-		for k := rng.Poisson(s.PhoneRate); k > 0; k-- {
-			length := rng.UniformInt(1, 2*s.MeanActiveLength-1)
-			depart := t + core.Slot(length) - 1
-			if depart > s.Slots {
-				depart = s.Slots
-			}
-			in.Bids = append(in.Bids, core.Bid{
-				Phone:     core.PhoneID(len(in.Bids)),
-				Arrival:   t,
-				Departure: depart,
-				Cost:      s.sampleCost(rng),
-			})
-		}
-		for k := rng.Poisson(s.TaskRate); k > 0; k-- {
-			in.Tasks = append(in.Tasks, core.Task{
-				ID:      core.TaskID(len(in.Tasks)),
-				Arrival: t,
-			})
-		}
-	}
-	return in, nil
+	return s.GenerateWithProfiles(seed, nil, nil)
 }
